@@ -6,8 +6,8 @@ skeleton: exact numerics, row-block task construction, scheduler and
 engine replay, barrier + reduction, per-iteration accounting. This
 package factors that skeleton out once:
 
-* **sources** (:class:`KmeansSource`, :class:`RowAlgorithmSource`)
-  produce per-iteration exact work statistics;
+* **sources** (:class:`KmeansSource`, :class:`MMSource`) produce
+  per-iteration exact work statistics;
 * **backends** (:class:`InMemoryBackend`, :class:`SemBackend`,
   :class:`DistributedBackend`, :class:`PureMpiBackend`) price them on
   a substrate and emit :class:`~repro.metrics.IterationRecord`\\s;
@@ -16,14 +16,15 @@ package factors that skeleton out once:
 * :class:`RunObserver` hooks expose the full trace-event stream to
   benchmarks, the CLI, and profilers.
 
-``knori()``, ``knors()``, ``knord()``, the generalized framework's
-``run_numa``/``run_sem``, and ``baselines.mpi_lloyd`` are thin
-parameter-translation shims over these pieces.
+``knori()``, ``knors()``, ``knord()``, the MM plane's ``run_mm_*``
+drivers and ``baselines.mpi_lloyd`` are thin parameter-translation
+shims over these pieces.
 
 On top of the skeleton sits the **MM algorithm plane**
 (:mod:`repro.runtime.mm`): any algorithm expressible as a per-row
 *majorize* phase plus a global additive *minimize* reduction
-(:class:`MMAlgorithm`) inherits all three backends, fault recovery,
+(:class:`MMAlgorithm`) -- the one contract for custom
+algorithms -- inherits all three backends, fault recovery,
 v4 checkpoints and the observer bus via ``run_mm_inmemory`` /
 ``run_mm_sem`` / ``run_mm_distributed``. k-means itself is the first
 implementation (:class:`KmeansMM`); the extension zoo supplies the
@@ -72,7 +73,6 @@ from repro.runtime.observer import (
 from repro.runtime.sources import (
     KmeansSource,
     NumericsSource,
-    RowAlgorithmSource,
     StepStats,
     resolve_row_data,
 )
@@ -97,7 +97,6 @@ __all__ = [
     "PrintObserver",
     "PureMpiBackend",
     "RecordingObserver",
-    "RowAlgorithmSource",
     "RunObserver",
     "SemBackend",
     "ShardedKmeans",

@@ -12,6 +12,11 @@ The clusterNOR generalization's acceptance contract, in three parts:
 * the satellite edges ride along: the yinyang k<10 single-group clamp
   and empty-group drop both stay exact vs plain Lloyd's, and GMM input
   hygiene raises the loader's typed errors.
+
+The generic contract itself is pinned too: a hand-written
+:class:`MMAlgorithm` is priced by the work it reports, stops at its
+iteration cap, and has malformed per-row statistics rejected typed on
+every backend.
 """
 
 from __future__ import annotations
@@ -19,14 +24,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import ConvergenceCriteria, knori, lloyd
+from repro import ConvergenceCriteria, knori, knors, lloyd
 from repro.core.init import init_centroids
+from repro.data import write_matrix
 from repro.errors import (
     ConfigError,
     ConvergenceError,
     CorruptionError,
     DatasetError,
     IoSubsystemError,
+    SchedulerError,
 )
 from repro.extensions import (
     MM_ALGORITHMS,
@@ -41,10 +48,13 @@ from repro.extensions import (
 from repro.extensions.gmm import GmmMM
 from repro.runtime.mm import (
     KmeansMM,
+    MMAlgorithm,
+    MMStep,
     run_mm_distributed,
     run_mm_inmemory,
     run_mm_sem,
 )
+from repro.simhw import BindPolicy
 
 K = 6
 SEED = 3
@@ -136,6 +146,36 @@ class TestKmeansPort:
         np.testing.assert_array_equal(res.assignment, ref.assignment)
         assert res.iterations == ref.iterations
         assert res.inertia == ref.inertia
+        # Identical work content -> identical simulated time.
+        assert res.sim_seconds == ref.sim_seconds
+
+    def test_matches_builtin_knori(self, overlapping):
+        """A caller-supplied init gives the same model and sim time."""
+        c0 = init_centroids(overlapping, 6, "random", seed=2)
+        builtin = knori(overlapping, 6, init=c0)
+        res = run_mm_inmemory(KmeansMM(overlapping, 6, init=c0))
+        np.testing.assert_array_equal(
+            res.assignment, builtin.assignment
+        )
+        np.testing.assert_allclose(
+            res.centroids, builtin.centroids, atol=1e-10
+        )
+        assert res.converged
+        assert res.iterations == builtin.iterations
+        assert res.sim_seconds == pytest.approx(
+            builtin.sim_seconds, rel=1e-9
+        )
+
+    def test_elkan_matches_classic_knori(self, mmdata):
+        ref = knori(mmdata, K, pruning="elkan", seed=SEED, criteria=CRIT)
+        res = run_mm_inmemory(
+            KmeansMM(mmdata, K, pruning="elkan", seed=SEED,
+                     criteria=CRIT)
+        )
+        np.testing.assert_array_equal(res.centroids, ref.centroids)
+        np.testing.assert_array_equal(res.assignment, ref.assignment)
+        assert res.iterations == ref.iterations
+        assert res.sim_seconds == ref.sim_seconds
 
     def test_unpruned_matches_knori_assignments(self, mmdata):
         """Unpruned partial sums are partition-order sensitive, so
@@ -149,6 +189,38 @@ class TestKmeansPort:
             res.centroids, ref.centroids, rtol=0, atol=1e-10
         )
         assert res.iterations == ref.iterations
+        assert res.sim_seconds == ref.sim_seconds
+
+    @pytest.mark.parametrize("pruning", ["mti", None])
+    def test_sem_matches_classic_knors(self, mmdata, tmp_path, pruning):
+        """Same work through the SEM stack: equal sim time and I/O."""
+        path = tmp_path / "mm.knor"
+        write_matrix(path, mmdata)
+        c0 = init_centroids(mmdata, 5, "random", seed=1)
+        data_bytes = mmdata.size * 8
+        caches = {
+            "row_cache_bytes": data_bytes // 32,
+            "page_cache_bytes": data_bytes // 16,
+        }
+        ref = knors(path, 5, init=c0, pruning=pruning, **caches)
+        res = run_mm_sem(
+            KmeansMM(mmdata, 5, init=c0, pruning=pruning), **caches
+        )
+        np.testing.assert_array_equal(res.assignment, ref.assignment)
+        assert res.sim_seconds == ref.sim_seconds
+        assert (
+            sum(r.bytes_read for r in res.records)
+            == ref.total_bytes_read
+        )
+
+    def test_pruning_modes_match_lloyd(self, overlapping):
+        c0 = init_centroids(overlapping, 5, "random", seed=3)
+        ref = lloyd(overlapping, 5, init=c0)
+        for pruning in ("mti", "elkan", None):
+            res = run_mm_inmemory(
+                KmeansMM(overlapping, 5, pruning=pruning, init=c0)
+            )
+            np.testing.assert_array_equal(res.assignment, ref.assignment)
 
     def test_rejects_bad_shapes(self, mmdata):
         with pytest.raises(DatasetError):
@@ -177,6 +249,26 @@ class TestGmmPort:
         np.testing.assert_array_equal(alg.weights, ref.weights)
         np.testing.assert_array_equal(alg.resp, ref.responsibilities)
         assert alg.ll_history == ref.ll_history
+
+    def test_inmemory_prices_every_row(self, blobs):
+        """EM on the NUMA substrate: converges, log-likelihood is
+        monotone, the blobs are recovered, and every iteration is
+        charged k Gaussian evaluations per row."""
+        alg = GmmMM(blobs, 4, seed=1, max_iters=60)
+        res = run_mm_inmemory(alg)
+        assert res.converged
+        assert (np.diff(alg.ll_history) >= -1e-9).all()
+        sizes = np.sort(np.bincount(res.assignment, minlength=4))
+        np.testing.assert_array_equal(sizes, [250, 250, 250, 250])
+        n = blobs.shape[0]
+        assert all(r.dist_computations == n * 4 for r in res.records)
+
+    def test_sem_requests_every_row(self, overlapping):
+        """EM has no pruning: every SEM iteration requests all rows."""
+        res = run_mm_sem(GmmMM(overlapping, 3, seed=0, max_iters=15))
+        assert res.iterations >= 2
+        n = overlapping.shape[0]
+        assert all(r.rows_active == n for r in res.records)
 
 
 class TestGmmHygiene:
@@ -341,6 +433,111 @@ class TestYinyangEdges:
             res.centroids, ref.centroids, atol=1e-8
         )
         assert res.iterations == ref.iterations
+
+
+class _FixedWork:
+    """A minimal hand-written MM algorithm: fixed per-row work.
+
+    The first ``frac`` of the rows cost ten distance columns each and
+    the rest are skipped; ``bad`` truncates one per-row statistic to
+    exercise the backends' shape check.
+    """
+
+    name = "fixed-work"
+    reduction_slots = 1
+    state_bytes_per_row = 8
+
+    def __init__(self, x, *, frac=1.0, stop_after=4, max_iters=100,
+                 bad=None):
+        self.x = x
+        self.n_rows, self.d = x.shape
+        self.frac = frac
+        self.stop_after = stop_after
+        self.max_iters = max_iters
+        self.bad = bad
+        self.reset()
+
+    def reset(self):
+        self.iteration = 0
+
+    def majorize(self):
+        needs = np.zeros(self.n_rows, dtype=bool)
+        needs[: int(self.frac * self.n_rows)] = True
+        units = np.where(needs, 10, 0).astype(np.int64)
+        if self.bad == "dist_per_row":
+            units = units[:3]
+        if self.bad == "needs_data":
+            needs = needs[:3]
+        return MMStep(
+            dist_per_row=units, needs_data=needs, n_changed=0,
+            payload={"total": self.x.sum(axis=0)},
+        )
+
+    def minimize(self, payload):
+        self.iteration += 1
+
+    def converged(self):
+        return (
+            self.stop_after is not None
+            and self.iteration >= self.stop_after
+        )
+
+    def export_state(self):
+        return {"iteration": self.iteration}
+
+    def restore_state(self, snap):
+        self.iteration = int(snap["iteration"])
+
+    @property
+    def model_array(self):
+        return self.x[:1]
+
+    def result(self, loop_result, *, memory_breakdown=None,
+               extra_params=None):
+        return loop_result.as_run_result(
+            algorithm=self.name,
+            centroids=self.model_array,
+            assignment=np.zeros(self.n_rows, dtype=np.int32),
+            inertia=0.0,
+            memory_breakdown=memory_breakdown,
+            params=extra_params,
+        )
+
+
+class TestContract:
+    """What any hand-written :class:`MMAlgorithm` gets from the plane."""
+
+    def test_protocol_conformance(self, blobs):
+        assert isinstance(KmeansMM(blobs, 3), MMAlgorithm)
+        assert isinstance(GmmMM(blobs, 3), MMAlgorithm)
+        assert isinstance(_FixedWork(blobs), MMAlgorithm)
+
+    def test_bad_step_shapes_rejected(self, blobs):
+        for bad in ("dist_per_row", "needs_data"):
+            for run in (run_mm_inmemory, run_mm_sem, run_mm_distributed):
+                with pytest.raises(SchedulerError, match=bad):
+                    run(_FixedWork(blobs, bad=bad))
+
+    def test_max_iters_respected(self, blobs):
+        res = run_mm_inmemory(
+            _FixedWork(blobs, stop_after=None, max_iters=3)
+        )
+        assert res.iterations == 3
+        assert not res.converged
+
+    def test_custom_sparse_algorithm_prices_skips(self, blobs):
+        """A custom algorithm that skips most rows pays less."""
+        dense = run_mm_inmemory(_FixedWork(blobs, frac=1.0))
+        sparse = run_mm_inmemory(_FixedWork(blobs, frac=0.1))
+        assert sparse.iterations == dense.iterations == 4
+        assert sparse.sim_seconds < dense.sim_seconds
+
+    def test_oblivious_policy_available(self, blobs):
+        res = run_mm_inmemory(
+            KmeansMM(blobs, 3, seed=0),
+            bind_policy=BindPolicy.OBLIVIOUS,
+        )
+        assert res.iterations >= 1
 
 
 class TestRegistry:
