@@ -96,6 +96,11 @@ class NumericsLoop:
     drivers contain only hardware-related logic.
     """
 
+    #: Checkpoint identity, shared with ``KmeansMM``: knors and
+    #: ``run_mm_sem(KmeansMM(...))`` resume from each other's
+    #: checkpoints.
+    name = "kmeans"
+
     def __init__(
         self,
         x: np.ndarray,
@@ -280,14 +285,21 @@ class NumericsLoop:
         """Resume from an :meth:`export_state` snapshot."""
         from repro.core.mti import MtiState
 
+        # The MTI bounds and the persistent sums/counts travel together:
+        # resuming without any one of them would corrupt the pruned
+        # centroid update.
+        required = ["iteration", "centroids", "prev_centroids", "assignment"]
+        if self.pruning == "mti":
+            required += ["ub", "sums", "counts"]
+        missing = [key for key in required if snap.get(key) is None]
+        if missing:
+            raise ConfigError(
+                f"snapshot lacks {missing} for pruning={self.pruning!r}"
+            )
         self.iteration = int(snap["iteration"])
         self.centroids = np.array(snap["centroids"], copy=True)
         self.prev_centroids = np.array(snap["prev_centroids"], copy=True)
         if self.pruning == "mti":
-            if "ub" not in snap or snap["ub"] is None:
-                raise ConfigError(
-                    "snapshot has no pruning state but pruning='mti'"
-                )
             self._state = MtiState(
                 assignment=np.array(
                     snap["assignment"], dtype=np.int32, copy=True

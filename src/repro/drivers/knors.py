@@ -23,7 +23,8 @@ Flag mapping to the paper's names:
 * ``knors(path, k, pruning=None, row_cache_bytes=0)`` -- knors--.
 
 This driver is a parameter-translation shim over
-:mod:`repro.runtime`: it assembles the SAFS/row-cache I/O stack, a
+:mod:`repro.runtime`: it assembles the SAFS/row-cache I/O stack
+(:func:`repro.sem.build_row_engine`), a
 :class:`~repro.runtime.SemBackend` with an optional
 :class:`~repro.runtime.CheckpointHook`, and hands the iteration
 skeleton to the shared :class:`~repro.runtime.IterationLoop`.
@@ -58,17 +59,14 @@ from repro.runtime import (
     resolve_row_data,
 )
 from repro.sched.blocks import auto_task_rows
-from repro.sem import RowCache, RowEngine, Safs
-from repro.sem.checkpoint import has_checkpoint, load_checkpoint
+from repro.sem import build_row_engine
 from repro.simhw import (
     BindPolicy,
     CostModel,
     FOUR_SOCKET_XEON,
     SimMachine,
 )
-from repro.simhw.ssd import AsyncIoQueue, OCZ_INTREPID_ARRAY, SsdArray
-
-_F64 = 8
+from repro.simhw.ssd import OCZ_INTREPID_ARRAY, SsdArray
 
 
 def knors(
@@ -180,12 +178,6 @@ def knors(
         )
     pruning = check_pruning(pruning)
     crit = default_criteria(criteria)
-    row_bytes = d * _F64
-    data_bytes = n * row_bytes
-    if row_cache_bytes is None:
-        row_cache_bytes = data_bytes // 32
-    if page_cache_bytes is None:
-        page_cache_bytes = max(64 * ssd.page_bytes, data_bytes // 16)
 
     machine = SimMachine.build(
         cost_model, n_threads=n_threads, bind_policy=bind_policy, ssd=ssd
@@ -197,30 +189,18 @@ def knors(
 
     manager = resolve_memory_manager(mem, mem_budget_bytes, observers)
     with use_manager(manager):
-        io_queue = (
-            AsyncIoQueue(queue_depth=io_queue_depth, channels=io_channels)
-            if io_mode == "async"
-            else None
-        )
-        safs = Safs(
-            ssd,
+        io_engine, row_cache_bytes, page_cache_bytes = build_row_engine(
+            ssd, n, d, t,
+            row_cache_bytes=row_cache_bytes,
             page_cache_bytes=page_cache_bytes,
+            cache_update_interval=cache_update_interval,
+            io_mode=io_mode,
+            io_queue_depth=io_queue_depth,
+            io_channels=io_channels,
             faults=faults,
             retry_policy=retry_policy,
-            io_queue=io_queue,
         )
-        row_cache = (
-            RowCache(
-                row_cache_bytes,
-                row_bytes,
-                n,
-                n_partitions=t,
-                update_interval=cache_update_interval,
-            )
-            if row_cache_bytes > 0
-            else None
-        )
-        io_engine = RowEngine(safs, row_bytes, n, row_cache=row_cache)
+        row_cache = io_engine.row_cache
         register_sem_memory(
             machine, n, d, k, pruning,
             row_cache_bytes=(
@@ -234,39 +214,21 @@ def knors(
             x, centroids0, pruning, n_partitions=t,
             empty_cluster=empty_cluster, kernel=kernel,
         )
-
-        start_it = 0
-        if resume and checkpoint_dir is not None and has_checkpoint(
-            checkpoint_dir
-        ):
-            ckpt = load_checkpoint(checkpoint_dir)
-            loop.restore_state(
-                {
-                    "iteration": ckpt.iteration,
-                    "centroids": ckpt.centroids,
-                    "prev_centroids": ckpt.prev_centroids,
-                    "assignment": ckpt.assignment,
-                    "ub": ckpt.ub,
-                    "sums": ckpt.sums,
-                    "counts": ckpt.counts,
-                }
-            )
-            start_it = ckpt.iteration
-            if row_cache is not None:
-                # The cache restarts cold; re-engage at the next
-                # scheduled refresh after the resume point.
-                row_cache.fast_forward(start_it - 1)
-
         checkpoint = (
             CheckpointHook(
                 directory=checkpoint_dir,
                 interval=checkpoint_interval,
-                loop=loop,
+                algorithm=loop,
                 params={"n": n, "d": d, "k": k, "pruning": pruning},
                 faults=faults,
             )
             if checkpoint_dir is not None
             else None
+        )
+        start_it = (
+            checkpoint.resume(row_cache)
+            if resume and checkpoint is not None
+            else 0
         )
         backend = SemBackend(
             machine,

@@ -13,7 +13,7 @@ Three storage tiers get checksummed:
   and compares. CRC32 detects every single-byte flip, so detection
   recall is 100% by construction *and* exercised with real CRC
   arithmetic on every verify.
-* **Checkpoint arrays** (:mod:`repro.sem.checkpoint` format v3): real
+* **Checkpoint arrays** (:mod:`repro.sem.checkpoint`, formats v3-v4): real
   CRC32 over the actual array bytes and the on-disk arrays file,
   verified on load.
 * **Allreduce payloads** (:func:`repro.faults.faulty_collective_ns`):

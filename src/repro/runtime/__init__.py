@@ -25,7 +25,7 @@ On top of the skeleton sits the **MM algorithm plane**
 *majorize* phase plus a global additive *minimize* reduction
 (:class:`MMAlgorithm`) -- the one contract for custom
 algorithms -- inherits all three backends, fault recovery,
-v4 checkpoints and the observer bus via ``run_mm_inmemory`` /
+checkpoints and the observer bus via ``run_mm_inmemory`` /
 ``run_mm_sem`` / ``run_mm_distributed``. k-means itself is the first
 implementation (:class:`KmeansMM`); the extension zoo supplies the
 rest (see :mod:`repro.extensions`).
@@ -46,7 +46,6 @@ from repro.runtime.loop import IterationLoop, LoopResult
 from repro.runtime.mm import (
     KmeansMM,
     MMAlgorithm,
-    MMCheckpointHook,
     MMShardedProgram,
     MMSource,
     MMStep,
@@ -88,7 +87,6 @@ __all__ = [
     "KmeansSource",
     "LoopResult",
     "MMAlgorithm",
-    "MMCheckpointHook",
     "MMShardedProgram",
     "MMSource",
     "MMStep",

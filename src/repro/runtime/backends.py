@@ -42,12 +42,25 @@ from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.errors import NodeFailureError, WorkerCrashError
+from repro.errors import (
+    CorruptionError,
+    IoSubsystemError,
+    NodeFailureError,
+    WorkerCrashError,
+)
 from repro.metrics import IterationRecord
 from repro.runtime.observer import RunObserver
 from repro.runtime.sources import NumericsSource, StepStats
 from repro.sched import build_task_blocks
 from repro.sched.blocks import auto_task_rows
+from repro.sem.checkpoint import (
+    CheckpointState,
+    corrupt_checkpoint,
+    discard_checkpoint,
+    has_checkpoint,
+    load_checkpoint,
+    save_checkpoint,
+)
 from repro.simhw import SimMachine
 
 
@@ -265,19 +278,24 @@ class InMemoryBackend:
 
 @dataclass
 class CheckpointHook:
-    """knors' FlashGraph-style fault tolerance as a backend hook.
+    """FlashGraph-style lightweight fault tolerance as a SEM backend hook.
 
-    Persists the numerics loop's O(n) resumable state every
-    ``interval`` iterations (single-atomic-commit protocol; see
-    :mod:`repro.sem.checkpoint`). With a fault plan attached, a save
-    may be killed mid-protocol (``checkpoint`` site), which surfaces
-    as a :class:`~repro.errors.WorkerCrashError` the iteration loop
-    answers through ``backend.recover()``.
+    Persists ``algorithm``'s resumable state every ``interval``
+    iterations in the one on-disk format (single-atomic-commit
+    protocol; see :mod:`repro.sem.checkpoint`). ``algorithm`` is any
+    object with a ``name`` plus ``export_state()`` /
+    ``restore_state(snap)`` -- knors' ``NumericsLoop`` or an
+    ``MMAlgorithm``; the snapshot's ndarrays go into the CRC-checked
+    arrays file, everything else into the manifest's scalars. With a
+    fault plan attached, a save may be killed mid-protocol
+    (``checkpoint`` site), which surfaces as a
+    :class:`~repro.errors.WorkerCrashError` the iteration loop answers
+    through ``backend.recover()``.
     """
 
     directory: str | Path
     interval: int
-    loop: Any  # NumericsLoop (must offer export_state())
+    algorithm: Any
     params: dict
     faults: Any = None  # FaultPlan, for mid-save crash points
 
@@ -301,8 +319,6 @@ class CheckpointHook:
     def _save(
         self, iteration: int, n_changed: int, observer: RunObserver
     ) -> None:
-        from repro.sem.checkpoint import CheckpointState, save_checkpoint
-
         crash_point = (
             self.faults.checkpoint_crash(iteration)
             if self.faults is not None
@@ -312,17 +328,21 @@ class CheckpointHook:
             observer.on_fault(
                 iteration, "checkpoint", crash_point, {}
             )
-        snap = self.loop.export_state()
+        snap = self.algorithm.export_state()
+        state = {k: v for k, v in snap.items() if k != "iteration"}
         save_checkpoint(
             self.directory,
             CheckpointState(
-                iteration=snap["iteration"],
-                centroids=snap["centroids"],
-                prev_centroids=snap["prev_centroids"],
-                assignment=snap["assignment"],
-                ub=snap.get("ub"),
-                sums=snap.get("sums"),
-                counts=snap.get("counts"),
+                iteration=int(snap["iteration"]),
+                algorithm=self.algorithm.name,
+                arrays={
+                    k: v for k, v in state.items()
+                    if isinstance(v, np.ndarray)
+                },
+                scalars={
+                    k: v for k, v in state.items()
+                    if not isinstance(v, np.ndarray)
+                },
                 n_changed=n_changed,
                 params=self.params,
             ),
@@ -331,8 +351,6 @@ class CheckpointHook:
         if self.faults is not None and self.faults.checkpoint_corruption(
             iteration
         ):
-            from repro.sem.checkpoint import corrupt_checkpoint
-
             offset = corrupt_checkpoint(self.directory)
             observer.on_fault(
                 iteration, "corruption", "checkpoint",
@@ -340,29 +358,39 @@ class CheckpointHook:
             )
         observer.on_checkpoint(iteration, self.directory)
 
+    def resume(self, row_cache: Any = None) -> int:
+        """Run-start resume (``resume=True``): restore the newest
+        checkpoint and return the iteration to start at (0 without
+        one). Unlike crash recovery, a corrupt checkpoint here aborts
+        with :class:`~repro.errors.CorruptionError` -- the caller asked
+        for exactly that state."""
+        start = self.try_restore(0, None, quarantine=False) or 0
+        if start and row_cache is not None:
+            # The cache restarts cold; re-engage at the next scheduled
+            # refresh after the resume point.
+            row_cache.fast_forward(start - 1)
+        return start
+
     def try_restore(
-        self, iteration: int, observer: RunObserver
+        self, iteration: int, observer: RunObserver | None,
+        *, quarantine: bool = True,
     ) -> int | None:
-        """Restore the newest checkpoint into the loop, if loadable.
+        """Restore the newest checkpoint into the algorithm, if any.
 
         Returns the iteration to resume at, or ``None`` when no usable
-        checkpoint exists. A checkpoint whose CRC32s do not match its
-        arrays is quarantined (never restored) and recovery falls back
-        to the caller's from-scratch path -- slower, still
-        bit-identical.
+        checkpoint exists. On crash recovery a checkpoint whose CRC32s
+        do not match its arrays is quarantined (never restored) and
+        recovery falls back to the caller's from-scratch path --
+        slower, still bit-identical. A checkpoint owned by another
+        algorithm always fails typed.
         """
-        from repro.errors import CorruptionError
-        from repro.sem.checkpoint import (
-            discard_checkpoint,
-            has_checkpoint,
-            load_checkpoint,
-        )
-
         if not has_checkpoint(self.directory):
             return None
         try:
             ckpt = load_checkpoint(self.directory)
         except CorruptionError as exc:
+            if not quarantine:
+                raise
             observer.on_corruption(
                 iteration, "checkpoint", {"error": str(exc)}
             )
@@ -372,16 +400,13 @@ class CheckpointHook:
                 {"files_removed": discarded},
             )
             return None
-        self.loop.restore_state(
-            {
-                "iteration": ckpt.iteration,
-                "centroids": ckpt.centroids,
-                "prev_centroids": ckpt.prev_centroids,
-                "assignment": ckpt.assignment,
-                "ub": ckpt.ub,
-                "sums": ckpt.sums,
-                "counts": ckpt.counts,
-            }
+        if ckpt.algorithm != self.algorithm.name:
+            raise IoSubsystemError(
+                f"checkpoint in {self.directory} belongs to algorithm "
+                f"{ckpt.algorithm!r}, not {self.algorithm.name!r}"
+            )
+        self.algorithm.restore_state(
+            {"iteration": ckpt.iteration, **ckpt.arrays, **ckpt.scalars}
         )
         return ckpt.iteration
 
@@ -519,9 +544,9 @@ class SemBackend(InMemoryBackend):
         timing, so the replayed numerics stay bit-identical.
 
         The restore itself is delegated to the checkpoint hook's
-        ``try_restore`` (the hook knows its own on-disk format:
-        kmeans v3 state or the generic MM v4 arrays), which keeps this
-        backend algorithm-agnostic.
+        ``try_restore``: the hook hands the loaded arrays and scalars
+        to its algorithm's ``restore_state``, which keeps this backend
+        algorithm-agnostic.
         """
         resume_at = None
         if self.checkpoint is not None:

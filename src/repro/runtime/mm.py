@@ -21,8 +21,6 @@ This module is that frame:
 * :class:`MMShardedProgram` -- adapts it to the
   :class:`~repro.runtime.backends.ShardedProgram` contract for the
   distributed backend.
-* :class:`MMCheckpointHook` -- the SEM checkpoint hook over the
-  generic v4 on-disk format (:mod:`repro.sem.checkpoint`).
 * ``run_mm_inmemory`` / ``run_mm_sem`` / ``run_mm_distributed`` --
   the three generic drivers, mirroring knori/knors/knord assembly.
 
@@ -51,9 +49,10 @@ from typing import Any, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from repro.errors import ConfigError, DatasetError, IoSubsystemError
+from repro.errors import ConfigError, DatasetError
 from repro.metrics import RunResult
 from repro.runtime.backends import (
+    CheckpointHook,
     InMemoryBackend,
     SemBackend,
     ShardedProgram,
@@ -258,130 +257,6 @@ class MMShardedProgram(ShardedProgram):
     @property
     def model_array(self) -> np.ndarray:
         return self.algorithm.model_array
-
-
-@dataclass
-class MMCheckpointHook:
-    """SEM checkpoint hook for MM algorithms (v4 on-disk format).
-
-    Same cadence and crash/corruption injection surface as the kmeans
-    :class:`~repro.runtime.backends.CheckpointHook`; the payload is
-    whatever ``algorithm.export_state()`` returns -- ndarrays go into
-    the arrays file (CRC32-checked), scalars into the manifest.
-    """
-
-    directory: str | Path
-    interval: int
-    algorithm: MMAlgorithm
-    params: dict
-    faults: Any = None
-
-    # ``loop`` aliases the algorithm so shared backend code that
-    # expects a hook with a resettable loop keeps working.
-    @property
-    def loop(self) -> MMAlgorithm:
-        return self.algorithm
-
-    def maybe_save(
-        self, iteration: int, n_changed: int, observer: RunObserver
-    ) -> None:
-        if (iteration + 1) % self.interval != 0:
-            return
-        self._save(iteration, n_changed, observer)
-
-    def force_save(
-        self, iteration: int, n_changed: int, observer: RunObserver
-    ) -> None:
-        """Out-of-interval flush for a preemption-notice grace window
-        (same protocol and fault sites as an interval save)."""
-        self._save(iteration, n_changed, observer)
-
-    def _save(
-        self, iteration: int, n_changed: int, observer: RunObserver
-    ) -> None:
-        from repro.sem.checkpoint import (
-            MMCheckpointState,
-            save_mm_checkpoint,
-        )
-
-        crash_point = (
-            self.faults.checkpoint_crash(iteration)
-            if self.faults is not None
-            else None
-        )
-        if crash_point is not None:
-            observer.on_fault(iteration, "checkpoint", crash_point, {})
-        snap = self.algorithm.export_state()
-        arrays = {
-            name: np.asarray(value)
-            for name, value in snap.items()
-            if name != "iteration" and isinstance(value, np.ndarray)
-        }
-        scalars = {
-            name: value
-            for name, value in snap.items()
-            if name != "iteration" and not isinstance(value, np.ndarray)
-        }
-        save_mm_checkpoint(
-            self.directory,
-            MMCheckpointState(
-                iteration=int(snap["iteration"]),
-                algorithm=self.algorithm.name,
-                arrays=arrays,
-                scalars=scalars,
-                n_changed=n_changed,
-                params=self.params,
-            ),
-            crash_point=crash_point,
-        )
-        if self.faults is not None and self.faults.checkpoint_corruption(
-            iteration
-        ):
-            from repro.sem.checkpoint import corrupt_checkpoint
-
-            offset = corrupt_checkpoint(self.directory)
-            observer.on_fault(
-                iteration, "corruption", "checkpoint",
-                {"offset": offset},
-            )
-        observer.on_checkpoint(iteration, self.directory)
-
-    def try_restore(
-        self, iteration: int, observer: RunObserver
-    ) -> int | None:
-        """Restore the newest v4 checkpoint, quarantining a corrupt
-        one; returns the resume iteration or None."""
-        from repro.errors import CorruptionError
-        from repro.sem.checkpoint import (
-            discard_checkpoint,
-            has_checkpoint,
-            load_mm_checkpoint,
-        )
-
-        if not has_checkpoint(self.directory):
-            return None
-        try:
-            ckpt = load_mm_checkpoint(self.directory)
-        except CorruptionError as exc:
-            observer.on_corruption(
-                iteration, "checkpoint", {"error": str(exc)}
-            )
-            discarded = discard_checkpoint(self.directory)
-            observer.on_quarantine(
-                iteration, "checkpoint", str(self.directory),
-                {"files_removed": discarded},
-            )
-            return None
-        if ckpt.algorithm != self.algorithm.name:
-            raise IoSubsystemError(
-                f"checkpoint in {self.directory} belongs to algorithm "
-                f"{ckpt.algorithm!r}, not {self.algorithm.name!r}"
-            )
-        snap = {"iteration": ckpt.iteration}
-        snap.update(ckpt.arrays)
-        snap.update(ckpt.scalars)
-        self.algorithm.restore_state(snap)
-        return ckpt.iteration
 
 
 class KmeansMM:
@@ -609,7 +484,7 @@ def run_mm_sem(
     mem_budget_bytes: int | None = None,
 ) -> RunResult:
     """Run an MM algorithm semi-external-memory (knors' substrate:
-    SAFS + row cache + async I/O pipeline, v4 checkpoints).
+    SAFS + row cache + async I/O pipeline, checkpoints).
 
     The algorithm's ``needs_data`` mask drives real I/O savings: rows
     a pruned iteration never touches issue no SSD requests.
@@ -618,21 +493,14 @@ def run_mm_sem(
     """
     from repro.drivers.common import make_scheduler, resolve_memory_manager
     from repro.mem import use_manager
+    from repro.runtime.memory import register_mm_memory
     from repro.sched.blocks import auto_task_rows
-    from repro.sem import RowCache, RowEngine, Safs
-    from repro.sem.checkpoint import has_checkpoint, load_mm_checkpoint
+    from repro.sem import build_row_engine
     from repro.simhw import BindPolicy, FOUR_SOCKET_XEON, SimMachine
-    from repro.simhw.ssd import AsyncIoQueue, OCZ_INTREPID_ARRAY
+    from repro.simhw.ssd import OCZ_INTREPID_ARRAY
 
     ssd = ssd or OCZ_INTREPID_ARRAY
     n, d = algorithm.n_rows, algorithm.d
-    row_bytes = d * 8
-    data_bytes = n * row_bytes
-    if row_cache_bytes is None:
-        row_cache_bytes = data_bytes // 32
-    if page_cache_bytes is None:
-        page_cache_bytes = max(64 * ssd.page_bytes, data_bytes // 16)
-
     machine = SimMachine.build(
         cost_model or FOUR_SOCKET_XEON,
         n_threads=n_threads,
@@ -646,32 +514,17 @@ def run_mm_sem(
 
     manager = resolve_memory_manager(mem, mem_budget_bytes, observers)
     with use_manager(manager):
-        io_queue = (
-            AsyncIoQueue(queue_depth=io_queue_depth, channels=io_channels)
-            if io_mode == "async"
-            else None
-        )
-        safs = Safs(
-            ssd,
+        io_engine, row_cache_bytes, page_cache_bytes = build_row_engine(
+            ssd, n, d, t,
+            row_cache_bytes=row_cache_bytes,
             page_cache_bytes=page_cache_bytes,
+            cache_update_interval=cache_update_interval,
+            io_mode=io_mode,
+            io_queue_depth=io_queue_depth,
+            io_channels=io_channels,
             faults=faults,
             retry_policy=retry_policy,
-            io_queue=io_queue,
         )
-        row_cache = (
-            RowCache(
-                row_cache_bytes,
-                row_bytes,
-                n,
-                n_partitions=t,
-                update_interval=cache_update_interval,
-            )
-            if row_cache_bytes > 0
-            else None
-        )
-        io_engine = RowEngine(safs, row_bytes, n, row_cache=row_cache)
-        from repro.runtime.memory import register_mm_memory
-
         register_mm_memory(
             machine, n, d,
             state_bytes_per_row=algorithm.state_bytes_per_row,
@@ -680,28 +533,8 @@ def run_mm_sem(
             row_cache_bytes=row_cache_bytes,
             page_cache_bytes=page_cache_bytes,
         )
-
-        start_it = 0
-        if resume and checkpoint_dir is not None and has_checkpoint(
-            checkpoint_dir
-        ):
-            ckpt = load_mm_checkpoint(checkpoint_dir)
-            if ckpt.algorithm != algorithm.name:
-                raise IoSubsystemError(
-                    f"checkpoint in {checkpoint_dir} belongs to "
-                    f"algorithm {ckpt.algorithm!r}, not "
-                    f"{algorithm.name!r}"
-                )
-            snap = {"iteration": ckpt.iteration}
-            snap.update(ckpt.arrays)
-            snap.update(ckpt.scalars)
-            algorithm.restore_state(snap)
-            start_it = ckpt.iteration
-            if row_cache is not None:
-                row_cache.fast_forward(start_it - 1)
-
         checkpoint = (
-            MMCheckpointHook(
+            CheckpointHook(
                 directory=checkpoint_dir,
                 interval=checkpoint_interval,
                 algorithm=algorithm,
@@ -710,6 +543,11 @@ def run_mm_sem(
             )
             if checkpoint_dir is not None
             else None
+        )
+        start_it = (
+            checkpoint.resume(io_engine.row_cache)
+            if resume and checkpoint is not None
+            else 0
         )
         backend = SemBackend(
             machine,

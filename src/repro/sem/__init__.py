@@ -15,7 +15,8 @@ mirrors that architecture layer by layer:
   (Section 6.2.2).
 * :mod:`repro.sem.flashgraph` -- the ``page_row`` engine: one
   iteration's I/O plan (row cache -> page cache -> SSD) with
-  asynchronous I/O overlapping compute.
+  asynchronous I/O overlapping compute; :func:`build_row_engine` wires
+  the whole stack with the paper's default cache budgets.
 
 Data flowing through this stack is *real*: rows come back from an
 actual on-disk file (:class:`repro.data.MatrixFile`); only service
@@ -25,7 +26,11 @@ times are modeled.
 from repro.sem.pagecache import PageCache
 from repro.sem.safs import Safs, IoBatch
 from repro.sem.rowcache import RowCache
-from repro.sem.flashgraph import RowEngine, IoIterationStats
+from repro.sem.flashgraph import (
+    IoIterationStats,
+    RowEngine,
+    build_row_engine,
+)
 
 __all__ = [
     "PageCache",
@@ -34,4 +39,5 @@ __all__ = [
     "RowCache",
     "RowEngine",
     "IoIterationStats",
+    "build_row_engine",
 ]

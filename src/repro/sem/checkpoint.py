@@ -2,41 +2,44 @@
 
 FlashGraph "is also tolerant to in-memory failures, allowing recovery
 in SEM routines through lightweight checkpointing" (Section 2). The
-state a SEM k-means run needs to resume is exactly its O(n) in-memory
-footprint: assignments, MTI upper bounds, the persistent per-cluster
-sums/counts, current/previous centroids and the iteration counter. Row
-data never needs checkpointing -- it is already durable on SSD.
+state a SEM run needs to resume is exactly its O(n) in-memory
+footprint. For k-means that is the assignments, MTI upper bounds, the
+persistent per-cluster sums/counts, current/previous centroids and the
+iteration counter; for any other MM algorithm it is whatever its
+``export_state()`` returns (GMM: means/variances/weights/ll_history,
+Yinyang: its group bounds, ...). Row data never needs checkpointing --
+it is already durable on SSD.
 
-Durability protocol (format version 3): each save writes its arrays to
-a fresh sequence-numbered ``checkpoint-<seq>.npz`` (never overwriting
-the arrays a live manifest references), then commits by atomically
-renaming the manifest over ``checkpoint.json``. The manifest rename is
-the *only* commit point, so a crash at any instant -- mid-array-write,
-between tmp-write and rename, or before garbage collection -- leaves
-the previous checkpoint fully loadable (the crash-matrix tests inject
-crashes at each point via :mod:`repro.faults`). Version 1 checkpoints
-(single ``checkpoint.npz``, renamed arrays-then-manifest) remain
-loadable; version 1's window where an old manifest could pair with
-newly renamed arrays is what the redesign closes.
+Every SEM run (knors and ``run_mm_sem``) writes format version 4: a
+manifest naming the owning algorithm (``"kmeans"`` for knors and
+``KmeansMM`` alike), the iteration to resume at and JSON scalar state,
+plus a sequence-numbered ``checkpoint-<seq>.npz`` holding the named
+arrays.
 
-Format version 3 adds integrity checksums: the manifest records a
-CRC32 of the whole arrays file plus one CRC32 per stored array.
-:func:`load_checkpoint` verifies the file checksum before parsing and
-every array checksum after, raising
-:class:`~repro.errors.CorruptionError` on any mismatch -- a flipped
-bit on the simulated SSD is always *detected*, never silently resumed
-from. Versions 1 and 2 (no checksums) still load.
+Durability protocol: each save writes its arrays to a fresh
+sequence-numbered file (never overwriting the arrays a live manifest
+references), then commits by atomically renaming the manifest over
+``checkpoint.json``. The manifest rename is the *only* commit point,
+so a crash at any instant -- mid-array-write, between tmp-write and
+rename, or before garbage collection -- leaves the previous checkpoint
+fully loadable (the crash-matrix tests inject crashes at each point
+via :mod:`repro.faults`).
 
-Format version 4 generalizes the *contents* without touching the
-protocol: instead of the fixed kmeans field set, a v4 checkpoint
-stores an arbitrary dict of named arrays plus scalar state and the
-owning algorithm's name (the MM plane: GMM saves means/variances/
-weights/ll_history, Yinyang saves its group bounds, ...). The
-durability protocol -- sequence-numbered arrays file, CRC32s, atomic
-manifest rename as the sole commit point, GC -- is byte-for-byte the
-v3 one, so every crash-point guarantee carries over. The two loaders
-reject each other's manifests with a clear error rather than
-misparsing them.
+Integrity: the manifest records a CRC32 of the whole arrays file plus
+one CRC32 per stored array. :func:`load_checkpoint` verifies both,
+raising :class:`~repro.errors.CorruptionError` on any mismatch -- a
+flipped bit on the simulated SSD is always *detected*, never silently
+resumed from.
+
+Older k-means checkpoints still load, as algorithm ``"kmeans"`` with
+the same array names: v3 (fixed k-means field set, same protocol and
+CRCs), v2 (no CRCs) and v1 (a single ``checkpoint.npz`` renamed
+arrays-then-manifest; its window where an old manifest could pair with
+newly renamed arrays is what v2 closed). Malformed input of any
+version fails typed, naming the directory and the bad key or array:
+:class:`~repro.errors.IoSubsystemError` for a manifest that is
+missing, unparseable or mistyped, :class:`~repro.errors.CorruptionError`
+for arrays that do not match it.
 
 The paper disables checkpointing during performance evaluation
 (Section 8.5), and so do the benches; the integration and fault tests
@@ -48,82 +51,76 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
 from repro.errors import CorruptionError, IoSubsystemError, WorkerCrashError
-from repro.mem import MemoryManager, current_manager
+from repro.mem import current_manager
 from repro.resilience.integrity import array_crc32, crc32_bytes
 
 _MANIFEST = "checkpoint.json"
 _V1_ARRAYS = "checkpoint.npz"
-_FORMAT_VERSION = 3
-_MM_FORMAT_VERSION = 4
-
-
-def _stage_arrays(
-    arrays: dict[str, np.ndarray], mem: MemoryManager
-) -> dict[str, np.ndarray]:
-    """Copy checkpoint arrays into manager-owned assembly buffers.
-
-    The save protocol serializes and checksums a *snapshot*: staging
-    through the manager makes that transient O(n) spike visible to (and
-    chargeable against) the memory plane, and the pooled buffers are
-    reused across periodic saves. Values are bit-for-bit copies, so the
-    serialized bytes and CRCs are unchanged.
-    """
-    staged = {}
-    for name, arr in arrays.items():
-        buf = mem.alloc(arr.shape, arr.dtype, tag=f"checkpoint/{name}")
-        np.copyto(buf, arr, casting="no")
-        staged[name] = buf
-    return staged
-
-
-def _release_arrays(
-    staged: dict[str, np.ndarray], mem: MemoryManager
-) -> None:
-    for arr in staged.values():
-        mem.free(arr)
+_FORMAT_VERSION = 4
+#: The arrays every v1-v3 (k-means) checkpoint carries.
+_KMEANS_ARRAYS = ("centroids", "prev_centroids", "assignment")
 
 
 @dataclass
 class CheckpointState:
-    """Everything needed to resume a knors run."""
+    """One SEM run's resumable state, whatever the format version.
+
+    ``arrays`` holds the O(n)/O(k) ndarray state under algorithm-chosen
+    names; ``scalars`` holds JSON-representable scalar state;
+    ``iteration`` is the index to resume at; ``algorithm`` names the
+    owner (v1-v3 checkpoints load as ``"kmeans"``).
+    """
 
     iteration: int
-    centroids: np.ndarray
-    prev_centroids: np.ndarray
-    assignment: np.ndarray
-    ub: np.ndarray | None  # None when pruning is off
-    sums: np.ndarray | None
-    counts: np.ndarray | None
+    algorithm: str
+    arrays: dict[str, np.ndarray]
+    scalars: dict
     n_changed: int
     params: dict
 
 
 def _read_manifest(directory: Path) -> dict | None:
-    """The committed manifest, or None when absent/unparseable."""
+    """The committed manifest, or None when absent, unparseable or not
+    a JSON object."""
     path = directory / _MANIFEST
-    if not path.exists():
+    if not path.is_file():
         return None
     try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError:
+        manifest = json.loads(path.read_bytes())
+    except ValueError:  # bad JSON or invalid UTF-8
         return None
+    return manifest if isinstance(manifest, dict) else None
 
 
 def _arrays_path(directory: Path, manifest: dict) -> Path | None:
-    """The arrays file a manifest references, version-aware."""
+    """The existing arrays file a manifest references, version-aware."""
     version = manifest.get("format_version")
+    name = manifest.get("arrays")
     if version == 1:
-        return directory / _V1_ARRAYS
-    if version in (2, _FORMAT_VERSION, _MM_FORMAT_VERSION):
-        name = manifest.get("arrays")
-        if not name or "/" in str(name):
-            return None
-        return directory / str(name)
-    return None
+        name = _V1_ARRAYS
+    elif version not in (2, 3, _FORMAT_VERSION) or not isinstance(name, str):
+        return None
+    path = directory / name
+    return path if "/" not in name and path.is_file() else None
+
+
+def _field(manifest: dict, key: str, kind: type, directory: Path) -> Any:
+    """``manifest[key]``, typed-failing when absent or not a ``kind``."""
+    value = manifest.get(key)
+    if isinstance(value, kind) and not (
+        kind is int and isinstance(value, bool)
+    ):
+        return value
+    got = f"got {type(value).__name__}" if key in manifest else "missing"
+    raise IoSubsystemError(
+        f"checkpoint manifest in {directory}: {key!r} must be "
+        f"{kind.__name__}, {got}"
+    )
 
 
 def save_checkpoint(
@@ -140,31 +137,32 @@ def save_checkpoint(
     stage, and ``committed-no-gc`` leaves the *new* one loadable with
     one stale arrays file the next save collects.
     """
-    if (state.sums is None) != (state.counts is None):
-        raise IoSubsystemError(
-            "checkpoint sums and counts must be saved together "
-            f"(sums is {'None' if state.sums is None else 'set'}, "
-            f"counts is {'None' if state.counts is None else 'set'})"
-        )
+    if not state.arrays:
+        raise IoSubsystemError("a checkpoint must carry at least one array")
+    for name in state.arrays:
+        if "/" in name:
+            raise IoSubsystemError(
+                f"checkpoint array name {name!r} must not contain '/'"
+            )
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    previous = _read_manifest(directory)
-    seq = (previous.get("seq", 0) if previous else 0) + 1
+    previous = _read_manifest(directory) or {}
+    seq = previous.get("seq", 0)
+    seq = (seq if isinstance(seq, int) else 0) + 1
     arrays_name = f"checkpoint-{seq:08d}.npz"
 
-    arrays = {
-        "centroids": state.centroids,
-        "prev_centroids": state.prev_centroids,
-        "assignment": state.assignment,
-    }
-    if state.ub is not None:
-        arrays["ub"] = state.ub
-    if state.sums is not None:
-        arrays["sums"] = state.sums
-        arrays["counts"] = state.counts
+    # Serialize and checksum a snapshot staged in manager-owned buffers:
+    # the transient O(n) spike is visible to (and chargeable against)
+    # the memory plane, and pooled buffers are reused across periodic
+    # saves. The copies are bit-for-bit, so bytes and CRCs are unchanged.
     mem = current_manager()
-    staged = _stage_arrays(arrays, mem)
+    staged = {}
     try:
+        for name, arr in state.arrays.items():
+            staged[name] = mem.alloc(
+                arr.shape, arr.dtype, tag=f"checkpoint/{name}"
+            )
+            np.copyto(staged[name], arr, casting="no")
         with open(directory / arrays_name, "wb") as fh:
             np.savez(fh, **staged)
         file_crc = crc32_bytes((directory / arrays_name).read_bytes())
@@ -172,7 +170,8 @@ def save_checkpoint(
             name: array_crc32(arr) for name, arr in staged.items()
         }
     finally:
-        _release_arrays(staged, mem)
+        for arr in staged.values():
+            mem.free(arr)
     if crash_point == "arrays-written":
         raise WorkerCrashError(
             "injected crash: arrays written, manifest not committed"
@@ -183,211 +182,6 @@ def save_checkpoint(
         json.dumps(
             {
                 "format_version": _FORMAT_VERSION,
-                "seq": seq,
-                "arrays": arrays_name,
-                "file_crc32": file_crc,
-                "array_crc32": array_crcs,
-                "iteration": state.iteration,
-                "n_changed": state.n_changed,
-                "has_ub": state.ub is not None,
-                "has_sums": state.sums is not None,
-                "params": state.params,
-            }
-        )
-    )
-    if crash_point == "manifest-tmp-written":
-        raise WorkerCrashError(
-            "injected crash: between manifest tmp-write and rename"
-        )
-
-    # The single atomic commit point.
-    tmp_manifest.replace(directory / _MANIFEST)
-    if crash_point == "committed-no-gc":
-        raise WorkerCrashError(
-            "injected crash: committed, stale arrays not collected"
-        )
-
-    # Garbage-collect arrays files no manifest references (previous
-    # generations, plus leftovers from crashed saves).
-    for path in directory.glob("checkpoint-*.npz"):
-        if path.name != arrays_name:
-            path.unlink(missing_ok=True)
-    old_v1 = directory / _V1_ARRAYS
-    if old_v1.exists():
-        old_v1.unlink()
-    return directory
-
-
-def load_checkpoint(directory: str | Path) -> CheckpointState:
-    """Load the checkpoint in ``directory``; raises if absent/corrupt."""
-    directory = Path(directory)
-    manifest = _read_manifest(directory)
-    if manifest is None:
-        if (directory / _MANIFEST).exists():
-            raise IoSubsystemError(
-                f"corrupt checkpoint manifest in {directory}"
-            )
-        raise IoSubsystemError(f"no checkpoint in {directory}")
-    version = manifest.get("format_version")
-    if version == _MM_FORMAT_VERSION:
-        raise IoSubsystemError(
-            f"checkpoint in {directory} is a generic MM (v4) "
-            f"checkpoint for algorithm "
-            f"{manifest.get('algorithm')!r}; load it with "
-            f"load_mm_checkpoint"
-        )
-    if version not in (1, 2, _FORMAT_VERSION):
-        raise IoSubsystemError(
-            f"unsupported checkpoint version {version}"
-        )
-    arrays_path = _arrays_path(directory, manifest)
-    if arrays_path is None or not arrays_path.exists():
-        raise IoSubsystemError(
-            f"checkpoint manifest in {directory} references missing "
-            f"arrays"
-        )
-    if version == _FORMAT_VERSION:
-        file_crc = crc32_bytes(arrays_path.read_bytes())
-        want = int(manifest["file_crc32"])
-        if file_crc != want:
-            raise CorruptionError(
-                f"checkpoint arrays file {arrays_path.name} failed CRC32 "
-                f"(stored {want:#010x}, computed {file_crc:#010x})"
-            )
-    if version == 1:
-        has_ub = has_sums = bool(manifest["has_pruning_state"])
-    else:
-        has_ub = bool(manifest["has_ub"])
-        has_sums = bool(manifest["has_sums"])
-    with np.load(arrays_path) as data:
-        state = CheckpointState(
-            iteration=int(manifest["iteration"]),
-            centroids=data["centroids"].copy(),
-            prev_centroids=data["prev_centroids"].copy(),
-            assignment=data["assignment"].copy(),
-            ub=data["ub"].copy() if has_ub else None,
-            sums=data["sums"].copy() if has_sums else None,
-            counts=data["counts"].copy() if has_sums else None,
-            n_changed=int(manifest["n_changed"]),
-            params=manifest["params"],
-        )
-    if version == _FORMAT_VERSION:
-        for name, want_crc in manifest["array_crc32"].items():
-            arr = getattr(state, name, None)
-            if arr is None:
-                continue
-            got = array_crc32(arr)
-            if got != int(want_crc):
-                raise CorruptionError(
-                    f"checkpoint array {name!r} failed CRC32 "
-                    f"(stored {int(want_crc):#010x}, computed {got:#010x})"
-                )
-    return state
-
-
-def has_checkpoint(directory: str | Path) -> bool:
-    """Is there a loadable checkpoint in ``directory``?"""
-    directory = Path(directory)
-    manifest = _read_manifest(directory)
-    if manifest is None:
-        return False
-    arrays_path = _arrays_path(directory, manifest)
-    return arrays_path is not None and arrays_path.exists()
-
-
-def corrupt_checkpoint(directory: str | Path) -> int:
-    """Flip one byte mid-file in the committed arrays file.
-
-    Fault-injection helper for the ``corruption``/``checkpoint`` site:
-    simulates a bit flip on the durable medium after the save
-    committed. Returns the byte offset that was flipped so the event
-    can report it. Raises :class:`~repro.errors.IoSubsystemError` when
-    there is no checkpoint to corrupt.
-    """
-    directory = Path(directory)
-    manifest = _read_manifest(directory)
-    if manifest is None:
-        raise IoSubsystemError(f"no checkpoint to corrupt in {directory}")
-    arrays_path = _arrays_path(directory, manifest)
-    if arrays_path is None or not arrays_path.exists():
-        raise IoSubsystemError(f"no checkpoint arrays in {directory}")
-    size = arrays_path.stat().st_size
-    offset = size // 2
-    with open(arrays_path, "r+b") as fh:
-        fh.seek(offset)
-        byte = fh.read(1)
-        fh.seek(offset)
-        fh.write(bytes([byte[0] ^ 0xFF]))
-    return offset
-
-
-@dataclass
-class MMCheckpointState:
-    """A format-v4 checkpoint: any MM algorithm's resumable state.
-
-    ``arrays`` holds the O(n)/O(k) ndarray state under
-    algorithm-chosen names; ``scalars`` holds JSON-representable
-    scalar state (floats/ints/lists). ``iteration`` is the index to
-    resume at.
-    """
-
-    iteration: int
-    algorithm: str
-    arrays: dict[str, np.ndarray]
-    scalars: dict
-    n_changed: int
-    params: dict
-
-
-def save_mm_checkpoint(
-    directory: str | Path,
-    state: MMCheckpointState,
-    *,
-    crash_point: str | None = None,
-) -> Path:
-    """Atomically persist a generic MM checkpoint (format v4).
-
-    Identical durability protocol to :func:`save_checkpoint`
-    (sequence-numbered arrays file, whole-file + per-array CRC32s,
-    atomic manifest rename as the sole commit point, then GC), so the
-    same injected ``crash_point`` stages hold the same guarantees.
-    """
-    if not state.arrays:
-        raise IoSubsystemError(
-            "an MM checkpoint must carry at least one array"
-        )
-    for name in state.arrays:
-        if "/" in name:
-            raise IoSubsystemError(
-                f"MM checkpoint array name {name!r} must not contain '/'"
-            )
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    previous = _read_manifest(directory)
-    seq = (previous.get("seq", 0) if previous else 0) + 1
-    arrays_name = f"checkpoint-{seq:08d}.npz"
-
-    mem = current_manager()
-    staged = _stage_arrays(state.arrays, mem)
-    try:
-        with open(directory / arrays_name, "wb") as fh:
-            np.savez(fh, **staged)
-        file_crc = crc32_bytes((directory / arrays_name).read_bytes())
-        array_crcs = {
-            name: array_crc32(arr) for name, arr in staged.items()
-        }
-    finally:
-        _release_arrays(staged, mem)
-    if crash_point == "arrays-written":
-        raise WorkerCrashError(
-            "injected crash: arrays written, manifest not committed"
-        )
-
-    tmp_manifest = directory / (_MANIFEST + ".tmp")
-    tmp_manifest.write_text(
-        json.dumps(
-            {
-                "format_version": _MM_FORMAT_VERSION,
                 "seq": seq,
                 "arrays": arrays_name,
                 "file_crc32": file_crc,
@@ -412,18 +206,36 @@ def save_mm_checkpoint(
             "injected crash: committed, stale arrays not collected"
         )
 
+    # Garbage-collect arrays files no manifest references (previous
+    # generations, plus leftovers from crashed saves).
     for path in directory.glob("checkpoint-*.npz"):
         if path.name != arrays_name:
             path.unlink(missing_ok=True)
+    (directory / _V1_ARRAYS).unlink(missing_ok=True)
     return directory
 
 
-def load_mm_checkpoint(directory: str | Path) -> MMCheckpointState:
-    """Load a format-v4 MM checkpoint; raises if absent/corrupt.
+def _read_arrays(arrays_path: Path) -> dict[str, np.ndarray]:
+    """Every array in an ``.npz`` file; CorruptionError if unreadable."""
+    try:
+        with np.load(arrays_path) as data:
+            return {name: data[name] for name in data.files}
+    except Exception as exc:
+        # The zip and .npy parsers raise BadZipFile, EOFError,
+        # ValueError, OSError, ... on damaged bytes.
+        raise CorruptionError(
+            f"checkpoint arrays file {arrays_path} is unreadable "
+            f"({type(exc).__name__}: {exc})"
+        ) from exc
 
-    Rejects kmeans-format (v1-v3) checkpoints with a clear error
-    instead of misreading them, mirroring :func:`load_checkpoint`'s
-    rejection of v4.
+
+def load_checkpoint(directory: str | Path) -> CheckpointState:
+    """Load the checkpoint in ``directory`` (format v1-v4).
+
+    Raises :class:`~repro.errors.IoSubsystemError` when there is no
+    checkpoint or its manifest is malformed, and
+    :class:`~repro.errors.CorruptionError` when the arrays fail their
+    CRC32s or do not match the manifest.
     """
     directory = Path(directory)
     manifest = _read_manifest(directory)
@@ -434,52 +246,96 @@ def load_mm_checkpoint(directory: str | Path) -> MMCheckpointState:
             )
         raise IoSubsystemError(f"no checkpoint in {directory}")
     version = manifest.get("format_version")
-    if version in (1, 2, _FORMAT_VERSION):
+    if version not in (1, 2, 3, _FORMAT_VERSION):
         raise IoSubsystemError(
-            f"checkpoint in {directory} is a kmeans (v{version}) "
-            f"checkpoint; load it with load_checkpoint"
-        )
-    if version != _MM_FORMAT_VERSION:
-        raise IoSubsystemError(
-            f"unsupported checkpoint version {version}"
+            f"unsupported checkpoint version {version!r} in {directory}"
         )
     arrays_path = _arrays_path(directory, manifest)
-    if arrays_path is None or not arrays_path.exists():
+    if arrays_path is None:
         raise IoSubsystemError(
             f"checkpoint manifest in {directory} references missing "
             f"arrays"
         )
-    file_crc = crc32_bytes(arrays_path.read_bytes())
-    want = int(manifest["file_crc32"])
-    if file_crc != want:
-        raise CorruptionError(
-            f"checkpoint arrays file {arrays_path.name} failed CRC32 "
-            f"(stored {want:#010x}, computed {file_crc:#010x})"
-        )
-    arrays: dict[str, np.ndarray] = {}
-    with np.load(arrays_path) as data:
-        for name in data.files:
-            arrays[name] = data[name].copy()
-    for name, want_crc in manifest["array_crc32"].items():
+    def field(key: str, kind: type) -> Any:
+        return _field(manifest, key, kind, directory)
+
+    iteration = field("iteration", int)
+    n_changed = field("n_changed", int)
+    params = field("params", dict)
+    if version == _FORMAT_VERSION:
+        algorithm, scalars = field("algorithm", str), field("scalars", dict)
+        wanted = None
+    else:
+        algorithm, scalars = "kmeans", {}
+        if version == 1:
+            has_ub = has_sums = field("has_pruning_state", bool)
+        else:
+            has_ub, has_sums = field("has_ub", bool), field("has_sums", bool)
+        wanted = list(_KMEANS_ARRAYS)
+        wanted += ["ub"] if has_ub else []
+        wanted += ["sums", "counts"] if has_sums else []
+
+    want_crcs = {}
+    if version >= 3:
+        want_crcs = field("array_crc32", dict)
+        want = field("file_crc32", int)
+        got = crc32_bytes(arrays_path.read_bytes())
+        if got != want:
+            raise CorruptionError(
+                f"checkpoint arrays file {arrays_path} failed CRC32 "
+                f"(stored {want:#010x}, computed {got:#010x})"
+            )
+    arrays = _read_arrays(arrays_path)
+    for name in [*want_crcs, *(wanted or ())]:
         if name not in arrays:
             raise CorruptionError(
-                f"checkpoint array {name!r} listed in the manifest "
-                f"is missing from {arrays_path.name}"
+                f"checkpoint arrays file {arrays_path} lacks array "
+                f"{name!r} its manifest declares"
             )
+    for name, want in want_crcs.items():
         got = array_crc32(arrays[name])
-        if got != int(want_crc):
+        if got != want:
             raise CorruptionError(
-                f"checkpoint array {name!r} failed CRC32 "
-                f"(stored {int(want_crc):#010x}, computed {got:#010x})"
+                f"checkpoint array {name!r} in {directory} failed CRC32 "
+                f"(stored {want!r}, computed {got})"
             )
-    return MMCheckpointState(
-        iteration=int(manifest["iteration"]),
-        algorithm=str(manifest.get("algorithm", "")),
-        arrays=arrays,
-        scalars=dict(manifest.get("scalars", {})),
-        n_changed=int(manifest["n_changed"]),
-        params=manifest.get("params", {}),
+    if wanted is not None:
+        arrays = {name: arrays[name] for name in wanted}
+    return CheckpointState(
+        iteration=iteration, algorithm=algorithm, arrays=arrays,
+        scalars=scalars, n_changed=n_changed, params=params,
     )
+
+
+def has_checkpoint(directory: str | Path) -> bool:
+    """Is there a loadable checkpoint in ``directory``?"""
+    directory = Path(directory)
+    manifest = _read_manifest(directory)
+    return bool(manifest and _arrays_path(directory, manifest))
+
+
+def corrupt_checkpoint(directory: str | Path) -> int:
+    """Flip one byte mid-file in the committed arrays file.
+
+    Fault-injection helper for the ``corruption``/``checkpoint`` site:
+    simulates a bit flip on the durable medium after the save
+    committed. Returns the byte offset that was flipped so the event
+    can report it. Raises :class:`~repro.errors.IoSubsystemError` when
+    there is no checkpoint to corrupt.
+    """
+    directory = Path(directory)
+    manifest = _read_manifest(directory)
+    arrays_path = manifest and _arrays_path(directory, manifest)
+    if not arrays_path:
+        raise IoSubsystemError(f"no checkpoint to corrupt in {directory}")
+    size = arrays_path.stat().st_size
+    offset = size // 2
+    with open(arrays_path, "r+b") as fh:
+        fh.seek(offset)
+        byte = fh.read(1)
+        fh.seek(offset)
+        fh.write(bytes([byte[0] ^ 0xFF]))
+    return offset
 
 
 def discard_checkpoint(directory: str | Path) -> int:

@@ -22,12 +22,14 @@ compute term wins -- Section 8.8).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
 from repro.errors import CorruptionError
 from repro.sem.rowcache import RowCache
 from repro.sem.safs import Safs
+from repro.simhw.ssd import AsyncIoQueue, SsdArray
 
 
 @dataclass
@@ -188,3 +190,63 @@ class RowEngine:
             iteration, "corruption", "reread", {"row": victim}
         )
         return misses, rc_hits - 1
+
+
+def build_row_engine(
+    ssd: SsdArray,
+    n_rows: int,
+    d: int,
+    n_partitions: int,
+    *,
+    row_cache_bytes: int | None = None,
+    page_cache_bytes: int | None = None,
+    cache_update_interval: int = 5,
+    io_mode: str = "async",
+    io_queue_depth: int = 32,
+    io_channels: int | None = None,
+    faults: Any = None,
+    retry_policy: Any = None,
+) -> tuple[RowEngine, int, int]:
+    """Assemble one dataset's SEM I/O stack: the SSD request queue
+    (async mode only), SAFS with its page cache, the row cache
+    partitioned over ``n_partitions`` threads, and the row engine.
+
+    ``None`` budgets take the paper's defaults: the row cache gets 1/32
+    of the data size (512 MB on the 16 GB Friendster-32), the page
+    cache 1/16 (its 1 GB) but at least 64 pages. A row-cache budget of
+    0 disables the row cache. Call it inside the run's ``use_manager``
+    block: the caches allocate through :mod:`repro.mem`. Returns the
+    engine plus the resolved row- and page-cache budgets, which each
+    caller registers in its own Table 1 memory accounting.
+    """
+    row_bytes = d * 8
+    data_bytes = n_rows * row_bytes
+    if row_cache_bytes is None:
+        row_cache_bytes = data_bytes // 32
+    if page_cache_bytes is None:
+        page_cache_bytes = max(64 * ssd.page_bytes, data_bytes // 16)
+    io_queue = (
+        AsyncIoQueue(queue_depth=io_queue_depth, channels=io_channels)
+        if io_mode == "async"
+        else None
+    )
+    safs = Safs(
+        ssd,
+        page_cache_bytes=page_cache_bytes,
+        faults=faults,
+        retry_policy=retry_policy,
+        io_queue=io_queue,
+    )
+    row_cache = (
+        RowCache(
+            row_cache_bytes,
+            row_bytes,
+            n_rows,
+            n_partitions=n_partitions,
+            update_interval=cache_update_interval,
+        )
+        if row_cache_bytes > 0
+        else None
+    )
+    engine = RowEngine(safs, row_bytes, n_rows, row_cache=row_cache)
+    return engine, row_cache_bytes, page_cache_bytes

@@ -569,13 +569,12 @@ class TestRegistry:
 
 
 class TestMMCheckpointFormat:
-    """The generic v4 on-disk format under the v3 durability
-    protocol."""
+    """Any MM algorithm's state in the one on-disk format."""
 
     def _state(self):
-        from repro.sem.checkpoint import MMCheckpointState
+        from repro.sem.checkpoint import CheckpointState
 
-        return MMCheckpointState(
+        return CheckpointState(
             iteration=4,
             algorithm="gmm",
             arrays={
@@ -588,13 +587,10 @@ class TestMMCheckpointFormat:
         )
 
     def test_roundtrip(self, tmp_path):
-        from repro.sem.checkpoint import (
-            load_mm_checkpoint,
-            save_mm_checkpoint,
-        )
+        from repro.sem.checkpoint import load_checkpoint, save_checkpoint
 
-        save_mm_checkpoint(tmp_path, self._state())
-        ckpt = load_mm_checkpoint(tmp_path)
+        save_checkpoint(tmp_path, self._state())
+        ckpt = load_checkpoint(tmp_path)
         assert ckpt.iteration == 4
         assert ckpt.algorithm == "gmm"
         assert ckpt.scalars == {"tol": 1e-6}
@@ -605,71 +601,44 @@ class TestMMCheckpointFormat:
     def test_corruption_detected(self, tmp_path):
         from repro.sem.checkpoint import (
             corrupt_checkpoint,
-            load_mm_checkpoint,
-            save_mm_checkpoint,
+            load_checkpoint,
+            save_checkpoint,
         )
 
-        save_mm_checkpoint(tmp_path, self._state())
+        save_checkpoint(tmp_path, self._state())
         corrupt_checkpoint(tmp_path)
         with pytest.raises(CorruptionError):
-            load_mm_checkpoint(tmp_path)
+            load_checkpoint(tmp_path)
 
-    def test_version_mutual_rejection(self, tmp_path, mmdata):
-        """v3 loaders refuse v4 files and vice versa, by name."""
-        from repro.drivers.common import NumericsLoop, resolve_init
-        from repro.sem.checkpoint import (
-            CheckpointState,
-            load_checkpoint,
-            load_mm_checkpoint,
-            save_checkpoint,
-            save_mm_checkpoint,
+    def test_gmm_checkpoint_rejected_by_knors_resume(self, mmdata, tmp_path):
+        """One format, but the owning algorithm still gates a resume:
+        knors refuses a GMM checkpoint typed, naming both."""
+        run_mm_sem(
+            GmmMM(mmdata, K, seed=SEED, max_iters=4),
+            checkpoint_dir=tmp_path / "ck", checkpoint_interval=2,
         )
-
-        save_mm_checkpoint(tmp_path / "v4", self._state())
-        with pytest.raises(IoSubsystemError, match="load_mm_checkpoint"):
-            load_checkpoint(tmp_path / "v4")
-
-        loop = NumericsLoop(
-            mmdata, resolve_init(mmdata, 3, "random", 0), "mti"
-        )
-        loop.step()
-        snap = loop.export_state()
-        save_checkpoint(
-            tmp_path / "v3",
-            CheckpointState(
-                iteration=1,
-                centroids=snap["centroids"],
-                prev_centroids=snap["prev_centroids"],
-                assignment=snap["assignment"],
-                ub=snap["ub"],
-                sums=snap["sums"],
-                counts=snap["counts"],
-                n_changed=3,
-                params={},
-            ),
-        )
-        with pytest.raises(IoSubsystemError, match="load_checkpoint"):
-            load_mm_checkpoint(tmp_path / "v3")
+        with pytest.raises(IoSubsystemError, match="'gmm'.*'kmeans'"):
+            knors(
+                mmdata, K, seed=SEED,
+                checkpoint_dir=tmp_path / "ck", resume=True,
+            )
 
     def test_rejects_bad_array_names(self, tmp_path):
-        from repro.sem.checkpoint import (
-            MMCheckpointState,
-            save_mm_checkpoint,
-        )
+        from repro.sem.checkpoint import CheckpointState, save_checkpoint
 
-        bad = MMCheckpointState(
+        bad = CheckpointState(
             iteration=0, algorithm="x",
             arrays={"a/b": np.zeros(2)}, scalars={}, n_changed=0,
             params={},
         )
         with pytest.raises(IoSubsystemError):
-            save_mm_checkpoint(tmp_path, bad)
-        empty = MMCheckpointState(
+            save_checkpoint(tmp_path, bad)
+        empty = CheckpointState(
             iteration=0, algorithm="x", arrays={}, scalars={},
             n_changed=0, params={},
         )
         with pytest.raises(IoSubsystemError):
-            save_mm_checkpoint(tmp_path, empty)
+            save_checkpoint(tmp_path, empty)
 
 
 class TestSemResume:

@@ -541,7 +541,8 @@ class TestFaultFreeEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint format v3: file + per-array CRCs
+# Checkpoint integrity: file + per-array CRCs (format v3 introduced
+# them; every save now writes v4, which keeps them)
 
 
 class TestCheckpointV3:
@@ -549,12 +550,13 @@ class TestCheckpointV3:
         rng = np.random.default_rng(0)
         return CheckpointState(
             iteration=4,
-            centroids=rng.normal(size=(3, 2)),
-            prev_centroids=rng.normal(size=(3, 2)),
-            assignment=rng.integers(0, 3, size=20),
-            ub=None,
-            sums=None,
-            counts=None,
+            algorithm="kmeans",
+            arrays={
+                "centroids": rng.normal(size=(3, 2)),
+                "prev_centroids": rng.normal(size=(3, 2)),
+                "assignment": rng.integers(0, 3, size=20),
+            },
+            scalars={},
             n_changed=5,
             params={"n": 20, "d": 2, "k": 3, "pruning": None},
         )
@@ -568,7 +570,7 @@ class TestCheckpointV3:
         manifest = json.loads(
             (tmp_path / "checkpoint.json").read_text()
         )
-        assert manifest["format_version"] == 3
+        assert manifest["format_version"] == 4
         assert isinstance(manifest["file_crc32"], int)
         assert set(manifest["array_crc32"]) >= {
             "centroids", "prev_centroids", "assignment",
