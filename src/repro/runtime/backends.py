@@ -465,7 +465,7 @@ class SemBackend(InMemoryBackend):
     ) -> IterationOutcome:
         stats = self.source.step(iteration)
         io = self.io_engine.run_iteration(
-            iteration, stats.needs_data, observer=observer
+            iteration, np.flatnonzero(stats.needs_data), observer=observer
         )
         if self.io_mode == "async":
             placement = self.io_timeline.plan(

@@ -25,12 +25,19 @@ def owner_of_task(task_id: int, n_tasks: int, n_threads: int) -> int:
 
 
 class BaseScheduler(abc.ABC):
-    """Common queue bookkeeping for all three scheduling policies."""
+    """Common queue bookkeeping for all three scheduling policies.
+
+    Every decision is O(1) apart from the steal scan itself: the number
+    of empty queues is kept incrementally by :meth:`_pop` (the only way
+    a task leaves a queue), so the contention estimate and the
+    all-drained early exit need no scan over the partitions.
+    """
 
     def __init__(self) -> None:
         self._queues: list[deque[TaskWork]] = []
         self._thread_nodes: list[int] = []
         self._n_threads = 0
+        self._n_empty = 0
 
     def assign(self, tasks: list[TaskWork], threads: list[SimThread]) -> None:
         """Load a fresh iteration's tasks into per-thread queues."""
@@ -43,15 +50,31 @@ class BaseScheduler(abc.ABC):
         for task in tasks:
             owner = owner_of_task(task.task_id, n_tasks, self._n_threads)
             self._queues[owner].append(task)
+        self._n_empty = sum(1 for q in self._queues if not q)
 
     def queue_lengths(self) -> list[int]:
         """Remaining tasks per partition (for tests and introspection)."""
         return [len(q) for q in self._queues]
 
-    def _n_prowling(self) -> int:
-        """Threads whose own queue is empty -- the potential stealers
-        contending on everyone else's partition lock."""
-        return sum(1 for q in self._queues if not q)
+    def _drained(self) -> bool:
+        """Every partition is empty: the caller parks at the barrier."""
+        return self._n_empty == self._n_threads
+
+    def _contenders(self) -> int:
+        """Expected contention on one partition lock: its owner plus
+        the prowling stealers (threads whose own queue is empty), spread
+        over the ``T`` partition locks."""
+        return 1 + (self._n_empty + self._n_threads - 1) // self._n_threads
+
+    def _pop(self, victim: int, *, back: bool = False) -> TaskWork:
+        """Take a task from partition ``victim`` (its front, or its back
+        for a steal that leaves the owner the front) and keep the
+        empty-queue count current."""
+        queue = self._queues[victim]
+        task = queue.pop() if back else queue.popleft()
+        if not queue:
+            self._n_empty += 1
+        return task
 
     @abc.abstractmethod
     def next_task(self, thread: SimThread) -> ScheduleDecision | None:

@@ -20,16 +20,15 @@ class FifoScheduler(BaseScheduler):
 
     def next_task(self, thread: SimThread) -> ScheduleDecision | None:
         """Own queue first, then steal from any backlog in id order."""
+        if self._drained():
+            return None
         tid = thread.thread_id
-        own = self._queues[tid]
         # Prowling stealers spread over T partition locks; the expected
         # contention on any one lock is their per-lock share.
-        contenders = 1 + (
-            self._n_prowling() + self._n_threads - 1
-        ) // self._n_threads
-        if own:
+        contenders = self._contenders()
+        if self._queues[tid]:
             return ScheduleDecision(
-                task=own.popleft(),
+                task=self._pop(tid),
                 probe_contenders=(contenders,),
             )
         # Steal scan: walk partitions in id order starting after ours --
@@ -38,12 +37,10 @@ class FifoScheduler(BaseScheduler):
         probes: list[int] = [contenders]  # the failed probe of our own
         for step in range(1, self._n_threads):
             victim = (tid + step) % self._n_threads
-            queue = self._queues[victim]
             probes.append(contenders)
-            if queue:
-                task = queue.popleft()
+            if self._queues[victim]:
                 return ScheduleDecision(
-                    task=task,
+                    task=self._pop(victim),
                     probe_contenders=tuple(probes),
                     stolen_from_node=self._thread_nodes[victim],
                     was_steal=True,

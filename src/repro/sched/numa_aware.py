@@ -29,40 +29,45 @@ from repro.simhw.thread import SimThread
 class NumaAwareScheduler(BaseScheduler):
     """Partitioned priority queue with local-node-first stealing."""
 
-    def _steal_order(self, thread: SimThread) -> list[int]:
-        """Partitions to probe: same-node first, then remote, both in
-        deterministic id order starting after the caller."""
-        tid = thread.thread_id
-        node = thread.node
-        ring = [(tid + s) % self._n_threads for s in range(1, self._n_threads)]
-        local = [v for v in ring if self._thread_nodes[v] == node]
-        remote = [v for v in ring if self._thread_nodes[v] != node]
-        return local + remote
+    def __init__(self) -> None:
+        super().__init__()
+        self._steal_orders: list[list[int]] = []
+
+    def assign(self, tasks: list[TaskWork], threads: list[SimThread]) -> None:
+        """Load the queues and fix each thread's steal order for the
+        iteration: same-node partitions first, then remote, both in
+        deterministic id order starting after the thread."""
+        super().assign(tasks, threads)
+        n = self._n_threads
+        nodes = self._thread_nodes
+        self._steal_orders = []
+        for tid in range(n):
+            ring = [(tid + s) % n for s in range(1, n)]
+            local = [v for v in ring if nodes[v] == nodes[tid]]
+            remote = [v for v in ring if nodes[v] != nodes[tid]]
+            self._steal_orders.append(local + remote)
 
     def next_task(self, thread: SimThread) -> ScheduleDecision | None:
         """Own partition, then same-node victims, then remote."""
+        if self._drained():
+            return None
         tid = thread.thread_id
-        own = self._queues[tid]
         # Contention on a partition lock: its owner plus any prowling
         # stealers that reached it. Partitioning keeps this near 1.
-        prowlers_share = 1 + (
-            self._n_prowling() + self._n_threads - 1
-        ) // self._n_threads
-        if own:
+        prowlers_share = self._contenders()
+        if self._queues[tid]:
             return ScheduleDecision(
-                task=own.popleft(),
+                task=self._pop(tid),
                 probe_contenders=(prowlers_share,),
             )
         probes: list[int] = [prowlers_share]
-        for victim in self._steal_order(thread):
-            queue = self._queues[victim]
+        for victim in self._steal_orders[tid]:
             probes.append(prowlers_share)
-            if queue:
+            if self._queues[victim]:
                 # Steal from the *back* of the victim's queue: the
                 # owner keeps working the front, minimizing interference.
-                task: TaskWork = queue.pop()
                 return ScheduleDecision(
-                    task=task,
+                    task=self._pop(victim, back=True),
                     probe_contenders=tuple(probes),
                     stolen_from_node=self._thread_nodes[victim],
                     was_steal=True,

@@ -20,8 +20,8 @@ class StaticScheduler(BaseScheduler):
 
     def next_task(self, thread: SimThread) -> ScheduleDecision | None:
         """Drain the caller's preassigned queue; never steal."""
-        queue = self._queues[thread.thread_id]
-        if not queue:
+        tid = thread.thread_id
+        if not self._queues[tid]:
             return None
         # Static assignment has no shared state, hence no lock probes.
-        return ScheduleDecision(task=queue.popleft(), probe_contenders=())
+        return ScheduleDecision(task=self._pop(tid), probe_contenders=())

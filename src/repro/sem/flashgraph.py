@@ -5,8 +5,8 @@ row's disk location is *computed* from its row-ID (no in-memory index),
 so the only O(n) state is what the algorithm itself keeps. Per
 iteration the engine:
 
-1. receives the set of rows whose data the algorithm needs (everything
-   except MTI clause-1 skips);
+1. receives the sorted ids of the rows whose data the algorithm needs
+   (everything except MTI clause-1 skips);
 2. serves what it can from the row cache (no I/O request at all);
 3. sends the misses to SAFS, which resolves pages against the page
    cache, merges adjacent reads, and charges the SSD array;
@@ -26,7 +26,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.errors import CorruptionError
+from repro.errors import CorruptionError, IoSubsystemError
 from repro.sem.rowcache import RowCache
 from repro.sem.safs import Safs
 from repro.simhw.ssd import AsyncIoQueue, SsdArray
@@ -72,17 +72,18 @@ class RowEngine:
         self.row_cache = row_cache
 
     def run_iteration(
-        self, iteration: int, needs_data: np.ndarray, observer=None
+        self, iteration: int, rows: np.ndarray, observer=None
     ) -> IoIterationStats:
         """Plan and account one iteration's row fetches.
 
-        ``needs_data`` is the boolean row mask from the numerics (MTI
-        clause 1 cleared means no I/O request -- "this is extremely
-        significant because no I/O request is made for data").
-        ``observer`` receives fault-plane events when the SAFS layer
-        carries a fault plan.
+        ``rows`` holds the sorted, unique ids of the rows whose data the
+        numerics need (MTI clause 1 cleared means no I/O request -- "this
+        is extremely significant because no I/O request is made for
+        data"). Callers holding a boolean mask pass
+        ``np.flatnonzero(mask)``. ``observer`` receives fault-plane
+        events when the SAFS layer carries a fault plan.
         """
-        needed = np.nonzero(np.asarray(needs_data, dtype=bool))[0]
+        needed = self._check_rows(rows)
         rc = self.row_cache
         # The prefetcher can only issue ahead of the compute front once
         # a refresh has revealed an active set -- judged on the state
@@ -139,6 +140,26 @@ class RowEngine:
             service_async_ns=batch.service_async_ns,
             prefetchable=prefetchable,
         )
+
+    def _check_rows(self, rows: np.ndarray) -> np.ndarray:
+        """``rows`` as an ``intp`` array, or a typed error naming it."""
+        rows = np.asarray(rows)
+        if rows.ndim != 1 or not np.issubdtype(rows.dtype, np.integer):
+            raise IoSubsystemError(
+                "run_iteration rows must be a 1-D array of integer row "
+                f"ids, got dtype {rows.dtype} and shape {rows.shape}"
+            )
+        rows = rows.astype(np.intp, copy=False)
+        if rows.size > 1 and not (rows[1:] > rows[:-1]).all():
+            raise IoSubsystemError(
+                "run_iteration rows must be sorted and unique"
+            )
+        if rows.size and (rows[0] < 0 or rows[-1] >= self.n_rows):
+            raise IoSubsystemError(
+                f"run_iteration rows must lie in [0, {self.n_rows}), "
+                f"got ids from {rows[0]} to {rows[-1]}"
+            )
+        return rows
 
     def _quarantine_cache_line(
         self,

@@ -93,6 +93,45 @@ class ArrivalTrace:
     row: np.ndarray
     is_ingest: np.ndarray
 
+    def __post_init__(self) -> None:
+        # Malformed traffic fails here, typed and naming the field,
+        # rather than deep in the serving loop's indexing.
+        for name in ("time_ns", "row", "is_ingest"):
+            arr = np.asarray(getattr(self, name))
+            if arr.ndim != 1:
+                raise ConfigError(
+                    f"ArrivalTrace.{name} must be 1-D, got shape "
+                    f"{arr.shape}"
+                )
+            object.__setattr__(self, name, arr)
+        n = self.time_ns.shape[0]
+        for name in ("row", "is_ingest"):
+            got = getattr(self, name).shape[0]
+            if got != n:
+                raise ConfigError(
+                    f"ArrivalTrace.{name} has {got} entries, time_ns "
+                    f"has {n}"
+                )
+        if self.time_ns.dtype.kind not in "iuf":
+            raise ConfigError(
+                "ArrivalTrace.time_ns must be real numbers, got dtype "
+                f"{self.time_ns.dtype}"
+            )
+        if not np.isfinite(self.time_ns).all():
+            raise ConfigError("ArrivalTrace.time_ns must be finite")
+        if np.any(np.diff(self.time_ns) < 0):
+            raise ConfigError("ArrivalTrace.time_ns must be non-decreasing")
+        if self.row.dtype.kind not in "iu":
+            raise ConfigError(
+                "ArrivalTrace.row must hold integer row ids, got dtype "
+                f"{self.row.dtype}"
+            )
+        if self.is_ingest.dtype != np.bool_:
+            raise ConfigError(
+                "ArrivalTrace.is_ingest must be boolean, got dtype "
+                f"{self.is_ingest.dtype}"
+            )
+
     @property
     def n_arrivals(self) -> int:
         return int(self.time_ns.shape[0])
@@ -125,6 +164,8 @@ class OpenLoopBatcher:
             raise ConfigError(
                 "time_ns must be a non-empty 1-D array"
             )
+        if not np.isfinite(time_ns).all():
+            raise ConfigError("arrival times must be finite")
         if np.any(np.diff(time_ns) < 0):
             raise ConfigError("arrival times must be non-decreasing")
         if max_batch < 1:

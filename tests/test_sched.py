@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SchedulerError
 from repro.sched import (
+    BaseScheduler,
     FifoScheduler,
     NumaAwareScheduler,
     StaticScheduler,
@@ -15,6 +16,7 @@ from repro.sched import (
 )
 from repro.sched.blocks import auto_task_rows
 from repro.simhw import FOUR_SOCKET_XEON, SimMachine, TaskWork
+from repro.simhw.engine import IterationEngine, ScheduleDecision
 from repro.simhw.thread import spawn_threads
 from repro.simhw.topology import BindPolicy
 
@@ -229,3 +231,165 @@ class TestBuildTaskBlocks:
         assert 64 <= auto_task_rows(65536, 48) <= 8192
         with pytest.raises(SchedulerError):
             auto_task_rows(0, 4)
+
+
+# -- pinned against the pre-O(1) schedulers -------------------------------
+#
+# Verbatim copies of the schedulers' decision code from before the
+# empty-queue count, the per-assign steal order and the drained early
+# exit. The engine conformance test (run vs run_reference) drives the
+# same scheduler on both sides, so only a pin against the old decisions
+# catches a wrong contention count or steal order.
+
+
+class _OldQueueScan(BaseScheduler):
+    def _n_prowling(self) -> int:
+        """Threads whose own queue is empty -- the potential stealers
+        contending on everyone else's partition lock."""
+        return sum(1 for q in self._queues if not q)
+
+
+class _OldStatic(_OldQueueScan):
+    def next_task(self, thread):
+        """Drain the caller's preassigned queue; never steal."""
+        queue = self._queues[thread.thread_id]
+        if not queue:
+            return None
+        # Static assignment has no shared state, hence no lock probes.
+        return ScheduleDecision(task=queue.popleft(), probe_contenders=())
+
+
+class _OldFifo(_OldQueueScan):
+    def next_task(self, thread):
+        """Own queue first, then steal from any backlog in id order."""
+        tid = thread.thread_id
+        own = self._queues[tid]
+        # Prowling stealers spread over T partition locks; the expected
+        # contention on any one lock is their per-lock share.
+        contenders = 1 + (
+            self._n_prowling() + self._n_threads - 1
+        ) // self._n_threads
+        if own:
+            return ScheduleDecision(
+                task=own.popleft(),
+                probe_contenders=(contenders,),
+            )
+        # Steal scan: walk partitions in id order starting after ours --
+        # topology-oblivious, so the first victim found is usually on a
+        # different NUMA node (the stolen task's data is remote).
+        probes: list[int] = [contenders]  # the failed probe of our own
+        for step in range(1, self._n_threads):
+            victim = (tid + step) % self._n_threads
+            queue = self._queues[victim]
+            probes.append(contenders)
+            if queue:
+                task = queue.popleft()
+                return ScheduleDecision(
+                    task=task,
+                    probe_contenders=tuple(probes),
+                    stolen_from_node=self._thread_nodes[victim],
+                    was_steal=True,
+                )
+        return None
+
+
+class _OldNumaAware(_OldQueueScan):
+    def _steal_order(self, thread):
+        """Partitions to probe: same-node first, then remote, both in
+        deterministic id order starting after the caller."""
+        tid = thread.thread_id
+        node = thread.node
+        ring = [(tid + s) % self._n_threads for s in range(1, self._n_threads)]
+        local = [v for v in ring if self._thread_nodes[v] == node]
+        remote = [v for v in ring if self._thread_nodes[v] != node]
+        return local + remote
+
+    def next_task(self, thread):
+        """Own partition, then same-node victims, then remote."""
+        tid = thread.thread_id
+        own = self._queues[tid]
+        # Contention on a partition lock: its owner plus any prowling
+        # stealers that reached it. Partitioning keeps this near 1.
+        prowlers_share = 1 + (
+            self._n_prowling() + self._n_threads - 1
+        ) // self._n_threads
+        if own:
+            return ScheduleDecision(
+                task=own.popleft(),
+                probe_contenders=(prowlers_share,),
+            )
+        probes: list[int] = [prowlers_share]
+        for victim in self._steal_order(thread):
+            queue = self._queues[victim]
+            probes.append(prowlers_share)
+            if queue:
+                # Steal from the *back* of the victim's queue: the
+                # owner keeps working the front, minimizing interference.
+                task = queue.pop()
+                return ScheduleDecision(
+                    task=task,
+                    probe_contenders=tuple(probes),
+                    stolen_from_node=self._thread_nodes[victim],
+                    was_steal=True,
+                )
+        return None
+
+
+def _skewed_tasks(n_tasks, seed):
+    """Heavy-tailed work per task (pruning skew), some tasks free."""
+    rng = np.random.default_rng(seed)
+    dist = (rng.pareto(1.2, n_tasks) * 400).astype(np.int64)
+    dist[rng.random(n_tasks) < 0.2] = 0
+    rows = rng.integers(1, 200, n_tasks)
+    return [
+        TaskWork(i, int(rows[i]), int(dist[i]), int(rows[i]) * 64 * (i % 3),
+                 int(rows[i]) * 12, i * 4 // n_tasks)
+        for i in range(n_tasks)
+    ]
+
+
+@pytest.mark.parametrize("policy", [BindPolicy.NUMA_BIND, BindPolicy.OBLIVIOUS])
+@pytest.mark.parametrize("n_tasks", [3, 47, 300])
+@pytest.mark.parametrize("n_threads", [1, 5, 48])
+@pytest.mark.parametrize(
+    "new_cls,old_cls",
+    [
+        (StaticScheduler, _OldStatic),
+        (FifoScheduler, _OldFifo),
+        (NumaAwareScheduler, _OldNumaAware),
+    ],
+)
+def test_decisions_match_pre_o1_scheduler(
+    new_cls, old_cls, n_threads, n_tasks, policy
+):
+    engine = IterationEngine(
+        FOUR_SOCKET_XEON, bind_policy=policy, record_executions=True
+    )
+    tasks = _skewed_tasks(n_tasks, seed=n_threads * 1000 + n_tasks)
+    runs = []
+    for cls in (old_cls, new_cls):
+        threads = spawn_threads(FOUR_SOCKET_XEON.topology, n_threads, policy)
+        trace = engine.run(cls(), tasks, threads, d=16, k=32)
+        runs.append((trace, [th.counters for th in threads]))
+    (old, old_counters), (new, new_counters) = runs
+    assert new.executions == old.executions
+    assert new_counters == old_counters
+    assert new.total_ns == old.total_ns
+    assert new.total_steals == old.total_steals
+
+
+@pytest.mark.parametrize(
+    "sched_cls", [StaticScheduler, FifoScheduler, NumaAwareScheduler]
+)
+def test_empty_queue_count_tracks_the_queues(sched_cls):
+    """The incremental count equals a full scan after every decision,
+    steals included (a stale count only shows in contention when no
+    queue was empty yet, so the pin above can miss it)."""
+    rng = np.random.default_rng(5)
+    threads = make_threads(6)
+    sched = sched_cls()
+    sched.assign(make_tasks(9), threads)
+    assert sched._n_empty == sched.queue_lengths().count(0)
+    while any(sched.queue_lengths()):
+        sched.next_task(threads[int(rng.integers(6))])
+        assert sched._n_empty == sched.queue_lengths().count(0)

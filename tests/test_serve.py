@@ -40,7 +40,7 @@ from repro.runtime import (
     run_mm_sem,
 )
 from repro.serve import MiniBatchMM, ServePlane
-from repro.simhw import ArrivalProcess, OpenLoopBatcher
+from repro.simhw import ArrivalProcess, ArrivalTrace, OpenLoopBatcher
 
 K = 6
 SEED = 3
@@ -310,6 +310,8 @@ class TestOpenLoopBatcher:
             OpenLoopBatcher(np.empty(0))
         with pytest.raises(ConfigError):
             OpenLoopBatcher(np.array([0.0]), max_batch=0)
+        with pytest.raises(ConfigError, match="finite"):
+            OpenLoopBatcher(np.array([0.0, np.nan, 2.0]))
 
 
 class TestLatencyPercentiles:
@@ -517,8 +519,6 @@ class TestServeValidation:
             ServePlane(x, fit.centroids, max_batch=0)
 
     def test_rejects_out_of_range_rows(self, served):
-        from repro.simhw import ArrivalTrace
-
         x, fit, _ = served
         plane = ServePlane(x, fit.centroids)
         bad = ArrivalTrace(
@@ -528,3 +528,93 @@ class TestServeValidation:
         )
         with pytest.raises(DatasetError):
             plane.serve(bad)
+
+    @pytest.mark.parametrize(
+        "field,kw",
+        [
+            ("row", {"row": np.array([1, 2])}),
+            ("is_ingest", {"is_ingest": np.array([False])}),
+            ("row", {"row": np.array([1.0, 2.0, 3.0])}),
+            ("time_ns", {"time_ns": np.array([0.0, np.nan, 2.0])}),
+        ],
+        ids=["short-row", "short-is_ingest", "float-row", "nan-time"],
+    )
+    def test_malformed_trace_fails_typed(self, served, field, kw):
+        x, fit, _ = served
+        plane = ServePlane(x, fit.centroids)
+        good = {
+            "time_ns": np.array([0.0, 1.0, 2.0]),
+            "row": np.array([1, 2, 3]),
+            "is_ingest": np.array([False, True, False]),
+        }
+        plane.serve(ArrivalTrace(**good))
+        with pytest.raises(ConfigError, match=f"ArrivalTrace.{field}"):
+            plane.serve(ArrivalTrace(**{**good, **kw}))
+
+
+def _fresh_price(plane, scheduler, m):
+    """One batch's compute price from scratch: fresh task blocks and a
+    fresh scheduler through the plane's engine, no memo."""
+    from repro.drivers.common import make_scheduler
+    from repro.sched.blocks import auto_task_rows, build_task_blocks
+
+    tasks = build_task_blocks(
+        m, plane.d, plane.machine,
+        dist_per_row=np.full(m, plane.k, dtype=np.int64),
+        needs_data=np.ones(m, dtype=bool),
+        task_rows=auto_task_rows(m, plane.machine.n_threads),
+        state_bytes_per_row=4,
+    )
+    trace = plane.machine.engine.run(
+        make_scheduler(scheduler), tasks, plane.machine.threads,
+        d=plane.d, k=plane.k, reduction=False,
+    )
+    return float(trace.total_ns)
+
+
+class TestComputePriceMemo:
+    """Each batch size is priced once; the memo changes no figure."""
+
+    @pytest.mark.parametrize("scheduler", ["numa_aware", "fifo", "static"])
+    def test_memo_equals_fresh_price(self, served, scheduler):
+        x, fit, _ = served
+        plane = ServePlane(
+            x, fit.centroids, scheduler=scheduler, n_threads=7,
+            max_batch=40,
+        )
+        assert plane._compute_ns == {}
+        sizes = np.random.default_rng(0).permutation(
+            np.arange(1, plane.max_batch + 1)
+        )
+        for m in [*sizes.tolist(), *sizes.tolist()]:
+            assert plane._price_compute(m) == _fresh_price(
+                plane, scheduler, m
+            )
+        assert sorted(plane._compute_ns) == list(
+            range(1, plane.max_batch + 1)
+        )
+
+    def test_memo_empty_after_init(self, served):
+        x, fit, _ = served
+        assert ServePlane(x, fit.centroids)._compute_ns == {}
+
+    def test_serve_identical_without_memo(self, served):
+        x, fit, algo = served
+
+        class Unmemoised(ServePlane):
+            def _price_compute(self, m):
+                return _fresh_price(self, "fifo", m)
+
+        proc = ArrivalProcess(
+            n_arrivals=1200, rate_qps=300_000.0, seed=9,
+            ingest_fraction=0.25,
+        )
+        kw = dict(counts=algo.counts.copy(), scheduler="fifo", n_threads=6)
+        memo = ServePlane(x, fit.centroids, **kw)
+        res = memo.serve(proc)
+        ref = Unmemoised(x, fit.centroids, **kw).serve(proc)
+        assert 1 < len(memo._compute_ns) < res.n_batches
+        np.testing.assert_array_equal(res.latency_ns, ref.latency_ns)
+        assert res.compute_ns == ref.compute_ns
+        assert res.sim_seconds == ref.sim_seconds
+        np.testing.assert_array_equal(res.assignments, ref.assignments)
