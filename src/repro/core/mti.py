@@ -24,6 +24,19 @@ The paper's prose omits the 1/2 factors; Elkan's Lemma 1 requires them
 knor code uses them. We implement the correct form and property-test
 that MTI's assignments match unpruned Lloyd's exactly.
 
+Every row that survives clause 1 is tightened: ``u > s(b)`` means ``u``
+exceeds ``0.5 * d(b, c)`` for the nearest other centroid ``c``, so a
+loose candidate always exists. Clauses 2 and 3 are evaluated as
+*counts*, not masks: :class:`ClauseThresholds` sorts each row of the
+``(k, k)`` threshold table once per iteration, a row's loose candidate
+count is the rank of ``u`` in its centroid's sorted row, and its tight
+count is the rank of ``min(u, d(v, b))``. The pruning statistics, the
+per-row distance counts and the set of rows needing a candidate pass all
+follow from those two O(m) vectors. The kernel's temporaries are O(m)
+for the ``m`` active rows, plus, for the rows with a surviving
+candidate only, the candidate GEMM block and its byte mask of pruned
+centroids.
+
 Centroid updates are *incremental*: only points that changed membership
 move between the persistent per-cluster sums, so clause-1-skipped rows
 contribute no memory traffic -- this is what makes clause 1 an I/O
@@ -43,6 +56,7 @@ from repro.core.distance import (
     half_min_inter_centroid,
     nearest_centroid,
     pairwise_centroid_distances,
+    row_norms,
     rows_to_centroids,
 )
 from repro.errors import DatasetError
@@ -85,6 +99,59 @@ class MtiIterationResult:
     tightened_rows: int = 0
     computed: int = 0  # candidate distances actually evaluated
     extra: dict = field(default_factory=dict)
+
+
+class ClauseThresholds:
+    """The clause-2/3 thresholds ``0.5 * d(b, c)`` as per-row ranks.
+
+    Built once per iteration from the ``(k, k)`` pairwise matrix, with
+    the diagonal set to ``+inf`` so a centroid is never its own
+    candidate. Each row is sorted, so a point's candidate count under a
+    bound ``u`` is the rank of ``u`` in its centroid's row, and its
+    candidates are exactly the centroids of rank below that count.
+    """
+
+    def __init__(self, cc: np.ndarray) -> None:
+        k = cc.shape[0]
+        half_cc = 0.5 * cc
+        np.fill_diagonal(half_cc, np.inf)
+        order = np.argsort(half_cc, axis=1, kind="stable")
+        # Sorted rows padded with +inf to a power-of-two width, for the
+        # branch-free search in count_below.
+        self._width = 1 << max(k - 1, 1).bit_length()
+        rows = np.full((k, self._width), np.inf)
+        rows[:, :k] = np.take_along_axis(half_cc, order, axis=1)
+        self._sorted = rows.ravel()
+        # rank[b, c]: position of c in row b's sorted order.
+        self._rank = np.empty((k, k), dtype=np.min_scalar_type(k))
+        np.put_along_axis(
+            self._rank, order, np.arange(k, dtype=self._rank.dtype)[None, :],
+            axis=1,
+        )
+
+    def count_below(self, b: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """``#{c : 0.5 * d(b[i], c) < u[i]}`` for every ``i`` (int64).
+
+        A binary search of ``log2(k)`` O(m) vector passes. Every row
+        ends in ``+inf`` (the diagonal, then padding), which is never
+        below ``u``, so the count fits in ``width - 1`` and the search
+        never reads past its row.
+        """
+        base = b.astype(np.int64) * self._width
+        pos = np.zeros(b.shape, dtype=np.int64)
+        step = self._width >> 1
+        while step:
+            probe = self._sorted.take(base + (pos + (step - 1)))
+            pos += (probe < u) * step
+            step >>= 1
+        return pos
+
+    def pruned(self, b: np.ndarray, count: np.ndarray) -> np.ndarray:
+        """``(len(b), k)`` mask of the centroids *not* among the
+        ``count[i]`` lowest thresholds of row ``b[i]``."""
+        return np.take(self._rank, b, axis=0) >= count.astype(
+            self._rank.dtype
+        )[:, None]
 
 
 def mti_init(
@@ -173,90 +240,73 @@ def mti_iteration(
 
     # Clause 1: the whole row is skipped (no compute, no I/O).
     clause1 = state.ub <= s[assign]
-    active_idx = np.nonzero(~clause1)[0]
+    active_idx = np.flatnonzero(~clause1)
+    m = active_idx.size
 
     dist_per_row = np.zeros(n, dtype=np.int32)
     needs_data = np.zeros(n, dtype=bool)
     # Per Section 6.2.1, only clause 1 elides the I/O request: the row
     # data for every non-clause-1 row is requested (the tighten step
-    # may need it, and the request is issued before the per-centroid
+    # needs it, and the request is issued before the per-centroid
     # clauses are evaluated).
     needs_data[active_idx] = True
 
     clause2_pruned = 0
     clause3_pruned = 0
     computed = 0
-    n_tightened = 0
 
-    if active_idx.size:
-        xa = x[active_idx]
+    if m:
+        xa = np.take(x, active_idx, axis=0)
         ba = assign[active_idx]
         ua = state.ub[active_idx]
-        half_cc = 0.5 * cc[ba]  # (m, k): 0.5 * d(b(x), c)
-        other = np.ones((active_idx.size, k), dtype=bool)
-        other[np.arange(active_idx.size), ba] = False
+        xa_sq = row_norms(xa) if x_sq_full is None else x_sq_full[active_idx]
+        # U(u): exact d(x, b). Every active row is tightened: ub > s[b]
+        # means ub exceeds some 0.5 * d(b, c), so a loose candidate
+        # always exists.
+        ut = rows_to_centroids(xa, centroids, ba, c_sq=c_sq, x_sq=xa_sq)
 
-        # Clause 2 with the loose bound.
-        loose_candidate = other & (ua[:, None] > half_cc)
-        clause2_pruned = int(other.sum() - loose_candidate.sum())
+        # Clauses 2 and 3 as candidate counts: c survives the loose
+        # bound when 0.5 * d(b, c) < ub, and the tightened bound when
+        # 0.5 * d(b, c) < min(ub, ut).
+        thresholds = ClauseThresholds(cc)
+        n_loose = thresholds.count_below(ba, ua)
+        tu = np.minimum(ua, ut)
+        n_tight = thresholds.count_below(ba, tu)
+        loose_total = int(n_loose.sum())
+        tight_total = int(n_tight.sum())
+        clause2_pruned = m * (k - 1) - loose_total
+        clause3_pruned = loose_total - tight_total
+        computed = m + tight_total
+        dist_per_row[active_idx] = 1 + n_tight
 
-        tighten_mask = loose_candidate.any(axis=1)
-        t_idx = np.nonzero(tighten_mask)[0]  # positions within active
-        n_tightened = int(t_idx.size)
-        if t_idx.size:
-            xt = xa[t_idx]
-            bt = ba[t_idx]
-            ga = active_idx[t_idx]  # global row indices
-            # U(u): exact d(x, b).
-            ut = rows_to_centroids(
-                xt, centroids, bt, c_sq=c_sq,
-                x_sq=None if x_sq_full is None else x_sq_full[ga],
+        c_idx = np.flatnonzero(n_tight)  # positions within active
+        if c_idx.size:
+            bc = ba[c_idx]
+            # Only rows with a surviving candidate get a k-wide block:
+            # the GEMM output, masked in place. (Often every active row
+            # has one; then the rows need no second gather.)
+            dist = euclidean(
+                xa if c_idx.size == m else np.take(xa, c_idx, axis=0),
+                centroids, c_sq=c_sq,
+                out=(
+                    None if workspace is None
+                    else workspace.dist_buffer(c_idx.size)
+                ),
+                x_sq=xa_sq[c_idx],
             )
-            computed += int(t_idx.size)
+            # The algorithm only "sees" candidate distances plus the
+            # tightened own distance; mask everything else so a pruning
+            # bug would surface as a wrong assignment.
+            rows = np.arange(c_idx.size)
+            np.putmask(dist, thresholds.pruned(bc, n_tight[c_idx]), np.inf)
+            dist[rows, bc] = ut[c_idx]
+            best = np.argmin(dist, axis=1).astype(np.int32)
+            ba[c_idx] = best
+            ut[c_idx] = dist[rows, best]
 
-            # Clause 3 with the tightened bound.
-            tight_candidate = loose_candidate[t_idx] & (
-                ut[:, None] > half_cc[t_idx]
-            )
-            clause3_pruned = int(
-                loose_candidate[t_idx].sum() - tight_candidate.sum()
-            )
-
-            row_has_cand = tight_candidate.any(axis=1)
-            c_idx = np.nonzero(row_has_cand)[0]  # positions within t_idx
-            new_ub_t = ut.copy()
-            new_assign_t = bt.copy()
-            if c_idx.size:
-                dist = euclidean(
-                    xt[c_idx], centroids, c_sq=c_sq,
-                    out=(
-                        None if workspace is None
-                        else workspace.dist_buffer(c_idx.size)
-                    ),
-                    x_sq=(
-                        None if x_sq_full is None
-                        else x_sq_full[ga[c_idx]]
-                    ),
-                )
-                cand = tight_candidate[c_idx]
-                computed += int(cand.sum())
-                # The algorithm only "sees" candidate distances plus
-                # the tightened own distance; mask everything else so
-                # a pruning bug would surface as a wrong assignment.
-                masked = np.where(cand, dist, np.inf)
-                masked[np.arange(c_idx.size), bt[c_idx]] = ut[c_idx]
-                best = np.argmin(masked, axis=1).astype(np.int32)
-                bestdist = masked[np.arange(c_idx.size), best]
-                new_assign_t[c_idx] = best
-                new_ub_t[c_idx] = bestdist
-
-            # Write back tightened bounds and any reassignments.
-            state.ub[ga] = new_ub_t
-            assign[ga] = new_assign_t
-
-            dist_per_row[ga] = 1 + tight_candidate.sum(axis=1).astype(
-                np.int32
-            )
+        # Write back tightened bounds and any reassignments.
+        state.ub[active_idx] = ut
+        assign[active_idx] = ba
 
     # Incremental centroid update: move only the rows that changed.
     changed = np.nonzero(assign != old_assign)[0]
@@ -280,9 +330,9 @@ def mti_iteration(
         dist_per_row=dist_per_row,
         needs_data=needs_data,
         motion=motion,
-        clause1_rows=int(clause1.sum()),
+        clause1_rows=n - m,
         clause2_pruned=clause2_pruned,
         clause3_pruned=clause3_pruned,
-        tightened_rows=n_tightened,
+        tightened_rows=m,
         computed=computed,
     )

@@ -214,7 +214,7 @@ AUTOSCALER_KEYS = tuple(sorted(_AUTOSCALER_KEYS))
 def parse_autoscaler(text: str) -> AutoscalerPolicy:
     """Parse the CLI's ``--autoscale`` spec, e.g.
     ``"target_s=0.02,provision_s=30,max=8"``."""
-    from repro.faults import _pairs
+    from repro.faults import _pairs, _spec_value
 
     kwargs: dict = {}
     for key, value in _pairs(text, "--autoscale"):
@@ -224,7 +224,7 @@ def parse_autoscaler(text: str) -> AutoscalerPolicy:
                 f"{sorted(_AUTOSCALER_KEYS)}"
             )
         name, conv = _AUTOSCALER_KEYS[key]
-        kwargs[name] = conv(value)
+        kwargs[name] = _spec_value(conv, value, key, "--autoscale")
     if "target_iter_s" not in kwargs:
         raise ConfigError("--autoscale requires target_s=<seconds>")
     return AutoscalerPolicy(**kwargs)

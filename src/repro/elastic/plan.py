@@ -334,7 +334,7 @@ MEMBERSHIP_SPEC_KEYS = tuple(sorted(_MEMBERSHIP_KEYS))
 def parse_membership_spec(text: str) -> MembershipSpec:
     """Parse the CLI's ``--elastic-plan`` spec, e.g.
     ``"preempt=0.05,preempt_notice=2,join=0.1,max_machines=8"``."""
-    from repro.faults import _pairs
+    from repro.faults import _pairs, _spec_value
 
     kwargs: dict = {}
     for key, value in _pairs(text, "--elastic-plan"):
@@ -344,7 +344,7 @@ def parse_membership_spec(text: str) -> MembershipSpec:
                 f"{sorted(_MEMBERSHIP_KEYS)}"
             )
         name, conv = _MEMBERSHIP_KEYS[key]
-        kwargs[name] = conv(value)
+        kwargs[name] = _spec_value(conv, value, key, "--elastic-plan")
     return MembershipSpec(**kwargs)
 
 
@@ -352,9 +352,9 @@ def format_membership_spec(spec: MembershipSpec) -> str:
     """Render a spec back into ``--elastic-plan`` syntax (the inverse
     of :func:`parse_membership_spec`; round-trips exactly)."""
     parts = []
-    for key in MEMBERSHIP_SPEC_KEYS:
-        name, conv = _MEMBERSHIP_KEYS[key]
-        value = getattr(spec, name)
-        parts.append(f"{key}={value:g}" if conv is float
-                     else f"{key}={value}")
-    return ",".join(parts)
+    from repro.faults import _num_text
+
+    return ",".join(
+        f"{key}={_num_text(getattr(spec, _MEMBERSHIP_KEYS[key][0]))}"
+        for key in MEMBERSHIP_SPEC_KEYS
+    )

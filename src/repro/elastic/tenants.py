@@ -143,6 +143,8 @@ def parse_tenants(text: str) -> list[TenantSpec]:
     ``@budget_mb`` suffix: ``"alice=2,bob=1@64"`` is two tenants where
     alice gets 2x the capacity and bob runs under a 64 MB budget.
     """
+    from repro.faults import _spec_value
+
     specs: list[TenantSpec] = []
     for part in text.split(","):
         part = part.strip()
@@ -154,16 +156,21 @@ def parse_tenants(text: str) -> list[TenantSpec]:
                 "(expected name=weight[@budget_mb])"
             )
         name, rest = part.split("=", 1)
+        name = name.strip()
         budget_mb: float | None = None
         if "@" in rest:
             weight_s, budget_s = rest.split("@", 1)
-            budget_mb = float(budget_s)
+            budget_mb = _spec_value(
+                float, budget_s.strip(), f"{name}@budget_mb", "--tenants"
+            )
         else:
             weight_s = rest
         specs.append(
             TenantSpec(
-                name=name.strip(),
-                weight=float(weight_s),
+                name=name,
+                weight=_spec_value(
+                    float, weight_s.strip(), name, "--tenants"
+                ),
                 budget_mb=budget_mb,
             )
         )

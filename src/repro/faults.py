@@ -58,6 +58,7 @@ control flow that re-derives the same numerics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -185,10 +186,17 @@ class RetryPolicy:
             raise ConfigError(
                 f"max_retries must be >= 1, got {self.max_retries}"
             )
-        if self.backoff_ns < 0 or self.timeout_ns < 0:
-            raise ConfigError("backoff_ns and timeout_ns must be >= 0")
-        if self.backoff_multiplier < 1.0:
-            raise ConfigError("backoff_multiplier must be >= 1")
+        for name in ("backoff_ns", "timeout_ns"):
+            v = getattr(self, name)
+            if not 0.0 <= v < math.inf:
+                raise ConfigError(
+                    f"{name} must be finite and >= 0, got {v}"
+                )
+        if not 1.0 <= self.backoff_multiplier < math.inf:
+            raise ConfigError(
+                "backoff_multiplier must be finite and >= 1, got "
+                f"{self.backoff_multiplier}"
+            )
         if self.node_failure_mode not in ("degraded", "abort"):
             raise ConfigError(
                 "node_failure_mode must be 'degraded' or 'abort', got "
@@ -626,11 +634,14 @@ _SPEC_KEYS = {
 
 _POLICY_KEYS = {
     "retries": ("max_retries", int),
-    "backoff_ms": ("backoff_ns", lambda v: float(v) * 1e6),
+    "backoff_ms": ("backoff_ns", float),
     "multiplier": ("backoff_multiplier", float),
-    "timeout_ms": ("timeout_ns", lambda v: float(v) * 1e6),
+    "timeout_ms": ("timeout_ns", float),
     "node_failure": ("node_failure_mode", str),
 }
+
+#: Policy keys given in milliseconds but stored in nanoseconds.
+_MS_KEYS = ("backoff_ms", "timeout_ms")
 
 
 def _pairs(text: str, what: str) -> list[tuple[str, str]]:
@@ -647,6 +658,43 @@ def _pairs(text: str, what: str) -> list[tuple[str, str]]:
         out.append((key.strip(), value.strip()))
     return out
 
+
+def _spec_value(conv, value: str, key: str, what: str):
+    """``conv(value)`` for spec entry ``key`` (``int``, ``float`` or
+    ``str``), or a :class:`ConfigError` naming the key and the value.
+    Floats must be finite: no spec field has a meaning for nan or inf."""
+    try:
+        out = conv(value)
+    except ValueError:
+        kind = "an integer" if conv is int else "a number"
+        raise ConfigError(
+            f"{what}: {key}={value!r} is not {kind}"
+        ) from None
+    if conv is float and not math.isfinite(out):
+        raise ConfigError(f"{what}: {key}={value!r} must be finite")
+    return out
+
+
+def _num_text(value) -> str:
+    """Spec text for a number that parses back to exactly ``value``."""
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def _ms_text(ns: float) -> str:
+    """The milliseconds text that parses back to exactly ``ns``.
+
+    ``ms * 1e6`` and ``ns / 1e6`` each round, so the nearest ``ms``
+    may miss ``ns`` by one step; every ``ns`` that some text parses to
+    is reached from ``ns / 1e6`` or one of its two neighbours.
+    """
+    ms = ns / 1e6
+    for cand in (ms, math.nextafter(ms, -math.inf),
+                 math.nextafter(ms, math.inf)):
+        if cand * 1e6 == ns:
+            return repr(cand)
+    return repr(ms)
+
+
 def parse_fault_spec(text: str) -> FaultSpec:
     """Parse the CLI's ``--faults`` spec, e.g.
     ``"ssd_error=0.05,worker_crash=0.1,msg_drop=0.02"``."""
@@ -662,7 +710,9 @@ def parse_fault_spec(text: str) -> FaultSpec:
                 f"{sorted(_SPEC_KEYS)}"
             )
         name = _SPEC_KEYS[key]
-        kwargs[name] = int(value) if name in int_fields else float(value)
+        kwargs[name] = _spec_value(
+            int if name in int_fields else float, value, key, "--faults"
+        )
     return FaultSpec(**kwargs)
 
 
@@ -677,7 +727,9 @@ def parse_retry_policy(text: str) -> RetryPolicy:
                 f"{sorted(_POLICY_KEYS)}"
             )
         name, conv = _POLICY_KEYS[key]
-        kwargs[name] = conv(value)
+        kwargs[name] = _spec_value(conv, value, key, "--retry-policy")
+        if key in _MS_KEYS:
+            kwargs[name] *= 1e6
     return RetryPolicy(**kwargs)
 
 
@@ -697,7 +749,7 @@ def format_fault_spec(spec: FaultSpec) -> str:
         name = _SPEC_KEYS[key]
         value = getattr(spec, name)
         if value != getattr(default, name):
-            parts.append(f"{key}={value:g}")
+            parts.append(f"{key}={_num_text(value)}")
     return ",".join(parts)
 
 
@@ -710,10 +762,8 @@ def format_retry_policy(policy: RetryPolicy) -> str:
         value = getattr(policy, name)
         if value == getattr(default, name):
             continue
-        if name in ("backoff_ns", "timeout_ns"):
-            parts.append(f"{key}={value / 1e6:g}")
-        elif isinstance(value, str):
-            parts.append(f"{key}={value}")
+        if key in _MS_KEYS:
+            parts.append(f"{key}={_ms_text(value)}")
         else:
-            parts.append(f"{key}={value:g}")
+            parts.append(f"{key}={_num_text(value)}")
     return ",".join(parts)

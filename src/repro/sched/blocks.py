@@ -5,7 +5,9 @@ memory given to a thread for computation" with a minimum task size of
 8192 rows -- empirically small enough not to introduce artificial skew
 on billion-point data (Section 8.4). Each block's exact work content
 (rows needing data, distance computations after pruning) comes from the
-algorithm's per-row statistics; this module only aggregates them.
+algorithm's per-row statistics; this module only aggregates them, with
+one segmented reduction (``np.add.reduceat``) per statistic over the
+block starts rather than a Python loop over blocks.
 """
 
 from __future__ import annotations
@@ -83,34 +85,37 @@ def build_task_blocks(
         raise SchedulerError(
             f"dist_per_row shape {dist_per_row.shape} != ({n_rows},)"
         )
+    if not np.issubdtype(dist_per_row.dtype, np.integer):
+        raise SchedulerError(
+            f"dist_per_row must hold integer counts, got {dist_per_row.dtype}"
+        )
+    starts = np.arange(0, n_rows, task_rows)
+    rows = np.minimum(starts + task_rows, n_rows) - starts
+    n_dist = np.add.reduceat(dist_per_row, starts, dtype=np.int64)
     if needs_data is None:
-        needs_data_arr = np.ones(n_rows, dtype=bool)
+        data_rows = rows
     else:
         needs_data_arr = np.asarray(needs_data, dtype=bool)
         if needs_data_arr.shape != (n_rows,):
             raise SchedulerError(
                 f"needs_data shape {needs_data_arr.shape} != ({n_rows},)"
             )
+        data_rows = np.add.reduceat(needs_data_arr, starts, dtype=np.int64)
+    # Home node: where each block's slice of the dataset lives.
+    homes = machine.nodes_of_row_blocks(starts / n_rows)
 
     row_bytes = d * itemsize
-    tasks: list[TaskWork] = []
-    n_tasks = -(-n_rows // task_rows)
-    for block in range(n_tasks):
-        start = block * task_rows
-        stop = min(start + task_rows, n_rows)
-        rows = stop - start
-        n_dist = int(dist_per_row[start:stop].sum())
-        data_rows = int(needs_data_arr[start:stop].sum())
-        # Home node: where this block's slice of the dataset lives.
-        frac = start / n_rows
-        tasks.append(
-            TaskWork(
-                task_id=block,
-                n_rows=rows,
-                n_dist=n_dist,
-                data_bytes=data_rows * row_bytes,
-                state_bytes=rows * state_bytes_per_row,
-                home_node=machine.node_of_row_block(frac),
-            )
+    return [
+        TaskWork(
+            task_id=block,
+            n_rows=r,
+            n_dist=nd,
+            data_bytes=dr * row_bytes,
+            state_bytes=r * state_bytes_per_row,
+            home_node=home,
         )
-    return tasks
+        for block, (r, nd, dr, home) in enumerate(zip(
+            rows.tolist(), n_dist.tolist(), data_rows.tolist(),
+            homes.tolist(),
+        ))
+    ]

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import ConfigError
 from repro.simhw.costmodel import CostModel, FOUR_SOCKET_XEON
 from repro.simhw.engine import IterationEngine
@@ -83,17 +85,20 @@ class SimMachine:
             ssd=ssd,
         )
 
-    def node_of_row_block(self, block_frac: float) -> int:
-        """NUMA node holding a row block at relative dataset position.
+    def nodes_of_row_blocks(self, block_fracs: np.ndarray) -> np.ndarray:
+        """NUMA node holding each row block, by relative dataset position.
 
         Figure 1's layout: thread ``t`` owns rows ``[t*alpha,
         (t+1)*alpha)`` and its partition is allocated on *its* node --
         so a block's home bank is its owning thread's node (at T=1,
         everything is local to the one thread). Under an oblivious
-        layout everything sits on node 0. Drivers use this to stamp
-        ``TaskWork.home_node``.
+        layout everything sits on node 0. ``build_task_blocks`` uses
+        this to stamp ``TaskWork.home_node``.
         """
+        fracs = np.asarray(block_fracs, dtype=np.float64)
         if self.bind_policy is BindPolicy.OBLIVIOUS:
-            return 0
-        owner = min(int(block_frac * self.n_threads), self.n_threads - 1)
-        return self.threads[owner].node
+            return np.zeros(fracs.shape, dtype=np.int64)
+        owners = np.minimum(
+            (fracs * self.n_threads).astype(np.int64), self.n_threads - 1
+        )
+        return np.array([t.node for t in self.threads])[owners]

@@ -20,6 +20,8 @@ from repro.simhw.engine import IterationEngine, ScheduleDecision
 from repro.simhw.thread import spawn_threads
 from repro.simhw.topology import BindPolicy
 
+from tests.oracles import build_task_blocks_loop
+
 
 def make_tasks(n, home=None):
     return [
@@ -224,6 +226,74 @@ class TestBuildTaskBlocks:
                 10, 8, machine, dist_per_row=np.zeros(10),
                 needs_data=np.ones(3, dtype=bool),
             )
+
+    def test_rejects_non_integer_counts(self):
+        machine = SimMachine.build(FOUR_SOCKET_XEON, n_threads=2)
+        with pytest.raises(SchedulerError, match="integer"):
+            build_task_blocks(10, 8, machine, dist_per_row=np.ones(10))
+
+    @pytest.mark.parametrize(
+        "policy", [BindPolicy.NUMA_BIND, BindPolicy.OBLIVIOUS]
+    )
+    @pytest.mark.parametrize(
+        "n_rows,task_rows",
+        [
+            (1000, 128),  # short last block
+            (1024, 128),  # exact multiple
+            (50, 128),  # n_rows < task_rows: one short block
+            (1, 1),
+            (262144, 8192),
+        ],
+    )
+    @pytest.mark.parametrize("with_needs", [True, False])
+    def test_matches_per_block_loop(
+        self, policy, n_rows, task_rows, with_needs
+    ):
+        machine = SimMachine.build(
+            FOUR_SOCKET_XEON, n_threads=48, bind_policy=policy
+        )
+        rng = np.random.default_rng(n_rows)
+        dist = rng.integers(0, 17, n_rows).astype(np.int32)
+        needs = rng.random(n_rows) < 0.6 if with_needs else None
+        kwargs = dict(
+            dist_per_row=dist, needs_data=needs, task_rows=task_rows,
+            state_bytes_per_row=12,
+        )
+        got = build_task_blocks(n_rows, 16, machine, **kwargs)
+        want = build_task_blocks_loop(n_rows, 16, machine, **kwargs)
+        assert got == want
+        for g, w in zip(got, want):
+            for f in ("n_rows", "n_dist", "data_bytes", "state_bytes",
+                      "home_node"):
+                assert type(getattr(g, f)) is type(getattr(w, f)), f
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_rows=st.integers(1, 3000),
+        task_rows=st.integers(1, 600),
+        n_threads=st.integers(1, 64),
+        oblivious=st.booleans(),
+        seed=st.integers(0, 2**16),
+        dtype=st.sampled_from([np.int32, np.int64, np.uint8]),
+    )
+    def test_matches_per_block_loop_fuzzed(
+        self, n_rows, task_rows, n_threads, oblivious, seed, dtype
+    ):
+        machine = SimMachine.build(
+            FOUR_SOCKET_XEON, n_threads=n_threads,
+            bind_policy=(
+                BindPolicy.OBLIVIOUS if oblivious else BindPolicy.NUMA_BIND
+            ),
+        )
+        rng = np.random.default_rng(seed)
+        kwargs = dict(
+            dist_per_row=rng.integers(0, 200, n_rows).astype(dtype),
+            needs_data=rng.random(n_rows) < 0.5,
+            task_rows=task_rows,
+        )
+        assert build_task_blocks(
+            n_rows, 3, machine, **kwargs
+        ) == build_task_blocks_loop(n_rows, 3, machine, **kwargs)
 
     def test_auto_task_rows_bounds(self):
         assert auto_task_rows(1_000_000_000, 48) == 8192

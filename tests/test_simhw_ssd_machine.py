@@ -86,13 +86,12 @@ class TestSimMachine:
 
     def test_node_of_row_block(self):
         m = SimMachine.build(FOUR_SOCKET_XEON, n_threads=8)
-        assert m.node_of_row_block(0.0) == 0
-        assert m.node_of_row_block(0.99) == 3
+        assert m.nodes_of_row_blocks([0.0, 0.99]).tolist() == [0, 3]
         mo = SimMachine.build(
             FOUR_SOCKET_XEON, n_threads=8,
             bind_policy=BindPolicy.OBLIVIOUS,
         )
-        assert mo.node_of_row_block(0.99) == 0
+        assert mo.nodes_of_row_blocks([0.99]).tolist() == [0]
 
     def test_invalid_thread_counts(self):
         with pytest.raises(ConfigError):
