@@ -32,10 +32,24 @@ loose candidate always exists. Clauses 2 and 3 are evaluated as
 count is the rank of ``u`` in its centroid's sorted row, and its tight
 count is the rank of ``min(u, d(v, b))``. The pruning statistics, the
 per-row distance counts and the set of rows needing a candidate pass all
-follow from those two O(m) vectors. The kernel's temporaries are O(m)
-for the ``m`` active rows, plus, for the rows with a surviving
-candidate only, the candidate GEMM block and its byte mask of pruned
-centroids.
+follow from those two O(m) vectors.
+
+Everything after the clause-1 test walks the ``m`` active rows in
+blocks of at most ``BLOCK_BYTES`` of row data (4096 rows at d=32). Per
+block the kernel gathers the rows, takes their norms, tightens, ranks
+both bounds, and, for the rows with a surviving candidate only, runs
+the candidate GEMM and masks its pruned centroids, then writes the
+block's bounds, assignments and distance counts back. The kernel's
+temporaries are therefore O(n) index and bound vectors plus per-block
+buffers of at most one block's rows; no (m, d) or (m, k) array is
+built. The one row gather outside the blocks is of the rows that
+changed cluster, which the incremental update moves. Each row's
+arithmetic is its own, so the outcome does not depend on the block
+size as long as BLAS rounds a row the same in every call (see the even
+split in :func:`mti_iteration`). Rows are gathered by fancy index,
+``x[idx]``: knors hands the kernel a memmap view whose data starts at
+byte 28 of the file, and on such an unaligned array
+``np.take(x, idx, axis=0)`` costs about a copy of the whole matrix.
 
 Centroid updates are *incremental*: only points that changed membership
 move between the persistent per-cluster sums, so clause-1-skipped rows
@@ -63,6 +77,12 @@ from repro.errors import DatasetError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.workspace import DistanceWorkspace
+
+#: Budget of gathered row data per block of the post-clause-1 pass:
+#: ``BLOCK_BYTES // (8 * d)`` float64 rows (4096 at d=32), small
+#: enough that a block's rows, norms, bounds and candidate distances
+#: stay in L2.
+BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -256,57 +276,69 @@ def mti_iteration(
     computed = 0
 
     if m:
-        xa = np.take(x, active_idx, axis=0)
-        ba = assign[active_idx]
-        ua = state.ub[active_idx]
-        xa_sq = row_norms(xa) if x_sq_full is None else x_sq_full[active_idx]
-        # U(u): exact d(x, b). Every active row is tightened: ub > s[b]
-        # means ub exceeds some 0.5 * d(b, c), so a loose candidate
-        # always exists.
-        ut = rows_to_centroids(xa, centroids, ba, c_sq=c_sq, x_sq=xa_sq)
-
-        # Clauses 2 and 3 as candidate counts: c survives the loose
-        # bound when 0.5 * d(b, c) < ub, and the tightened bound when
-        # 0.5 * d(b, c) < min(ub, ut).
         thresholds = ClauseThresholds(cc)
-        n_loose = thresholds.count_below(ba, ua)
-        tu = np.minimum(ua, ut)
-        n_tight = thresholds.count_below(ba, tu)
-        loose_total = int(n_loose.sum())
-        tight_total = int(n_tight.sum())
+        ub = state.ub
+        loose_total = 0
+        tight_total = 0
+        # Blocks of at most the row budget, split evenly: a sliver of
+        # a last block would hand BLAS a GEMM small enough for its
+        # single-row or small-matrix path, which rounds differently
+        # from the kernel a full block's GEMM runs.
+        n_blocks = -(-m // max(1, BLOCK_BYTES // (8 * x.shape[1])))
+        for blk in range(n_blocks):
+            idx = active_idx[blk * m // n_blocks:(blk + 1) * m // n_blocks]
+            xb = x[idx]
+            bb = assign[idx]
+            ub_b = ub[idx]
+            xb_sq = row_norms(xb) if x_sq_full is None else x_sq_full[idx]
+            # U(u): exact d(x, b). Every active row is tightened: ub >
+            # s[b] means ub exceeds some 0.5 * d(b, c), so a loose
+            # candidate always exists.
+            ut = rows_to_centroids(xb, centroids, bb, c_sq=c_sq, x_sq=xb_sq)
+
+            # Clauses 2 and 3 as candidate counts: c survives the loose
+            # bound when 0.5 * d(b, c) < ub, and the tightened bound
+            # when 0.5 * d(b, c) < min(ub, ut).
+            n_loose = thresholds.count_below(bb, ub_b)
+            n_tight = thresholds.count_below(bb, np.minimum(ub_b, ut))
+            loose_total += int(n_loose.sum())
+            tight_total += int(n_tight.sum())
+            dist_per_row[idx] = 1 + n_tight
+
+            c_idx = np.flatnonzero(n_tight)  # positions within the block
+            if c_idx.size:
+                bc = bb[c_idx]
+                # Only rows with a surviving candidate get a k-wide
+                # block: the GEMM output, masked in place. (Often every
+                # row has one; then the rows need no second gather.)
+                dist = euclidean(
+                    xb if c_idx.size == idx.size else xb[c_idx],
+                    centroids, c_sq=c_sq,
+                    out=(
+                        None if workspace is None
+                        else workspace.dist_buffer(c_idx.size)
+                    ),
+                    x_sq=xb_sq[c_idx],
+                )
+                # The algorithm only "sees" candidate distances plus the
+                # tightened own distance; mask everything else so a
+                # pruning bug would surface as a wrong assignment.
+                rows = np.arange(c_idx.size)
+                np.putmask(
+                    dist, thresholds.pruned(bc, n_tight[c_idx]), np.inf
+                )
+                dist[rows, bc] = ut[c_idx]
+                best = np.argmin(dist, axis=1).astype(np.int32)
+                bb[c_idx] = best
+                ut[c_idx] = dist[rows, best]
+
+            # Write back tightened bounds and any reassignments.
+            ub[idx] = ut
+            assign[idx] = bb
+
         clause2_pruned = m * (k - 1) - loose_total
         clause3_pruned = loose_total - tight_total
         computed = m + tight_total
-        dist_per_row[active_idx] = 1 + n_tight
-
-        c_idx = np.flatnonzero(n_tight)  # positions within active
-        if c_idx.size:
-            bc = ba[c_idx]
-            # Only rows with a surviving candidate get a k-wide block:
-            # the GEMM output, masked in place. (Often every active row
-            # has one; then the rows need no second gather.)
-            dist = euclidean(
-                xa if c_idx.size == m else np.take(xa, c_idx, axis=0),
-                centroids, c_sq=c_sq,
-                out=(
-                    None if workspace is None
-                    else workspace.dist_buffer(c_idx.size)
-                ),
-                x_sq=xa_sq[c_idx],
-            )
-            # The algorithm only "sees" candidate distances plus the
-            # tightened own distance; mask everything else so a pruning
-            # bug would surface as a wrong assignment.
-            rows = np.arange(c_idx.size)
-            np.putmask(dist, thresholds.pruned(bc, n_tight[c_idx]), np.inf)
-            dist[rows, bc] = ut[c_idx]
-            best = np.argmin(dist, axis=1).astype(np.int32)
-            ba[c_idx] = best
-            ut[c_idx] = dist[rows, best]
-
-        # Write back tightened bounds and any reassignments.
-        state.ub[active_idx] = ut
-        assign[active_idx] = ba
 
     # Incremental centroid update: move only the rows that changed.
     changed = np.nonzero(assign != old_assign)[0]

@@ -75,11 +75,22 @@ class MatrixFile:
         self.n = int(n)
         self.d = int(d)
         self.dtype = np.dtype(_DTYPES[code])
+        # numpy caps every dimension and the byte size of an array at
+        # intp, even when the other dimension is 0; read_rows widens
+        # the rows to float64.
+        if max(self.n, 1) * max(self.d, 1) * 8 > np.iinfo(np.intp).max:
+            raise DatasetError(
+                f"{self.path}: shape ({self.n}, {self.d}) is too large"
+            )
+        # The payload is exactly n * d elements: a longer file is as
+        # malformed as a shorter one (a header claiming too small a d
+        # would otherwise open and read misaligned rows).
         expected = HEADER_BYTES + self.n * self.d * self.dtype.itemsize
         actual = self.path.stat().st_size
-        if actual < expected:
+        if actual != expected:
             raise DatasetError(
-                f"{self.path}: file is {actual} bytes, need {expected}"
+                f"{self.path}: file is {actual} bytes, but a {self.n} x "
+                f"{self.d} {self.dtype} matrix is {expected} bytes"
             )
         self._mm = np.memmap(
             self.path,
@@ -109,6 +120,12 @@ class MatrixFile:
         Row accesses through the view hit the file at page granularity
         via the memmap -- this is the supported way for SEM drivers to
         index rows without loading the matrix.
+
+        The data region starts at byte ``HEADER_BYTES`` (28), so the
+        view is not 8-byte aligned (``flags.aligned`` is false). Gather
+        rows with ``view[idx]``: ``np.take(view, idx, axis=0)`` on an
+        unaligned array costs about as much as copying the whole matrix
+        on every call, however few rows it takes.
         """
         return np.asarray(self._mm)
 

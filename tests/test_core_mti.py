@@ -1,5 +1,7 @@
 """MTI pruning: exactness, safety, and pruning effectiveness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,8 @@ from repro.core import (
     mti_iteration,
 )
 from repro.core.distance import euclidean
+from repro.core.workspace import DistanceWorkspace
+from repro.data import MatrixFile, read_matrix, write_matrix
 from repro.errors import DatasetError
 
 
@@ -182,3 +186,65 @@ def test_mti_objective_matches_lloyd_random_instances(n, k, d, seed):
     np.testing.assert_allclose(
         (mti_d**2).sum(), (ref_d**2).sum(), rtol=1e-7, atol=1e-9
     )
+
+
+class TestMemmapView:
+    """knors runs the kernel on ``MatrixFile.row_view()``: a memmap whose
+    data starts at byte 28 of the file, so the view is unaligned."""
+
+    N, D, K = 65536, 32, 16
+
+    @pytest.fixture(scope="class")
+    def matrix(self, tmp_path_factory):
+        rng = np.random.default_rng(7)
+        centers = rng.normal(scale=4.0, size=(self.K, self.D))
+        x = centers[rng.integers(0, self.K, self.N)] + rng.normal(
+            size=(self.N, self.D)
+        )
+        path = write_matrix(tmp_path_factory.mktemp("mti") / "m.knor", x)
+        return path, x[rng.choice(self.N, self.K, replace=False)].copy()
+
+    @staticmethod
+    def _run(x, c0, kernel, iters=4):
+        """mti_init plus ``iters`` iterations; each iteration's result
+        and tracemalloc peak."""
+        ws = None if kernel is None else DistanceWorkspace(
+            *c0.shape, kernel=kernel
+        )
+        state, res = mti_init(x, c0, workspace=ws)
+        prev, cur = c0, res.new_centroids
+        out = []
+        for _ in range(iters):
+            tracemalloc.start()
+            try:
+                r = mti_iteration(x, cur, prev, state, workspace=ws)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            out.append((r, peak))
+            prev, cur = cur, r.new_centroids
+        return state, out
+
+    @pytest.mark.parametrize("kernel", [None, "blocked", "gemm"])
+    def test_view_matches_array_within_memory(self, matrix, kernel):
+        path, c0 = matrix
+        view = MatrixFile(path).row_view()
+        assert not view.flags.aligned  # what keeps this test meaningful
+        state_v, runs_v = self._run(view, c0, kernel)
+        state_a, runs_a = self._run(read_matrix(path), c0, kernel)
+        for name in ("assignment", "ub", "sums", "counts"):
+            assert np.array_equal(
+                getattr(state_v, name), getattr(state_a, name)
+            ), name
+        for (rv, _), (ra, _) in zip(runs_v, runs_a):
+            for name in (
+                "new_centroids", "dist_per_row", "needs_data", "motion",
+            ):
+                assert np.array_equal(getattr(rv, name), getattr(ra, name))
+            assert rv.computed == ra.computed
+            assert rv.n_changed == ra.n_changed
+        # Gathering from the unaligned view must not copy the matrix:
+        # every iteration stays below the matrix's own 16 MB.
+        for r, peak in runs_v:
+            assert r.tightened_rows > 0
+            assert peak < view.nbytes, (peak, view.nbytes)

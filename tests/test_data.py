@@ -1,7 +1,14 @@
 """Datasets: generators, registry, and the on-disk matrix format."""
 
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.data import (
     DATASETS,
@@ -15,6 +22,7 @@ from repro.data import (
     write_matrix,
 )
 from repro.data.friendster import rmat_edges
+from repro.data.matrixfile import HEADER_BYTES
 from repro.errors import DatasetError
 
 
@@ -167,3 +175,90 @@ class TestMatrixFile:
     def test_non_2d_rejected(self, tmp_path):
         with pytest.raises(DatasetError):
             write_matrix(tmp_path / "v.knor", np.zeros(5))
+
+    def test_oversized_file_rejected(self, tmp_path):
+        """A header declaring d=2 over a d=4 payload must not open:
+        it would read rows misaligned (row 1 as ``[2, 3]``)."""
+        x = np.arange(8, dtype=np.float64).reshape(2, 4)
+        path = write_matrix(tmp_path / "o.knor", x)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<Q", data, 16, 2)  # d
+        path.write_bytes(bytes(data))
+        with pytest.raises(DatasetError, match=r"92 bytes.* 60 bytes"):
+            MatrixFile(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = write_matrix(tmp_path / "t.knor", np.zeros((3, 2)))
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(DatasetError, match="77 bytes"):
+            MatrixFile(path)
+
+
+def _open_or_reject(data: bytes) -> None:
+    """Write ``data`` as a matrix file: it must either open with an
+    exactly-sized payload that reads back whole, or fail typed."""
+    with tempfile.TemporaryDirectory() as td:
+        path = Path(td) / "f.knor"
+        path.write_bytes(data)
+        try:
+            mf = MatrixFile(path)
+        except DatasetError:
+            return
+        with mf:
+            assert len(data) == HEADER_BYTES + mf.n * mf.d * mf.dtype.itemsize
+            assert mf.row_view().shape == (mf.n, mf.d)
+            rows = mf.read_rows(None)
+            assert rows.shape == (mf.n, mf.d)
+            assert rows.dtype == np.float64
+
+
+_HEADER = struct.Struct("<4sIQQI")
+_U32 = st.integers(0, 2**32 - 1)
+_U64 = st.integers(0, 2**64 - 1)
+# Dimensions past numpy's intp limits, which a d=0 or n=0 header can
+# pair with an exactly-sized (empty) payload.
+_HUGE = st.sampled_from([2**31, 2**60, 2**63 - 1, 2**63, 2**64 - 1])
+
+
+class TestMatrixFileFuzz:
+    """Every byte string either opens as a well-formed matrix or raises
+    ``DatasetError``; well-formed files round-trip exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.binary(max_size=160))
+    def test_arbitrary_bytes(self, data):
+        _open_or_reject(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        magic=st.sampled_from([b"KNOR", b"KNOX", b"\0\0\0\0"]),
+        version=st.one_of(st.just(1), _U32),
+        n=st.one_of(st.integers(0, 6), _HUGE, _U64),
+        d=st.one_of(st.integers(0, 6), _HUGE, _U64),
+        code=st.one_of(st.sampled_from([0, 1]), _U32),
+        payload=st.one_of(
+            st.binary(max_size=300), st.integers(0, 300).map(bytes)
+        ),
+    )
+    def test_arbitrary_header_over_payload(
+        self, magic, version, n, d, code, payload
+    ):
+        _open_or_reject(_HEADER.pack(magic, version, n, d, code) + payload)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dtype=st.sampled_from([np.float64, np.float32]),
+        shape=st.tuples(st.integers(0, 6), st.integers(1, 5)),
+        data=st.data(),
+    )
+    def test_roundtrip(self, dtype, shape, data):
+        x = data.draw(arrays(dtype, shape))
+        with tempfile.TemporaryDirectory() as td:
+            path = write_matrix(Path(td) / "r.knor", x)
+            assert path.stat().st_size == HEADER_BYTES + x.nbytes
+            with MatrixFile(path) as mf:
+                assert mf.dtype == dtype
+                assert mf.row_view().tobytes() == x.tobytes()
+                np.testing.assert_array_equal(
+                    mf.read_rows(None), x.astype(np.float64)
+                )
