@@ -1,27 +1,26 @@
 """SAFS page cache: LRU over filesystem pages.
 
 SAFS "creates and manages a page cache that pins frequently touched
-pages in memory" (Section 2). The cache is consulted *after* the row
-cache and *before* the SSD array. Capacity is expressed in bytes and
-rounded down to whole pages.
+pages in memory" (Section 2). It is consulted *after* the row cache and
+*before* the SSD array. Capacity is in bytes, rounded down to pages.
 
-The cache is an **array-based batch LRU**: residency is a sorted int64
-key vector with a parallel last-touch stamp vector drawn from one
-monotonic clock, so a whole iteration's page probe resolves as one
-``searchsorted`` and eviction as one ``argpartition`` -- no per-page
-Python-level dict traffic. Semantics are provably identical to the
-classic OrderedDict LRU (``repro.perf.legacy.LegacyPageCache``): the
-resident set is always the ``capacity`` most-recently-stamped distinct
-pages, and stamps are assigned in probe/admit argument order exactly as
-sequential operations would, so hit/miss tallies, contents and eviction
-order all match element-for-element.
+The cache is a **page-indexed LRU with lazy deletion**; a batch of
+``m`` pages costs O(m) amortised, whatever the capacity. The **page
+table** ``_table[page]`` holds the page's last stamp from one monotonic
+clock, or -1 if it is not resident: a batch probe is one gather, and a
+restamp is one scatter whose last-wins order gives a page named twice
+the recency of its last occurrence. The **stamp log** appends
+``(page, stamp)`` pairs in stamp order between a head and a tail; an
+entry is live iff the table still holds its stamp, so restamping or
+discarding a page leaves its old entry stale. Eviction takes the first
+live entries from the head (the lowest stamps) and advances the head.
+When the tail hits the end of the buffer the live entries move to the
+front, in a buffer kept at 1.5-2x what is needed: O(1) per stamp.
 
-Storage is **double-buffered** on a :class:`~repro.mem.MemoryManager`:
-the key/stamp vectors live in an active backing pair, and inserts and
-compactions write into a spare pair which is then swapped in -- the
-``np.insert``/boolean-mask reallocations of the original implementation
-become scatter/``np.compress`` writes into pooled blocks, so a
-steady-state iteration admits and evicts with zero fresh allocations.
+Tallies, contents and eviction order match the OrderedDict LRU
+(``repro.perf.legacy.LegacyPageCache``) element-for-element. The table
+(8 B per file page: 1/512 of the data at 4 KB pages) and the log come
+from a :class:`~repro.mem.MemoryManager`; steady state allocates nothing.
 """
 
 from __future__ import annotations
@@ -32,6 +31,19 @@ from repro.errors import IoSubsystemError
 from repro.mem import MemoryManager, current_manager
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
+_LOG_MIN = 1024  # log entries: one 16 KB block serves a 512-page cache
+
+
+def _page_ids(pages) -> np.ndarray:
+    """``pages`` as an int64 vector; a non-integer or negative id raises."""
+    pages = np.asarray(pages)
+    if pages.size and pages.dtype.kind not in "iu":
+        bad = pages.flat[0]
+        raise IoSubsystemError(f"page id {bad!r} is not an integer")
+    pages = pages.astype(np.int64, copy=False)
+    if pages.size and pages.min() < 0:
+        raise IoSubsystemError(f"page id {int(pages.min())} is negative")
+    return pages
 
 
 class PageCache:
@@ -51,14 +63,11 @@ class PageCache:
         self.page_bytes = page_bytes
         self.capacity_pages = capacity_bytes // page_bytes
         self.mem = mem if mem is not None else current_manager()
-        self._size = 0  # resident pages; prefix of the active pair
-        self._kbuf: np.ndarray | None = None  # active keys backing
-        self._sbuf: np.ndarray | None = None  # active stamps backing
-        self._kspare: np.ndarray | None = None
-        self._sspare: np.ndarray | None = None
-        self._clock = 0
-        self.hits = 0
-        self.misses = 0
+        self._size = 0  # resident pages == live log entries
+        self._table: np.ndarray | None = None  # page -> stamp, or -1
+        self._log: np.ndarray | None = None  # rows: pages, stamps
+        self._head = self._tail = self._clock = 0
+        self.hits = self.misses = 0
 
     def __len__(self) -> int:
         return self._size
@@ -67,47 +76,68 @@ class PageCache:
     def capacity_bytes(self) -> int:
         return self.capacity_pages * self.page_bytes
 
-    @property
-    def _keys(self) -> np.ndarray:
-        """Sorted resident pages (prefix view of the active backing)."""
-        if self._kbuf is None:
-            return _EMPTY_I64
-        return self._kbuf[: self._size]
+    def _cover(self, pages: np.ndarray) -> np.ndarray:
+        """The page table, grown geometrically to index every page."""
+        table = self._table
+        n = 0 if table is None else table.size
+        top = int(pages.max()) + 1
+        if top > n:
+            grown = self.mem.alloc(max(top, 2 * n), np.int64,
+                                   tag="pagecache/table")
+            grown[n:] = -1
+            if table is not None:
+                grown[:n] = table
+            self.mem.free(table)
+            self._table = table = grown
+        return table
 
-    @property
-    def _stamps(self) -> np.ndarray:
-        """Parallel last-touch stamps for :attr:`_keys`."""
-        if self._sbuf is None:
-            return _EMPTY_I64
-        return self._sbuf[: self._size]
+    def _append(self, pages: np.ndarray, stamps: np.ndarray) -> None:
+        """Log ``(pages, stamps)`` at the tail, compacting if full."""
+        m = pages.size
+        log = self._log
+        if log is None or self._tail + m > log.shape[1]:
+            live_p, live_s = self._live_entries()
+            need = live_p.size + m
+            if log is None or 2 * log.shape[1] < 3 * need:
+                self.mem.free(log)
+                size = max(2 * need, _LOG_MIN)
+                log = self._log = self.mem.alloc(
+                    (2, size), np.int64, tag="pagecache/log")
+            log[0, : live_p.size] = live_p
+            log[1, : live_p.size] = live_s
+            self._head, self._tail = 0, live_p.size
+        t = self._tail
+        log[0, t : t + m] = pages
+        log[1, t : t + m] = stamps
+        self._tail = t + m
 
-    def _spare_pair(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Length-``n`` views of the spare backing pair, grown to fit.
+    def _live_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """(pages, stamps) of the live log entries, oldest first."""
+        if self._log is None:
+            return _EMPTY_I64, _EMPTY_I64
+        pages, stamps = self._log[:, self._head : self._tail]
+        live = self._table[pages] == stamps
+        return pages[live], stamps[live]
 
-        The backing may exceed ``n`` (capacity is kept across swaps);
-        the returned views are exactly ``n`` entries."""
-        self._kspare = self.mem.ensure_capacity(
-            self._kspare, (n,), np.int64, tag="pagecache/keys"
+    def _evict(self, excess: int) -> None:
+        """Drop the ``excess`` least recent pages: the first live log
+        entries, found in a window from the head that doubles."""
+        table, log = self._table, self._log
+        head, tail = self._head, self._tail
+        window = 2 * excess + 32
+        while True:
+            end = min(head + window, tail)
+            pages, stamps = log[:, head:end]
+            live = np.flatnonzero(table[pages] == stamps)
+            if live.size >= excess or end == tail:
+                break
+            window *= 2
+        table[pages[live[:excess]]] = -1
+        # Skip past the victims and any stale entries right behind them.
+        self._head = head + (
+            int(live[excess]) if live.size > excess else end - head
         )
-        self._sspare = self.mem.ensure_capacity(
-            self._sspare, (n,), np.int64, tag="pagecache/stamps"
-        )
-        return self._kspare[:n], self._sspare[:n]
-
-    def _swap(self, n: int) -> None:
-        """Promote the spare pair to active with ``n`` live entries."""
-        self._kbuf, self._kspare = self._kspare, self._kbuf
-        self._sbuf, self._sspare = self._sspare, self._sbuf
-        self._size = n
-
-    def _find(self, pages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(insertion positions, hit mask) for ``pages`` in ``_keys``."""
-        keys = self._keys
-        pos = np.searchsorted(keys, pages)
-        inb = pos < keys.size
-        hit = np.zeros(pages.size, dtype=bool)
-        hit[inb] = keys[pos[inb]] == pages[inb]
-        return pos, hit
+        self._size -= excess
 
     def lookup_batch(self, pages: np.ndarray) -> np.ndarray:
         """Probe many pages at once; hits refresh recency in probe order.
@@ -117,17 +147,22 @@ class PageCache:
         position in the argument, so a page probed twice keeps the
         recency of its *last* probe.
         """
-        pages = np.asarray(pages, dtype=np.int64)
-        if pages.size == 0:
-            return np.zeros(0, dtype=bool)
-        pos, hit = self._find(pages)
+        pages = _page_ids(pages)
+        if pages.size == 0 or self.capacity_pages == 0:
+            self.misses += int(pages.size)
+            return np.zeros(pages.size, dtype=bool)
+        table = self._cover(pages)
+        hit = table[pages] >= 0
         n_hits = int(np.count_nonzero(hit))
         self.hits += n_hits
         self.misses += int(pages.size) - n_hits
         if n_hits:
-            # Fancy assignment applies in argument order, so duplicate
-            # probes of one page leave its last (most recent) stamp.
-            self._stamps[pos[hit]] = self._clock + np.arange(n_hits)
+            hit_pages = pages[hit]
+            stamps = np.arange(self._clock, self._clock + n_hits)
+            # Last-wins: a duplicate probe keeps its last stamp; the
+            # earlier entry logged for it is stale from the start.
+            table[hit_pages] = stamps
+            self._append(hit_pages, stamps)
             self._clock += n_hits
         return hit
 
@@ -135,109 +170,74 @@ class PageCache:
         """Insert pages read from SSD, evicting LRU pages as needed.
 
         Equivalent to calling ``admit`` element-by-element: every page
-        ends up stamped at its last position in the argument (present
-        pages are merely restamped), then the lowest-stamped overflow
-        is evicted. The sequential loop interleaves its evictions with
-        the inserts, but the survivors -- the ``capacity`` highest
-        stamps -- are the same either way.
+        is stamped at its last position in the argument (present pages
+        are merely restamped), then the lowest-stamped overflow is
+        evicted -- the survivors are the ``capacity`` highest stamps,
+        as in the sequential loop.
         """
-        pages = np.asarray(pages, dtype=np.int64)
-        if self.capacity_pages == 0 or pages.size == 0:
-            if pages.size:
-                self._clock += int(pages.size)
+        pages = _page_ids(pages)
+        m = int(pages.size)
+        if self.capacity_pages == 0 or m == 0:
+            self._clock += m
             return
-        # Stamp by last occurrence: reverse + unique keeps, for each
-        # distinct page, its first index in the reversed view == its
-        # last position in the batch.
-        rev = pages[::-1]
-        uniq, rev_idx = np.unique(rev, return_index=True)
-        last_pos = int(pages.size) - 1 - rev_idx
-        new_stamps = self._clock + last_pos
-        self._clock += int(pages.size)
-
-        pos, present = self._find(uniq)
-        self._stamps[pos[present]] = new_stamps[present]
-        absent = ~present
-        if absent.any():
-            # Merge the absent (sorted, distinct) keys by scattering
-            # into the spare pair: an element inserted before original
-            # position p lands at p + (number of insertions before it),
-            # exactly where np.insert would put it.
-            n_ins = int(np.count_nonzero(absent))
-            old_n = self._size
-            new_n = old_n + n_ins
-            nk, ns = self._spare_pair(new_n)
-            ins_at = pos[absent] + np.arange(n_ins)
-            taken = np.zeros(new_n, dtype=bool)
-            taken[ins_at] = True
-            nk[ins_at] = uniq[absent]
-            ns[ins_at] = new_stamps[absent]
-            nk[~taken] = self._keys
-            ns[~taken] = self._stamps
-            self._swap(new_n)
+        table = self._cover(pages)
+        was = table[pages]
+        stamps = np.arange(self._clock, self._clock + m)
+        self._clock += m
+        table[pages] = stamps
+        # An occurrence wins where the table kept its stamp: the last
+        # occurrence of each distinct page.
+        win = table[pages] == stamps
+        self._size += int(np.count_nonzero(win & (was < 0)))
+        self._append(pages[win], stamps[win])
         excess = self._size - self.capacity_pages
         if excess > 0:
-            evict = np.argpartition(self._stamps, excess - 1)[:excess]
-            keep = np.ones(self._size, dtype=bool)
-            keep[evict] = False
-            self._compact(keep)
-
-    def _compact(self, keep: np.ndarray) -> None:
-        """Drop entries where ``keep`` is False, preserving order."""
-        n_keep = int(np.count_nonzero(keep))
-        nk, ns = self._spare_pair(max(n_keep, 1))
-        np.compress(keep, self._keys, out=nk[:n_keep])
-        np.compress(keep, self._stamps, out=ns[:n_keep])
-        self._swap(n_keep)
+            self._evict(excess)
 
     def lookup(self, page: int) -> bool:
         """Probe one page; a hit refreshes its recency."""
-        return bool(self.lookup_batch(np.array([page], dtype=np.int64))[0])
+        return bool(self.lookup_batch(np.array([page]))[0])
 
     def admit(self, page: int) -> None:
         """Insert a page read from SSD, evicting LRU pages as needed."""
-        self.admit_batch(np.array([page], dtype=np.int64))
+        self.admit_batch(np.array([page]))
 
     def clear(self) -> None:
         """Drop everything (the benches do this between runs, matching
         the paper's "we drop all caches between runs"). The backing
         blocks stay pooled for the next run."""
-        self._size = 0
+        if self._table is not None:
+            self._table.fill(-1)
+        self._size = self._head = self._tail = 0
 
     def release(self) -> None:
-        """Return both backing pairs to the owning manager."""
-        for arr in (self._kbuf, self._sbuf, self._kspare, self._sspare):
-            self.mem.free(arr)
-        self._kbuf = self._sbuf = None
-        self._kspare = self._sspare = None
-        self._size = 0
+        """Return the table and the log to the owning manager."""
+        self.mem.free(self._table)
+        self.mem.free(self._log)
+        self._table = self._log = None
+        self._size = self._head = self._tail = 0
 
     def discard_batch(self, pages: np.ndarray) -> int:
         """Quarantine: evict ``pages`` without touching hit/miss tallies.
 
         Used by the integrity layer when a resident page fails its
-        checksum -- the poisoned copy must leave the cache so the next
-        access re-reads a clean one from SSD. Returns how many of the
-        requested pages were actually resident.
+        checksum, so the next access re-reads a clean copy from SSD.
+        Returns how many of the requested pages were resident.
         """
-        pages = np.asarray(pages, dtype=np.int64)
+        pages = _page_ids(pages)
         if pages.size == 0 or self._size == 0:
             return 0
-        pos, hit = self._find(np.unique(pages))
-        if not hit.any():
-            return 0
-        keep = np.ones(self._size, dtype=bool)
-        keep[pos[hit]] = False
-        self._compact(keep)
-        return int(np.count_nonzero(hit))
+        pages = np.unique(pages[pages < self._table.size])
+        resident = pages[self._table[pages] >= 0]
+        self._table[resident] = -1
+        self._size -= int(resident.size)
+        return int(resident.size)
 
     def contains(self, page: int) -> bool:
         """Non-mutating membership probe (for tests)."""
-        keys = self._keys
-        pos = int(np.searchsorted(keys, page))
-        return pos < keys.size and int(keys[pos]) == page
+        t = self._table
+        return t is not None and 0 <= page < t.size and bool(t[page] >= 0)
 
     def pages_lru_order(self) -> list[int]:
         """Resident pages, least-recently-used first (for conformance)."""
-        order = np.argsort(self._stamps, kind="stable")
-        return self._keys[order].tolist()
+        return self._live_entries()[0].tolist()

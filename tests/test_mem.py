@@ -374,6 +374,54 @@ class TestPageCacheRelease:
         # ...release() hands everything back.
         assert m.counters().live_bytes == 0
 
+    @staticmethod
+    def _serve_stream(pc, rng, n_batches):
+        """Serve-shaped traffic: 1-8 skewed pages per batch, probe then
+        admit the misses (the ``Safs.fetch_rows`` order)."""
+        for _ in range(n_batches):
+            m = int(rng.integers(1, 9))
+            pages = np.minimum(
+                (rng.pareto(1.0, size=m) * 150).astype(np.int64), 8191
+            )
+            hit = pc.lookup_batch(pages)
+            pc.admit_batch(pages[~hit])
+
+    def test_steady_state_batches_allocate_nothing(self):
+        from repro.sem.pagecache import PageCache
+
+        m = ArenaManager()
+        pc = PageCache(512 * 4096, 4096, mem=m)
+        rng = np.random.default_rng(3)
+        pc.admit_batch(np.array([8191]))  # table covers every page id
+        self._serve_stream(pc, rng, 2_000)  # warm-up: fill, size the log
+        assert len(pc) == 512
+        before = m.counters()
+        self._serve_stream(pc, rng, 2_000)
+        after = m.counters()
+        assert after.backing_allocs == before.backing_allocs
+        assert after.n_allocs == before.n_allocs
+        assert after.live_bytes == before.live_bytes
+
+    def test_clear_pools_and_release_frees_after_serve_stream(self):
+        from repro.sem.pagecache import PageCache
+
+        m = ArenaManager()
+        pc = PageCache(512 * 4096, 4096, mem=m)
+        rng = np.random.default_rng(4)
+        self._serve_stream(pc, rng, 2_000)
+        live = m.counters().live_bytes
+        assert live > 0
+        pc.clear()
+        assert len(pc) == 0 and pc.pages_lru_order() == []
+        # clear() keeps the table and log; refilling reuses them.
+        assert m.counters().live_bytes == live
+        backing = m.counters().backing_allocs
+        self._serve_stream(pc, rng, 500)
+        assert m.counters().backing_allocs == backing
+        pc.release()
+        assert m.counters().live_bytes == 0
+        assert len(pc) == 0 and pc.pages_lru_order() == []
+
 
 def test_default_manager_untouched_by_suite():
     """Nothing in the codebase may leave a manager pushed."""

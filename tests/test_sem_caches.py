@@ -84,6 +84,98 @@ class TestPageCache:
         pc.admit_batch(np.array([30]))
         assert pc.pages_lru_order() == [10, 50, 60, 30]
 
+    def test_table_grows_past_largest_page(self):
+        """Page ids far past every earlier one are tracked, not
+        aliased, and the resident set survives the table growth."""
+        pc = PageCache(4 * 4096, 4096)
+        pc.admit_batch(np.array([0, 3]))
+        pc.admit_batch(np.array([100_000]))
+        assert pc.pages_lru_order() == [0, 3, 100_000]
+        assert not pc.lookup(5_000_000)
+        assert pc.lookup_batch(np.array([3, 100_000])).tolist() == [
+            True, True]
+        assert pc.pages_lru_order() == [0, 3, 100_000]
+        assert not pc.contains(99_999)
+        assert pc.discard_batch(np.array([7_000_000, 100_000])) == 1
+        assert pc.pages_lru_order() == [0, 3]
+
+    def test_discard_counts_distinct_resident_pages(self):
+        pc = PageCache(4 * 4096, 4096)
+        pc.admit_batch(np.array([5, 7, 9]))
+        assert pc.discard_batch(np.array([5, 5, 7, 8, 7])) == 2
+        assert len(pc) == 1 and pc.pages_lru_order() == [9]
+        # The freed slots are reusable without evicting page 9.
+        pc.admit_batch(np.array([1, 2, 3]))
+        assert pc.pages_lru_order() == [9, 1, 2, 3]
+
+
+BATCH_OPS = ("lookup_batch", "admit_batch", "discard_batch")
+
+
+class TestPageIdValidation:
+    """Bad page ids fail typed, name the id and leave the cache as it
+    was. A page-indexed table would otherwise read -1 as its last page,
+    and a float id would be truncated silently."""
+
+    def _warm(self):
+        pc = PageCache(4 * 4096, 4096)
+        pc.admit_batch(np.array([0, 1, 7]))
+        pc.lookup_batch(np.array([1, 9]))
+        return pc
+
+    @staticmethod
+    def _state(pc):
+        return pc.hits, pc.misses, len(pc), pc.pages_lru_order()
+
+    @pytest.mark.parametrize("op", BATCH_OPS)
+    def test_negative_id_rejected(self, op):
+        pc = self._warm()
+        before = self._state(pc)
+        with pytest.raises(IoSubsystemError, match=r"page id -1 is negative"):
+            getattr(pc, op)(np.array([2, -1, 3]))
+        assert self._state(pc) == before
+        # -1 must not alias the last table slot (page 7 is resident).
+        assert pc.contains(7) and not pc.contains(-1)
+
+    @pytest.mark.parametrize("op", BATCH_OPS)
+    @pytest.mark.parametrize("pages", [[2.5, 1.0], [1.0], ["3"], [True]])
+    def test_non_integer_id_rejected(self, op, pages):
+        pc = self._warm()
+        before = self._state(pc)
+        with pytest.raises(IoSubsystemError, match="is not an integer") as e:
+            getattr(pc, op)(np.array(pages))
+        assert repr(np.array(pages).flat[0]) in str(e.value)
+        assert self._state(pc) == before
+
+    def test_scalar_wrappers_reject_bad_ids(self):
+        pc = self._warm()
+        with pytest.raises(IoSubsystemError, match="-4"):
+            pc.lookup(-4)
+        with pytest.raises(IoSubsystemError, match="1.5"):
+            pc.admit(1.5)
+
+    def test_zero_capacity_still_validates(self):
+        pc = PageCache(0, 4096)
+        with pytest.raises(IoSubsystemError, match="-2"):
+            pc.lookup_batch(np.array([-2]))
+        with pytest.raises(IoSubsystemError, match="0.5"):
+            pc.admit_batch(np.array([0.5]))
+
+    @pytest.mark.parametrize("op", BATCH_OPS)
+    def test_empty_batch_of_any_dtype_is_accepted(self, op):
+        pc = self._warm()
+        before = self._state(pc)
+        getattr(pc, op)(np.array([]))
+        assert self._state(pc) == before
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.uint64])
+    def test_other_integer_dtypes_accepted(self, dtype):
+        pc = PageCache(4 * 4096, 4096)
+        pc.admit_batch(np.array([4, 2], dtype=dtype))
+        assert pc.lookup_batch(np.array([2, 3], dtype=dtype)).tolist() == [
+            True, False]
+        assert pc.pages_lru_order() == [4, 2]
+
 
 class TestSafs:
     def make(self, cache_pages=16):

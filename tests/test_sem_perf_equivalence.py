@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.sem.safs as safs_mod
 from repro import knors
@@ -78,6 +80,98 @@ class TestPageCacheEquivalence:
             legacy.admit(p)
         batch.admit_batch(np.array(pages, dtype=np.int64))
         assert _cache_state(legacy) == _cache_state(batch)
+
+
+def _apply(legacy, batch, op, pages, probes):
+    """One operation on both caches, then every observable compared.
+
+    The legacy cache has no batch discard: popping each page from its
+    OrderedDict is the sequential definition."""
+    if op == "lookup":
+        want = [legacy.lookup(p) for p in pages.tolist()]
+        assert batch.lookup_batch(pages).tolist() == want
+    elif op == "admit":
+        for p in pages.tolist():
+            legacy.admit(p)
+        batch.admit_batch(pages)
+    elif op == "discard":
+        popped = sum(
+            legacy._pages.pop(p, False) is None for p in set(pages.tolist())
+        )
+        assert batch.discard_batch(pages) == popped
+    else:
+        legacy.clear()
+        batch.clear()
+    assert _cache_state(legacy) == _cache_state(batch)
+    for p in [*pages.tolist(), *probes]:
+        assert legacy.contains(p) == batch.contains(p)
+
+
+_OPS = ("lookup", "admit", "discard", "clear")
+
+
+class TestPageCacheProperty:
+    """Hypothesis-driven streams through the page-indexed cache and the
+    OrderedDict cache side by side."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_pages=st.integers(600, 4_000),
+        p_discard=st.floats(0.0, 0.05),
+        p_clear=st.sampled_from([0.0, 0.0005]),
+    )
+    def test_serve_shape(self, seed, n_pages, p_discard, p_clear):
+        """1-8 skewed pages per batch into 512 pages, for long enough
+        that the stamp log compacts several times."""
+        rng = np.random.default_rng(seed)
+        legacy = LegacyPageCache(512 * 4096, 4096)
+        batch = PageCache(512 * 4096, 4096)
+        probes = rng.integers(0, n_pages, size=8).tolist()
+        compactions, tail = 0, 0
+        for _ in range(2_500):
+            m = int(rng.integers(1, 9))
+            # Heavy-tailed ids: a hot head that hits plus a long tail
+            # that keeps the cache evicting; duplicates included.
+            pages = np.minimum(
+                (rng.pareto(1.0, size=m) * 150).astype(np.int64), n_pages
+            )
+            u = rng.random()
+            op = ("clear" if u < p_clear else
+                  "discard" if u < p_clear + p_discard else "lookup")
+            _apply(legacy, batch, op, pages, probes)
+            if op == "lookup":
+                miss = np.array(
+                    [p for p in pages.tolist() if not legacy.contains(p)],
+                    dtype=np.int64,
+                )
+                _apply(legacy, batch, "admit", miss, probes)
+            compactions += batch._tail < tail
+            tail = batch._tail
+        assert compactions >= 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        capacity=st.integers(1, 24),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(_OPS),
+                # A hot range (hits, duplicates) mixed with a wide one.
+                st.lists(st.integers(0, 40) | st.integers(0, 5_000),
+                         min_size=0, max_size=80),
+            ),
+            min_size=1, max_size=40,
+        ),
+    )
+    def test_knors_shape(self, capacity, ops):
+        """Batches larger than the capacity, duplicates, and ids past
+        the current table size, so the page table keeps growing."""
+        legacy = LegacyPageCache(capacity * 4096, 4096)
+        batch = PageCache(capacity * 4096, 4096)
+        probes = [0, 1, 4_999, 5_000]
+        for op, pages in ops:
+            _apply(legacy, batch, op, np.array(pages, dtype=np.int64),
+                   probes)
 
 
 def _batch_tuple(b):
