@@ -44,6 +44,10 @@ class FullIterationResult:
     n_changed: int
     dist_per_row: np.ndarray  # (n,) int32 -- always k here
     needs_data: np.ndarray  # (n,) bool -- always True here
+    #: The funnel-merged per-cluster accumulators behind
+    #: ``new_centroids`` (before any reseed).
+    sums: np.ndarray  # (k, d) float64
+    counts: np.ndarray  # (k,) int64
     #: Cluster ids revived by the ``reseed`` empty-cluster policy this
     #: iteration (empty unless the policy fired).
     reseeded: tuple[int, ...] = ()
@@ -136,5 +140,7 @@ def full_iteration(
         n_changed=n_changed,
         dist_per_row=np.full(n, k, dtype=np.int32),
         needs_data=np.ones(n, dtype=bool),
+        sums=merged.sums,
+        counts=merged.counts,
         reseeded=tuple(reseeded),
     )

@@ -52,6 +52,13 @@ def check_pruning(pruning: str | None) -> str | None:
     return pruning
 
 
+def check_k(k) -> int:
+    """Validate a cluster count's type (numpy integers accepted)."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ConfigError(f"k must be an integer, got k={k!r}")
+    return int(k)
+
+
 def resolve_memory_manager(
     mem,
     mem_budget_bytes,
@@ -87,6 +94,11 @@ class IterationNumerics:
     clause2_pruned: int
     clause3_pruned: int
     motion: np.ndarray | None
+    #: Per-cluster sums/counts behind ``new_centroids`` (the MM
+    #: payload): the funnel merge when unpruned, the pruned modes'
+    #: incrementally maintained accumulators otherwise.
+    sums: np.ndarray
+    counts: np.ndarray
 
 
 class NumericsLoop:
@@ -95,11 +107,6 @@ class NumericsLoop:
     Hides the init/iterate asymmetry of the pruned algorithms so the
     drivers contain only hardware-related logic.
     """
-
-    #: Checkpoint identity, shared with ``KmeansMM``: knors and
-    #: ``run_mm_sem(KmeansMM(...))`` resume from each other's
-    #: checkpoints.
-    name = "kmeans"
 
     def __init__(
         self,
@@ -183,6 +190,8 @@ class NumericsLoop:
                 clause2_pruned=0,
                 clause3_pruned=0,
                 motion=None,
+                sums=res.sums,
+                counts=res.counts,
             )
         elif self.iteration == 0:
             init_fn = mti_init if self.pruning == "mti" else elkan_init
@@ -198,6 +207,8 @@ class NumericsLoop:
                 clause2_pruned=0,
                 clause3_pruned=0,
                 motion=None,
+                sums=self._state.sums,
+                counts=self._state.counts,
             )
         else:
             iter_fn = (
@@ -218,6 +229,8 @@ class NumericsLoop:
                 clause2_pruned=res.clause2_pruned,
                 clause3_pruned=res.clause3_pruned,
                 motion=res.motion,
+                sums=self._state.sums,
+                counts=self._state.counts,
             )
         if self.pruning is not None and self.empty_cluster == "error":
             counts = self._state.counts

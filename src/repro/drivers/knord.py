@@ -29,6 +29,7 @@ from repro.core import ConvergenceCriteria
 from repro.core.distance import rows_to_centroids
 from repro.dist import Cluster, NetworkModel, TEN_GBE
 from repro.drivers.common import (
+    check_k,
     check_pruning,
     default_criteria,
     make_scheduler,
@@ -43,7 +44,7 @@ from repro.runtime import (
     IterationLoop,
     RunObserver,
     ShardedKmeans,
-    register_distributed_memory,
+    register_kmeans_memory,
     state_bytes_per_row,
 )
 from repro.simhw import BindPolicy, CostModel, EC2_C4_8XLARGE
@@ -86,6 +87,7 @@ def knord_loop(
     context -- assemble under :func:`repro.mem.use_manager` when the
     job should account against a specific manager.
     """
+    k = check_k(k)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise DatasetError(f"x must be 2-D, got shape {x.shape}")
@@ -124,9 +126,8 @@ def knord_loop(
     schedulers = [make_scheduler(scheduler) for _ in range(p)]
     # Per-machine memory accounting (machines are identical;
     # report machine 0, flagged per-machine in params).
-    register_distributed_memory(
-        cluster.machines, sharded.shard_rows(), d, k, pruning
-    )
+    for machine, shard_n in zip(cluster.machines, sharded.shard_rows()):
+        register_kmeans_memory(machine, shard_n, d, k, pruning)
 
     backend = DistributedBackend(
         cluster,

@@ -17,37 +17,25 @@ NUMA machine. Per iteration:
 ``bind_policy=BindPolicy.OBLIVIOUS`` is the Figure 4 baseline;
 ``scheduler="fifo" | "static"`` are the Figure 5 baselines.
 
-This driver is a parameter-translation shim over
-:mod:`repro.runtime`: it builds the machine, numerics source and
-:class:`~repro.runtime.InMemoryBackend`, then hands the iteration
-skeleton to the shared :class:`~repro.runtime.IterationLoop`.
+This driver is a parameter-translation shim over the MM plane: it
+builds the machine, constructs :class:`~repro.runtime.KmeansMM` with
+one partial per thread (``n_partitions=T``) under the run's memory
+manager, runs it through :func:`~repro.runtime.run_mm_inmemory` and
+labels the result.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Sequence
 
 import numpy as np
 
 from repro.core import ConvergenceCriteria
-from repro.drivers.common import (
-    NumericsLoop,
-    check_pruning,
-    default_criteria,
-    make_scheduler,
-    resolve_init,
-    resolve_memory_manager,
-)
-from repro.errors import DatasetError
+from repro.drivers.common import resolve_memory_manager
 from repro.mem import MemoryManager, use_manager
 from repro.metrics import RunResult
-from repro.runtime import (
-    InMemoryBackend,
-    IterationLoop,
-    KmeansSource,
-    RunObserver,
-    register_inmemory_memory,
-)
+from repro.runtime import KmeansMM, RunObserver, run_mm_inmemory
 from repro.sched.blocks import auto_task_rows
 from repro.simhw import (
     BindPolicy,
@@ -141,65 +129,41 @@ def knori(
         pruning statistics and the memory breakdown.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise DatasetError(f"x must be 2-D, got shape {x.shape}")
-    n, d = x.shape
-    if k > n:
-        raise DatasetError(
-            f"k={k} clusters cannot exceed the n={n} data rows"
-        )
-    pruning = check_pruning(pruning)
-    crit = default_criteria(criteria)
-
     if machine is None:
         machine = SimMachine.build(
             cost_model, n_threads=n_threads, bind_policy=bind_policy
         )
-    sched = make_scheduler(scheduler)
-    if task_rows is None:
-        task_rows = auto_task_rows(n, machine.n_threads)
-    centroids0 = resolve_init(x, k, init, seed)
-    register_inmemory_memory(machine, n, d, k, pruning)
-
     manager = resolve_memory_manager(mem, mem_budget_bytes, observers)
     with use_manager(manager):
-        loop = NumericsLoop(
-            x, centroids0, pruning, n_partitions=machine.n_threads,
-            empty_cluster=empty_cluster, kernel=kernel,
+        alg = KmeansMM(
+            x, k, pruning=pruning, init=init, seed=seed,
+            criteria=criteria, empty_cluster=empty_cluster,
+            kernel=kernel, n_partitions=machine.n_threads,
         )
-        backend = InMemoryBackend(
-            machine,
-            sched,
-            KmeansSource(loop, k),
-            n_rows=n,
-            d=d,
-            reduction_k=k,
-            task_rows=task_rows,
-            faults=faults,
-        )
-        result = IterationLoop(
-            backend, criteria=crit, observers=observers, faults=faults,
+        if task_rows is None:
+            task_rows = auto_task_rows(alg.n_rows, machine.n_threads)
+        result = run_mm_inmemory(
+            alg, machine=machine, scheduler=scheduler,
+            task_rows=task_rows, observers=observers, faults=faults,
             membership=membership,
-        ).run()
+        )
 
+    pruning = alg.loop.pruning
     algo = {"mti": "knori", "elkan": "knori[elkan]", None: "knori-"}[
         pruning
     ]
-    return result.as_run_result(
+    return replace(
+        result,
         algorithm=algo,
-        centroids=loop.centroids,
-        assignment=loop.assignment.copy(),
-        inertia=loop.inertia(),
-        memory_breakdown=machine.memory.component_breakdown(),
         params={
-            "n": n,
-            "d": d,
-            "k": k,
+            "n": alg.n_rows,
+            "d": alg.d,
+            "k": alg.k,
             "T": machine.n_threads,
             "pruning": pruning,
             "bind_policy": machine.bind_policy.value,
             "scheduler": scheduler,
             "task_rows": task_rows,
-            "kernel": loop.kernel,
+            "kernel": alg.loop.kernel,
         },
     )

@@ -22,16 +22,17 @@ Flag mapping to the paper's names:
 * ``knors(path, k, pruning=None)`` -- knors- (no MTI, RC enabled).
 * ``knors(path, k, pruning=None, row_cache_bytes=0)`` -- knors--.
 
-This driver is a parameter-translation shim over
-:mod:`repro.runtime`: it assembles the SAFS/row-cache I/O stack
-(:func:`repro.sem.build_row_engine`), a
-:class:`~repro.runtime.SemBackend` with an optional
-:class:`~repro.runtime.CheckpointHook`, and hands the iteration
-skeleton to the shared :class:`~repro.runtime.IterationLoop`.
+This driver is a parameter-translation shim over the MM plane: it
+resolves the data to a row view (a memmap for files, never copied),
+builds the machine, constructs :class:`~repro.runtime.KmeansMM` with
+one partial per thread (``n_partitions=T``) under the run's memory
+manager, runs it through :func:`~repro.runtime.run_mm_sem` (SAFS and
+row-cache stack, optional checkpoints) and labels the result.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -39,27 +40,10 @@ import numpy as np
 
 from repro.core import ConvergenceCriteria
 from repro.data.matrixfile import MatrixFile
-from repro.drivers.common import (
-    NumericsLoop,
-    check_pruning,
-    default_criteria,
-    make_scheduler,
-    resolve_init,
-    resolve_memory_manager,
-)
+from repro.drivers.common import resolve_memory_manager
 from repro.mem import MemoryManager, use_manager
 from repro.metrics import RunResult
-from repro.runtime import (
-    CheckpointHook,
-    IterationLoop,
-    KmeansSource,
-    RunObserver,
-    SemBackend,
-    register_sem_memory,
-    resolve_row_data,
-)
-from repro.sched.blocks import auto_task_rows
-from repro.sem import build_row_engine
+from repro.runtime import KmeansMM, RunObserver, resolve_row_data, run_mm_sem
 from repro.simhw import (
     BindPolicy,
     CostModel,
@@ -169,114 +153,54 @@ def knors(
         prebuilt manager; see :func:`repro.drivers.knori` and
         :mod:`repro.mem`). Results are bit-identical across managers.
     """
-    x, n, d = resolve_row_data(data)
-    if k > n:
-        from repro.errors import DatasetError
-
-        raise DatasetError(
-            f"k={k} clusters cannot exceed the n={n} data rows"
-        )
-    pruning = check_pruning(pruning)
-    crit = default_criteria(criteria)
-
+    x, _, _ = resolve_row_data(data)
     machine = SimMachine.build(
         cost_model, n_threads=n_threads, bind_policy=bind_policy, ssd=ssd
     )
-    sched = make_scheduler(scheduler)
-    t = machine.n_threads
-    if task_rows is None:
-        task_rows = auto_task_rows(n, t)
-
     manager = resolve_memory_manager(mem, mem_budget_bytes, observers)
     with use_manager(manager):
-        io_engine, row_cache_bytes, page_cache_bytes = build_row_engine(
-            ssd, n, d, t,
+        alg = KmeansMM(
+            x, k, pruning=pruning, init=init, seed=seed,
+            criteria=criteria, empty_cluster=empty_cluster,
+            kernel=kernel, n_partitions=machine.n_threads,
+        )
+        result = run_mm_sem(
+            alg, machine=machine, scheduler=scheduler,
             row_cache_bytes=row_cache_bytes,
             page_cache_bytes=page_cache_bytes,
             cache_update_interval=cache_update_interval,
-            io_mode=io_mode,
-            io_queue_depth=io_queue_depth,
-            io_channels=io_channels,
-            faults=faults,
-            retry_policy=retry_policy,
-        )
-        row_cache = io_engine.row_cache
-        register_sem_memory(
-            machine, n, d, k, pruning,
-            row_cache_bytes=(
-                row_cache_bytes if row_cache is not None else 0
-            ),
-            page_cache_bytes=page_cache_bytes,
-        )
-
-        centroids0 = resolve_init(np.asarray(x), k, init, seed)
-        loop = NumericsLoop(
-            x, centroids0, pruning, n_partitions=t,
-            empty_cluster=empty_cluster, kernel=kernel,
-        )
-        checkpoint = (
-            CheckpointHook(
-                directory=checkpoint_dir,
-                interval=checkpoint_interval,
-                algorithm=loop,
-                params={"n": n, "d": d, "k": k, "pruning": pruning},
-                faults=faults,
-            )
-            if checkpoint_dir is not None
-            else None
-        )
-        start_it = (
-            checkpoint.resume(row_cache)
-            if resume and checkpoint is not None
-            else 0
-        )
-        backend = SemBackend(
-            machine,
-            sched,
-            KmeansSource(loop, k),
-            io_engine,
-            n_rows=n,
-            d=d,
-            reduction_k=k,
-            task_rows=task_rows,
-            checkpoint=checkpoint,
-            io_mode=io_mode,
-            faults=faults,
-        )
-        result = IterationLoop(
-            backend,
-            criteria=crit,
-            observers=observers,
-            start_iteration=start_it,
-            faults=faults,
+            io_mode=io_mode, io_queue_depth=io_queue_depth,
+            io_channels=io_channels, task_rows=task_rows,
+            checkpoint_dir=checkpoint_dir,
+            checkpoint_interval=checkpoint_interval, resume=resume,
+            observers=observers, faults=faults, retry_policy=retry_policy,
             membership=membership,
-        ).run()
+        )
 
+    pruning = alg.loop.pruning
+    row_cache_bytes = result.params["row_cache_bytes"]
     if pruning == "mti":
         algo = "knors"
-    elif row_cache is None:
-        algo = "knors--"
-    else:
+    elif row_cache_bytes > 0:
         algo = "knors-"
-    return result.as_run_result(
+    else:
+        algo = "knors--"
+    return replace(
+        result,
         algorithm=algo,
-        centroids=loop.centroids,
-        assignment=loop.assignment.copy(),
-        inertia=loop.inertia(),
-        memory_breakdown=machine.memory.component_breakdown(),
         params={
-            "n": n,
-            "d": d,
-            "k": k,
-            "T": t,
+            "n": alg.n_rows,
+            "d": alg.d,
+            "k": alg.k,
+            "T": machine.n_threads,
             "pruning": pruning,
             "row_cache_bytes": row_cache_bytes,
-            "page_cache_bytes": page_cache_bytes,
+            "page_cache_bytes": result.params["page_cache_bytes"],
             "cache_update_interval": cache_update_interval,
             "io_mode": io_mode,
             "io_queue_depth": io_queue_depth if io_mode == "async" else None,
             "io_channels": io_channels if io_mode == "async" else None,
             "scheduler": scheduler,
-            "kernel": loop.kernel,
+            "kernel": alg.loop.kernel,
         },
     )

@@ -6,8 +6,8 @@ skeleton: exact numerics, row-block task construction, scheduler and
 engine replay, barrier + reduction, per-iteration accounting. This
 package factors that skeleton out once:
 
-* **sources** (:class:`KmeansSource`, :class:`MMSource`) produce
-  per-iteration exact work statistics;
+* **sources** (:class:`MMSource`) produce per-iteration exact work
+  statistics from an :class:`MMAlgorithm`;
 * **backends** (:class:`InMemoryBackend`, :class:`SemBackend`,
   :class:`DistributedBackend`, :class:`PureMpiBackend`) price them on
   a substrate and emit :class:`~repro.metrics.IterationRecord`\\s;
@@ -16,19 +16,19 @@ package factors that skeleton out once:
 * :class:`RunObserver` hooks expose the full trace-event stream to
   benchmarks, the CLI, and profilers.
 
-``knori()``, ``knors()``, ``knord()``, the MM plane's ``run_mm_*``
-drivers and ``baselines.mpi_lloyd`` are thin parameter-translation
-shims over these pieces.
-
 On top of the skeleton sits the **MM algorithm plane**
 (:mod:`repro.runtime.mm`): any algorithm expressible as a per-row
 *majorize* phase plus a global additive *minimize* reduction
 (:class:`MMAlgorithm`) -- the one contract for custom
 algorithms -- inherits all three backends, fault recovery,
 checkpoints and the observer bus via ``run_mm_inmemory`` /
-``run_mm_sem`` / ``run_mm_distributed``. k-means itself is the first
-implementation (:class:`KmeansMM`); the extension zoo supplies the
-rest (see :mod:`repro.extensions`).
+``run_mm_sem`` / ``run_mm_distributed``. These are the only run
+assembly for one machine: ``knori()`` and ``knors()`` are
+:class:`KmeansMM` through ``run_mm_inmemory`` and ``run_mm_sem``.
+``knord()`` keeps its per-shard :class:`ShardedKmeans` program on the
+:class:`DistributedBackend`, and ``baselines.mpi_lloyd`` its
+:class:`PureMpiBackend`. The extension zoo supplies the other MM
+algorithms (see :mod:`repro.extensions`).
 """
 
 from repro.runtime.backends import (
@@ -55,10 +55,8 @@ from repro.runtime.mm import (
     run_mm_sem,
 )
 from repro.runtime.memory import (
-    register_distributed_memory,
-    register_inmemory_memory,
+    register_kmeans_memory,
     register_mm_memory,
-    register_sem_memory,
     state_bytes_per_row,
 )
 from repro.runtime.observer import (
@@ -70,7 +68,6 @@ from repro.runtime.observer import (
     chain_observers,
 )
 from repro.runtime.sources import (
-    KmeansSource,
     NumericsSource,
     StepStats,
     resolve_row_data,
@@ -84,7 +81,6 @@ __all__ = [
     "IterationLoop",
     "IterationOutcome",
     "KmeansMM",
-    "KmeansSource",
     "LoopResult",
     "MMAlgorithm",
     "MMShardedProgram",
@@ -102,10 +98,8 @@ __all__ = [
     "StepStats",
     "TraceEvent",
     "chain_observers",
-    "register_distributed_memory",
-    "register_inmemory_memory",
+    "register_kmeans_memory",
     "register_mm_memory",
-    "register_sem_memory",
     "resolve_row_data",
     "run_mm",
     "run_mm_distributed",

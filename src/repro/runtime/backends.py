@@ -282,11 +282,11 @@ class CheckpointHook:
 
     Persists ``algorithm``'s resumable state every ``interval``
     iterations in the one on-disk format (single-atomic-commit
-    protocol; see :mod:`repro.sem.checkpoint`). ``algorithm`` is any
-    object with a ``name`` plus ``export_state()`` /
-    ``restore_state(snap)`` -- knors' ``NumericsLoop`` or an
-    ``MMAlgorithm``; the snapshot's ndarrays go into the CRC-checked
-    arrays file, everything else into the manifest's scalars. With a
+    protocol; see :mod:`repro.sem.checkpoint`). ``algorithm`` is the
+    run's ``MMAlgorithm`` (its ``name``, ``export_state()`` and
+    ``restore_state(snap)``); the snapshot's ndarrays go into the
+    CRC-checked arrays file, everything else into the manifest's
+    scalars. With a
     fault plan attached, a save may be killed mid-protocol
     (``checkpoint`` site), which surfaces as a
     :class:`~repro.errors.WorkerCrashError` the iteration loop answers

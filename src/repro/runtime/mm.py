@@ -22,7 +22,9 @@ This module is that frame:
   :class:`~repro.runtime.backends.ShardedProgram` contract for the
   distributed backend.
 * ``run_mm_inmemory`` / ``run_mm_sem`` / ``run_mm_distributed`` --
-  the three generic drivers, mirroring knori/knors/knord assembly.
+  the three generic drivers. The first two are the only single-machine
+  run assembly: ``knori`` and ``knors`` are :class:`KmeansMM` through
+  them.
 
 Bit-identity across backends, by construction
 ---------------------------------------------
@@ -50,16 +52,32 @@ from typing import Any, Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from repro.errors import ConfigError, DatasetError
+from repro.mem import use_manager
 from repro.metrics import RunResult
 from repro.runtime.backends import (
     CheckpointHook,
+    DistributedBackend,
     InMemoryBackend,
     SemBackend,
     ShardedProgram,
 )
 from repro.runtime.loop import IterationLoop, LoopResult
+from repro.runtime.memory import (
+    register_kmeans_memory,
+    register_mm_memory,
+    state_bytes_per_row,
+)
 from repro.runtime.observer import RunObserver
 from repro.runtime.sources import StepStats
+from repro.sched.blocks import auto_task_rows
+from repro.sem import build_row_engine
+from repro.simhw import (
+    BindPolicy,
+    EC2_C4_8XLARGE,
+    FOUR_SOCKET_XEON,
+    SimMachine,
+)
+from repro.simhw.ssd import OCZ_INTREPID_ARRAY
 
 
 @dataclass
@@ -92,6 +110,12 @@ class MMAlgorithm(Protocol):
     reduction width in d-length-vector units; ``k`` for k-means) and
     ``state_bytes_per_row`` (per-row algorithm state the hardware
     plane charges memory traffic for).
+
+    An algorithm may also define ``register_memory(machine, n, *,
+    resident_rows=True, row_cache_bytes=0, page_cache_bytes=0)`` to
+    register its own simulated memory layout (:class:`KmeansMM` does);
+    without one, ``run_mm_*`` register the generic
+    :func:`~repro.runtime.memory.register_mm_memory` layout.
     """
 
     name: str
@@ -260,17 +284,29 @@ class MMShardedProgram(ShardedProgram):
 
 
 class KmeansMM:
-    """k-means as the first MM algorithm.
+    """k-means as the first MM algorithm -- and the one knori and knors
+    run.
 
     ``majorize`` advances the library's own
-    :class:`~repro.drivers.common.NumericsLoop` (Lloyd's or MTI) and
-    exposes its per-cluster sums/counts as the accumulator payload;
-    the centroid install is folded into the loop's step, so
-    ``minimize`` is a no-op. One loop serves every backend
-    (``n_partitions=1``), which is what makes the MM kmeans model
-    bit-identical across substrates -- and, for ``pruning="mti"``,
-    bit-identical to the classic ``knori`` driver as well (pinned by
-    the MM plane test suite).
+    :class:`~repro.drivers.common.NumericsLoop` (Lloyd's, MTI or Elkan)
+    and exposes the iteration's per-cluster sums/counts as the
+    accumulator payload; the centroid install is folded into the loop's
+    step, so ``minimize`` is a no-op.
+
+    ``n_partitions`` is how many per-thread partials the unpruned
+    update accumulates before its funnel merge (``T`` in Algorithm 1;
+    the pruned modes keep incremental sums and ignore it). The default
+    1 is one global sum, the same on every substrate. knori and knors
+    pass the machine's thread count, which reproduces the parallel
+    summation order of the paper's drivers bit for bit.
+
+    ``x`` is kept as given when it is a floating-point ndarray: a
+    float32 or memmap row view stays a view, so a semi-external run
+    never holds a second copy of the matrix. Anything else is
+    converted to float64.
+
+    :meth:`register_memory` is the k-means layout of Table 1, which
+    ``run_mm_*`` register in place of the generic MM layout.
     """
 
     name = "kmeans"
@@ -286,15 +322,18 @@ class KmeansMM:
         criteria: Any = None,
         empty_cluster: str = "drop",
         kernel: str = "blocked",
+        n_partitions: int = 1,
     ) -> None:
         from repro.drivers.common import (
             NumericsLoop,
+            check_k,
             default_criteria,
             resolve_init,
         )
-        from repro.runtime.memory import state_bytes_per_row
 
-        x = np.asarray(x, dtype=np.float64)
+        k = check_k(k)
+        if not (isinstance(x, np.ndarray) and x.dtype.kind == "f"):
+            x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
             raise DatasetError(f"x must be 2-D, got shape {x.shape}")
         n, d = x.shape
@@ -310,24 +349,34 @@ class KmeansMM:
         self.max_iters = self.criteria.max_iters
         centroids0 = resolve_init(x, k, init, seed)
         self.loop = NumericsLoop(
-            x, centroids0, pruning, n_partitions=1,
+            x, centroids0, pruning, n_partitions=n_partitions,
             empty_cluster=empty_cluster, kernel=kernel,
         )
         self.reduction_slots = k
         self.state_bytes_per_row = state_bytes_per_row(
             self.loop.pruning, k
         )
-        self._last: Any = None
+        # (n_changed, motion) of the last step: all ``converged`` needs,
+        # so the step's O(n) arrays are freed once the backend priced them.
+        self._progress: tuple | None = None
+
+    def register_memory(self, machine: Any, n: int, **layout: Any) -> None:
+        """Register the k-means layout for ``n`` rows on ``machine``
+        (see :func:`repro.runtime.memory.register_kmeans_memory`)."""
+        register_kmeans_memory(
+            machine, n, self.d, self.k, self.loop.pruning, **layout
+        )
 
     def majorize(self) -> MMStep:
         num = self.loop.step()
-        sums, counts = self.loop.partial_sums_counts()
-        self._last = num
+        self._progress = (num.n_changed, num.motion)
         return MMStep(
             dist_per_row=num.dist_per_row,
             needs_data=num.needs_data,
             n_changed=num.n_changed,
-            payload={"sums": sums, "counts": counts.astype(np.float64)},
+            payload={
+                "sums": num.sums, "counts": num.counts.astype(np.float64),
+            },
             motion=num.motion,
             clause1_rows=num.clause1_rows,
             clause2_pruned=num.clause2_pruned,
@@ -339,22 +388,20 @@ class KmeansMM:
         (its divide is bit-identical to sums/counts)."""
 
     def converged(self) -> bool:
-        if self._last is None:
+        if self._progress is None:
             return False
-        return self.criteria.converged(
-            self.n_rows, self._last.n_changed, self._last.motion
-        )
+        return self.criteria.converged(self.n_rows, *self._progress)
 
     def reset(self) -> None:
         self.loop.reset()
-        self._last = None
+        self._progress = None
 
     def export_state(self) -> dict:
         return self.loop.export_state()
 
     def restore_state(self, snap: dict) -> None:
         self.loop.restore_state(snap)
-        self._last = None
+        self._progress = None
 
     @property
     def model_array(self) -> np.ndarray:
@@ -383,8 +430,27 @@ class KmeansMM:
 
 
 # ---------------------------------------------------------------------
-# Generic drivers: one per substrate, mirroring knori/knors/knord.
+# Generic drivers: one per substrate. knori and knors are these two
+# in-memory and SEM drivers running KmeansMM; knord keeps its own
+# per-shard ShardedKmeans assembly.
 # ---------------------------------------------------------------------
+
+
+def _register_memory(
+    algorithm: MMAlgorithm, machine: Any, n: int, **layout: Any
+) -> None:
+    """Register the algorithm's own layout (``register_memory``, e.g.
+    k-means' Table 1 layout) or, without one, the generic MM layout."""
+    own = getattr(algorithm, "register_memory", None)
+    if own is not None:
+        own(machine, n, **layout)
+        return
+    register_mm_memory(
+        machine, n, algorithm.d,
+        state_bytes_per_row=algorithm.state_bytes_per_row,
+        model_slots=algorithm.reduction_slots,
+        **layout,
+    )
 
 
 def run_mm_inmemory(
@@ -408,10 +474,6 @@ def run_mm_inmemory(
     side memory manager (see :mod:`repro.mem`); results are
     bit-identical across managers."""
     from repro.drivers.common import make_scheduler, resolve_memory_manager
-    from repro.mem import use_manager
-    from repro.runtime.memory import register_mm_memory
-    from repro.sched.blocks import auto_task_rows
-    from repro.simhw import BindPolicy, FOUR_SOCKET_XEON, SimMachine
 
     if machine is None:
         machine = SimMachine.build(
@@ -422,11 +484,7 @@ def run_mm_inmemory(
     sched = make_scheduler(scheduler)
     if task_rows is None:
         task_rows = auto_task_rows(algorithm.n_rows, machine.n_threads)
-    register_mm_memory(
-        machine, algorithm.n_rows, algorithm.d,
-        state_bytes_per_row=algorithm.state_bytes_per_row,
-        model_slots=algorithm.reduction_slots,
-    )
+    _register_memory(algorithm, machine, algorithm.n_rows)
     manager = resolve_memory_manager(mem, mem_budget_bytes, observers)
     with use_manager(manager):
         backend = InMemoryBackend(
@@ -473,6 +531,7 @@ def run_mm_sem(
     io_queue_depth: int = 32,
     io_channels: int | None = None,
     task_rows: int | None = None,
+    machine: Any = None,
     checkpoint_dir: str | Path | None = None,
     checkpoint_interval: int = 10,
     resume: bool = False,
@@ -488,25 +547,23 @@ def run_mm_sem(
 
     The algorithm's ``needs_data`` mask drives real I/O savings: rows
     a pruned iteration never touches issue no SSD requests.
+    ``machine`` is a pre-built :class:`~repro.simhw.SimMachine`
+    (overrides ``cost_model``/``n_threads``/``bind_policy``, and
+    ``ssd`` when the machine carries one).
     ``mem``/``mem_budget_bytes`` select the interpreter-side memory
     manager (see :mod:`repro.mem`).
     """
     from repro.drivers.common import make_scheduler, resolve_memory_manager
-    from repro.mem import use_manager
-    from repro.runtime.memory import register_mm_memory
-    from repro.sched.blocks import auto_task_rows
-    from repro.sem import build_row_engine
-    from repro.simhw import BindPolicy, FOUR_SOCKET_XEON, SimMachine
-    from repro.simhw.ssd import OCZ_INTREPID_ARRAY
 
-    ssd = ssd or OCZ_INTREPID_ARRAY
     n, d = algorithm.n_rows, algorithm.d
-    machine = SimMachine.build(
-        cost_model or FOUR_SOCKET_XEON,
-        n_threads=n_threads,
-        bind_policy=bind_policy or BindPolicy.NUMA_BIND,
-        ssd=ssd,
-    )
+    if machine is None:
+        machine = SimMachine.build(
+            cost_model or FOUR_SOCKET_XEON,
+            n_threads=n_threads,
+            bind_policy=bind_policy or BindPolicy.NUMA_BIND,
+            ssd=ssd or OCZ_INTREPID_ARRAY,
+        )
+    ssd = machine.ssd or ssd or OCZ_INTREPID_ARRAY
     sched = make_scheduler(scheduler)
     t = machine.n_threads
     if task_rows is None:
@@ -525,10 +582,8 @@ def run_mm_sem(
             faults=faults,
             retry_policy=retry_policy,
         )
-        register_mm_memory(
-            machine, n, d,
-            state_bytes_per_row=algorithm.state_bytes_per_row,
-            model_slots=algorithm.reduction_slots,
+        _register_memory(
+            algorithm, machine, n,
             resident_rows=False,
             row_cache_bytes=row_cache_bytes,
             page_cache_bytes=page_cache_bytes,
@@ -612,9 +667,6 @@ def run_mm_distributed(
     manager (see :mod:`repro.mem`)."""
     from repro.dist import Cluster, TEN_GBE
     from repro.drivers.common import make_scheduler, resolve_memory_manager
-    from repro.mem import use_manager
-    from repro.runtime.backends import DistributedBackend
-    from repro.simhw import BindPolicy, EC2_C4_8XLARGE
 
     if cluster is None:
         cluster = Cluster.build(
@@ -628,15 +680,9 @@ def run_mm_distributed(
     manager = resolve_memory_manager(mem, mem_budget_bytes, observers)
     with use_manager(manager):
         program = MMShardedProgram(algorithm, p, allreduce=allreduce)
-        from repro.runtime.memory import register_mm_memory
-
         for machine, shard_n in zip(cluster.machines,
                                     program.shard_rows()):
-            register_mm_memory(
-                machine, shard_n, algorithm.d,
-                state_bytes_per_row=algorithm.state_bytes_per_row,
-                model_slots=algorithm.reduction_slots,
-            )
+            _register_memory(algorithm, machine, shard_n)
         schedulers = [make_scheduler(scheduler) for _ in range(p)]
         backend = DistributedBackend(
             cluster,

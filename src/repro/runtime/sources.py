@@ -1,30 +1,27 @@
 """Numerics sources: the algorithm side of an execution backend.
 
 A source produces, per iteration, the exact per-row work statistics
-(:class:`StepStats`) the hardware plane prices. Two families exist:
+(:class:`StepStats`) the hardware plane prices. The one source family
+is :class:`~repro.runtime.mm.MMSource`, which wraps any
+:class:`~repro.runtime.mm.MMAlgorithm` -- k-means
+(:class:`~repro.runtime.mm.KmeansMM`, which knori and knors run) and
+every custom algorithm alike. The in-memory and SEM backends consume
+it through the :class:`NumericsSource` protocol.
 
-* :class:`KmeansSource` wraps the library's own
-  :class:`~repro.drivers.common.NumericsLoop` (Lloyd's / MTI / Elkan);
-* :class:`~repro.runtime.mm.MMSource` wraps any
-  :class:`~repro.runtime.mm.MMAlgorithm`, the one contract custom
-  algorithms implement.
-
-Both are consumed identically by the backends, which is what lets
-knori/knors and the MM plane's ``run_mm_inmemory``/``run_mm_sem``
-share one loop body.
+:func:`resolve_row_data` turns a path, :class:`MatrixFile` or array
+into the row view a semi-external run reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from repro.data.matrixfile import MatrixFile
 from repro.errors import DatasetError
-from repro.runtime.memory import state_bytes_per_row
 
 
 @dataclass
@@ -55,32 +52,6 @@ class NumericsSource(Protocol):
 
     def step(self, iteration: int) -> StepStats:  # pragma: no cover
         ...
-
-
-class KmeansSource:
-    """Adapts a :class:`NumericsLoop` to the source contract.
-
-    Owns the pruning-mode-aware per-row state-byte rate (previously a
-    hardcoded ``12 if pruning else 4`` in every driver, which charged
-    Elkan the MTI rate despite its O(k) bound row per point).
-    """
-
-    def __init__(self, loop: Any, k: int) -> None:
-        self.loop = loop
-        self.state_bytes = state_bytes_per_row(loop.pruning, k)
-
-    def step(self, iteration: int) -> StepStats:
-        num = self.loop.step()
-        return StepStats(
-            dist_per_row=num.dist_per_row,
-            needs_data=num.needs_data,
-            n_changed=num.n_changed,
-            motion=num.motion,
-            clause1_rows=num.clause1_rows,
-            clause2_pruned=num.clause2_pruned,
-            clause3_pruned=num.clause3_pruned,
-            state_bytes=self.state_bytes,
-        )
 
 
 def resolve_row_data(

@@ -1,0 +1,221 @@
+"""Golden digests pinning knori and knors results and event streams.
+
+Each case runs one driver configuration and hashes two things:
+
+* ``result`` -- the full :class:`~repro.metrics.RunResult`: algorithm,
+  params, memory breakdown, iterations, convergence, every field of
+  every iteration record, the centroid and assignment bytes and the
+  inertia;
+* ``events`` -- the :class:`~repro.runtime.RecordingObserver` stream,
+  without the memory manager's alloc/free/spill events (those count
+  interpreter buffers, not the simulated run).
+
+Floats hash by their exact hex form, so any change in the last bit of a
+centroid or a simulated time shows. Checkpoint paths are replaced by a
+placeholder so the digests do not depend on the temporary directory.
+
+The digests live in ``tests/data/driver_golden.json``. Regenerate them
+only for a change that is meant to alter results::
+
+    PYTHONPATH=src python tests/test_driver_golden.py
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro import ConvergenceCriteria, knori, knors
+from repro.data import write_matrix
+from repro.faults import FaultEvent, FaultPlan, FaultSpec, parse_fault_spec
+from repro.runtime import RecordingObserver
+
+GOLDEN = Path(__file__).parent / "data" / "driver_golden.json"
+K = 6
+CRIT = ConvergenceCriteria(max_iters=10)
+#: Memory-manager events: they count interpreter buffers, which a
+#: refactor may legitimately allocate in a different order.
+MANAGER_EVENTS = {"alloc", "free", "spill"}
+
+
+def dataset() -> np.ndarray:
+    rng = np.random.default_rng(19)
+    centers = rng.normal(scale=3.0, size=(8, 8))
+    x = np.vstack(
+        [rng.normal(loc=c, scale=1.8, size=(250, 8)) for c in centers]
+    )
+    rng.shuffle(x)
+    return x
+
+
+def _canon(value, tmp: str):
+    """A JSON-stable, bit-exact form of ``value``."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value).hex()
+    if isinstance(value, np.ndarray):
+        arr = np.ascontiguousarray(value)
+        return [str(arr.dtype), list(arr.shape),
+                hashlib.sha256(arr.tobytes()).hexdigest()]
+    if isinstance(value, dict):
+        return {str(k): _canon(v, tmp) for k, v in sorted(
+            value.items(), key=lambda kv: str(kv[0]))}
+    if isinstance(value, (list, tuple)):
+        return [_canon(v, tmp) for v in value]
+    if value is None:
+        return None
+    return str(value).replace(tmp, "<tmp>")
+
+
+def _sha(obj) -> str:
+    text = json.dumps(obj, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def digest(result, rec: RecordingObserver, tmp: str) -> dict[str, str]:
+    res = {
+        "algorithm": result.algorithm,
+        "params": result.params,
+        "memory_breakdown": result.memory_breakdown,
+        "iterations": result.iterations,
+        "converged": result.converged,
+        "records": [dataclasses.asdict(r) for r in result.records],
+        "centroids": result.centroids,
+        "assignment": result.assignment,
+        "inertia": result.inertia,
+    }
+    events = [
+        [e.name, e.iteration, e.payload]
+        for e in rec.events if e.name not in MANAGER_EVENTS
+    ]
+    return {
+        "result": _sha(_canon(res, tmp)),
+        "events": _sha(_canon(events, tmp)),
+    }
+
+
+# -- the grid -------------------------------------------------------------
+
+
+def _knori_case(pruning, kernel, mem):
+    def run(x, path, tmp):
+        rec = RecordingObserver()
+        res = knori(x, K, pruning=pruning, kernel=kernel, mem=mem,
+                    seed=1, criteria=CRIT, observers=[rec])
+        return [digest(res, rec, tmp)]
+    return run
+
+
+def _knori_faults(x, path, tmp):
+    plan = FaultPlan(FaultSpec(), schedule=[
+        FaultEvent(site="straggler", iteration=1, kind="slow", machine=2),
+        FaultEvent(site="worker", iteration=3, kind="crash"),
+    ])
+    rec = RecordingObserver()
+    res = knori(x, K, seed=1, criteria=CRIT, faults=plan, observers=[rec])
+    return [digest(res, rec, tmp)]
+
+
+def _knors_case(pruning, io_mode):
+    def run(x, path, tmp):
+        rec = RecordingObserver()
+        res = knors(path, K, pruning=pruning, io_mode=io_mode, seed=1,
+                    criteria=CRIT, observers=[rec])
+        return [digest(res, rec, tmp)]
+    return run
+
+
+def _knors_resume(x, path, tmp):
+    ckpt = Path(tmp) / "ckpt-resume"
+    out = []
+    for iters, resume in ((4, False), (9, True)):
+        rec = RecordingObserver()
+        res = knors(path, K, seed=1, observers=[rec],
+                    criteria=ConvergenceCriteria(max_iters=iters),
+                    checkpoint_dir=ckpt, checkpoint_interval=2,
+                    resume=resume)
+        out.append(digest(res, rec, tmp))
+    return out
+
+
+def _knors_faults(x, path, tmp):
+    plan = FaultPlan(
+        parse_fault_spec("ssd_error=0.05,corrupt_page=0.1,corrupt_cache=0.3"),
+        seed=1,
+        schedule=[FaultEvent(site="checkpoint", iteration=3,
+                             kind="arrays-written")],
+    )
+    rec = RecordingObserver()
+    res = knors(path, K, seed=1, criteria=CRIT, faults=plan,
+                observers=[rec], checkpoint_dir=Path(tmp) / "ckpt-faults",
+                checkpoint_interval=2)
+    return [digest(res, rec, tmp)]
+
+
+CASES = {
+    **{
+        f"knori-{pruning}-{kernel}-{mem}": _knori_case(
+            None if pruning == "none" else pruning, kernel, mem)
+        for pruning in ("mti", "none", "elkan")
+        for kernel in ("blocked", "gemm")
+        for mem in ("numpy", "arena")
+    },
+    "knori-faults": _knori_faults,
+    **{
+        f"knors-{pruning}-{io_mode}": _knors_case(
+            None if pruning == "none" else pruning, io_mode)
+        for pruning in ("mti", "none")
+        for io_mode in ("async", "sync")
+    },
+    "knors-checkpoint-resume": _knors_resume,
+    "knors-faults-checkpoint-crash": _knors_faults,
+}
+
+
+def run_case(name: str, tmp: Path) -> list[dict[str, str]]:
+    x = dataset()
+    path = tmp / "golden.knor"
+    if not path.exists():
+        write_matrix(path, x)
+    return CASES[name](x, path, str(tmp))
+
+
+# -- the test -------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_covers_every_case(golden):
+    assert sorted(golden) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_driver_matches_golden(name, golden, tmp_path):
+    assert run_case(name, tmp_path) == golden[name]
+
+
+def record() -> None:
+    """Re-run every case and rewrite the golden file."""
+    out = {}
+    for name in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            out[name] = run_case(name, Path(tmp))
+    GOLDEN.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(out)} cases to {GOLDEN}")
+
+
+if __name__ == "__main__":
+    sys.exit(record())

@@ -88,6 +88,20 @@ def test_algorithm_names(matrix_path):
     )
 
 
+def test_elkan_memory_includes_bounds(matrix_path, overlapping):
+    """knors[elkan] keeps knori's Elkan bounds resident, the O(nk)
+    lower-bound matrix included, while its rows stream from SSD."""
+    crit = ConvergenceCriteria(max_iters=2)
+    k = 5
+    sem = knors(matrix_path, k, pruning="elkan", criteria=crit)
+    im = knori(overlapping, k, pruning="elkan", criteria=crit)
+    n = overlapping.shape[0]
+    assert sem.memory_breakdown["ti_lower_bound_matrix"] == n * k * 8
+    for comp in ("assignment", "ti_bounds", "ti_lower_bound_matrix"):
+        assert sem.memory_breakdown[comp] == im.memory_breakdown[comp]
+    assert "data" not in sem.memory_breakdown
+
+
 def test_io_overlap_semantics(matrix_path):
     """Iteration time is max(compute, io) + sync, so it is never less
     than the I/O service alone would require."""

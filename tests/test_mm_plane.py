@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import ConvergenceCriteria, knori, knors, lloyd
+from repro import ConvergenceCriteria, knord, knori, knors, lloyd
 from repro.core.init import init_centroids
 from repro.data import write_matrix
 from repro.errors import (
@@ -178,18 +178,29 @@ class TestKmeansPort:
         assert res.sim_seconds == ref.sim_seconds
 
     def test_unpruned_matches_knori_assignments(self, mmdata):
-        """Unpruned partial sums are partition-order sensitive, so
-        centroids agree to rounding; assignments stay identical."""
+        """Unpruned partial sums are partition-order sensitive: with one
+        partial per thread (``n_partitions=T``) MM k-means is knori-
+        bit for bit; the default single partition agrees to rounding
+        with identical assignments."""
         ref = knori(mmdata, K, pruning=None, seed=SEED, criteria=CRIT)
         res = run_mm_inmemory(
+            KmeansMM(mmdata, K, pruning=None, seed=SEED, criteria=CRIT,
+                     n_partitions=ref.params["T"])
+        )
+        np.testing.assert_array_equal(res.centroids, ref.centroids)
+        np.testing.assert_array_equal(res.assignment, ref.assignment)
+        assert res.inertia == ref.inertia
+        assert res.records == ref.records
+        assert res.memory_breakdown == ref.memory_breakdown
+        one = run_mm_inmemory(
             KmeansMM(mmdata, K, pruning=None, seed=SEED, criteria=CRIT)
         )
-        np.testing.assert_array_equal(res.assignment, ref.assignment)
+        np.testing.assert_array_equal(one.assignment, ref.assignment)
         np.testing.assert_allclose(
-            res.centroids, ref.centroids, rtol=0, atol=1e-10
+            one.centroids, ref.centroids, rtol=0, atol=1e-10
         )
-        assert res.iterations == ref.iterations
-        assert res.sim_seconds == ref.sim_seconds
+        assert one.iterations == ref.iterations
+        assert one.sim_seconds == ref.sim_seconds
 
     @pytest.mark.parametrize("pruning", ["mti", None])
     def test_sem_matches_classic_knors(self, mmdata, tmp_path, pruning):
@@ -204,9 +215,13 @@ class TestKmeansPort:
         }
         ref = knors(path, 5, init=c0, pruning=pruning, **caches)
         res = run_mm_sem(
-            KmeansMM(mmdata, 5, init=c0, pruning=pruning), **caches
+            KmeansMM(mmdata, 5, init=c0, pruning=pruning,
+                     n_partitions=ref.params["T"]),
+            **caches,
         )
+        np.testing.assert_array_equal(res.centroids, ref.centroids)
         np.testing.assert_array_equal(res.assignment, ref.assignment)
+        assert res.memory_breakdown == ref.memory_breakdown
         assert res.sim_seconds == ref.sim_seconds
         assert (
             sum(r.bytes_read for r in res.records)
@@ -227,6 +242,91 @@ class TestKmeansPort:
             KmeansMM(np.zeros(7), 2)
         with pytest.raises(DatasetError):
             KmeansMM(mmdata[:3], 5)
+
+
+KMEANS_ENTRY_POINTS = {
+    "knori": lambda x, k: knori(x, k, criteria=CRIT),
+    "knors": lambda x, k: knors(x, k, criteria=CRIT),
+    "knord": lambda x, k: knord(x, k, criteria=CRIT, n_machines=2),
+    "run_algorithm": lambda x, k: run_algorithm(
+        "kmeans", x, k, algorithm_kwargs={"criteria": CRIT}
+    ),
+}
+
+
+class TestKmeansMMGuards:
+    @pytest.mark.parametrize("k", [2.5, 3.0, "3", None, True])
+    @pytest.mark.parametrize("entry", sorted(KMEANS_ENTRY_POINTS))
+    def test_non_integer_k_is_config_error(self, mmdata, entry, k):
+        with pytest.raises(ConfigError, match=r"k=") as info:
+            KMEANS_ENTRY_POINTS[entry](mmdata, k)
+        assert repr(k) in str(info.value)
+
+    @pytest.mark.parametrize("entry", sorted(KMEANS_ENTRY_POINTS))
+    def test_numpy_integer_k_accepted(self, mmdata, entry):
+        run = KMEANS_ENTRY_POINTS[entry]
+        ref = run(mmdata, 3)
+        for k in (np.int64(3), np.int32(3), np.uint8(3)):
+            res = run(mmdata, k)
+            assert res.params["k"] == 3
+            np.testing.assert_array_equal(res.centroids, ref.centroids)
+
+    @pytest.mark.parametrize("entry", ["knori", "knors", "mm"])
+    def test_unpruned_run_makes_no_extra_pass_over_x(
+        self, mmdata, monkeypatch, entry
+    ):
+        """The unpruned MM payload is the iteration's own funnel-merged
+        sums: no per-iteration ``cluster_sums`` bincount over x."""
+        import repro.core.centroids as centroids
+
+        calls = []
+        real = centroids.cluster_sums
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(centroids, "cluster_sums", counting)
+        if entry == "knori":
+            knori(mmdata, K, pruning=None, criteria=CRIT)
+        elif entry == "knors":
+            knors(mmdata, K, pruning=None, criteria=CRIT)
+        else:
+            run_mm_inmemory(KmeansMM(mmdata, K, pruning=None,
+                                     criteria=CRIT))
+        assert calls == []
+
+    def test_knors_keeps_float32_file_view(
+        self, mmdata, tmp_path, monkeypatch
+    ):
+        """knors hands KmeansMM the memmap row view as-is: no float64
+        copy of the matrix lives for the run."""
+        import importlib
+
+        # The package re-exports the function under the module's name.
+        knors_mod = importlib.import_module("repro.drivers.knors")
+        path = tmp_path / "f32.knor"
+        write_matrix(path, mmdata.astype(np.float32))
+        views, algs = [], []
+        real_resolve = knors_mod.resolve_row_data
+        real_init = KmeansMM.__init__
+
+        def resolve(data):
+            out = real_resolve(data)
+            views.append(out[0])
+            return out
+
+        def init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            algs.append(self)
+
+        monkeypatch.setattr(knors_mod, "resolve_row_data", resolve)
+        monkeypatch.setattr(KmeansMM, "__init__", init)
+        knors(path, K, criteria=ConvergenceCriteria(max_iters=2))
+        (view,), (alg,) = views, algs
+        assert view.dtype == np.float32
+        assert alg.x.dtype == np.float32
+        assert np.shares_memory(alg.x, view)
 
 
 class TestGmmPort:

@@ -18,7 +18,6 @@ from repro.runtime import (
     InMemoryBackend,
     IterationLoop,
     KmeansMM,
-    KmeansSource,
     MMSource,
     NumericsSource,
     PureMpiBackend,
@@ -63,8 +62,6 @@ def test_backend_instances_satisfy_protocol(small, monkeypatch):
 
 
 def test_sources_satisfy_protocol(small):
-    loop_stub = type("L", (), {"pruning": None})()
-    assert isinstance(KmeansSource(loop_stub, 4), NumericsSource)
     assert isinstance(MMSource(KmeansMM(small, 4)), NumericsSource)
 
 
