@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.distance import nearest_centroid, rows_to_centroids
-from repro.core.init import init_centroids
-from repro.errors import ConfigError, DatasetError
-from repro.metrics import IterationRecord, RunResult
+from repro.metrics import RunResult
+from repro.runtime.mm import run_mm_inmemory
 
 
 def minibatch_update(
@@ -68,58 +66,18 @@ def minibatch_kmeans(
     init: str | np.ndarray = "random",
     seed: int = 0,
 ) -> RunResult:
-    """Cluster with mini-batch SGD updates.
+    """Cluster with mini-batch SGD updates: the serving plane's
+    :class:`~repro.serve.MiniBatchMM` on the in-memory substrate.
 
     Per step: sample ``batch_size`` rows, assign them to their nearest
     centroid, and move each chosen centroid toward the batch members
     with a per-center learning rate ``1 / count_seen`` (Sculley's
     algorithm 1).
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise DatasetError(f"x must be 2-D, got shape {x.shape}")
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    if n_steps < 1:
-        raise ConfigError(f"n_steps must be >= 1, got {n_steps}")
-    n, d = x.shape
-    rng = np.random.default_rng(seed)
-    if isinstance(init, np.ndarray):
-        centroids = np.array(init, dtype=np.float64, copy=True)
-    else:
-        centroids = init_centroids(x, k, init, seed=seed)
-    counts = np.zeros(k, dtype=np.int64)
+    # Imported here: repro.serve.ingest imports this module.
+    from repro.serve.ingest import MiniBatchMM
 
-    records = []
-    for step in range(n_steps):
-        batch_idx = rng.integers(0, n, size=min(batch_size, n))
-        batch = x[batch_idx]
-        assign, _ = nearest_centroid(batch, centroids)
-        minibatch_update(centroids, counts, batch, assign)
-        records.append(
-            IterationRecord(
-                iteration=step,
-                sim_ns=0.0,  # approximate method; not on a timing figure
-                n_changed=int(batch.shape[0]),
-                dist_computations=int(batch.shape[0]) * k,
-            )
-        )
-
-    final_assign, _ = nearest_centroid(x, centroids)
-    dist = rows_to_centroids(x, centroids, final_assign)
-    return RunResult(
-        algorithm="minibatch-kmeans",
-        centroids=centroids,
-        assignment=final_assign,
-        iterations=n_steps,
-        converged=False,  # SGD-style: runs for the step budget
-        inertia=float((dist**2).sum()),
-        records=records,
-        params={
-            "n": n,
-            "d": d,
-            "k": k,
-            "batch_size": batch_size,
-            "n_steps": n_steps,
-        },
+    return run_mm_inmemory(
+        MiniBatchMM(x, k, batch_size=batch_size, n_steps=n_steps,
+                    init=init, seed=seed)
     )

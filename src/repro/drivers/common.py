@@ -17,7 +17,12 @@ from repro.core import (
 from repro.core.distance import rows_to_centroids
 from repro.core.empty import check_empty_cluster_policy
 from repro.core.workspace import DistanceWorkspace
-from repro.errors import ConfigError, EmptyClusterError
+from repro.errors import (
+    ConfigError,
+    ConvergenceError,
+    DatasetError,
+    EmptyClusterError,
+)
 from repro.sched import (
     FifoScheduler,
     NumaAwareScheduler,
@@ -52,11 +57,55 @@ def check_pruning(pruning: str | None) -> str | None:
     return pruning
 
 
-def check_k(k) -> int:
-    """Validate a cluster count's type (numpy integers accepted)."""
+def check_k(k, name: str = "k") -> int:
+    """Validate a count's type (numpy integers accepted)."""
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ConfigError(f"k must be an integer, got k={k!r}")
+        raise ConfigError(f"{name} must be an integer, got {name}={k!r}")
     return int(k)
+
+
+def check_x_k(x: np.ndarray, k) -> int:
+    """The ``(x, k)`` contract every MM algorithm shares: ``x`` is a
+    2-D matrix of n rows and ``k`` an integer in ``[1, n]``.
+
+    A non-integer ``k`` raises :class:`ConfigError`, a non-2-D ``x`` or
+    ``k > n`` :class:`DatasetError`, ``k < 1``
+    :class:`ConvergenceError`. Returns ``k`` as a Python int.
+    """
+    k = check_k(k)
+    if x.ndim != 2:
+        raise DatasetError(f"x must be 2-D, got shape {x.shape}")
+    n = x.shape[0]
+    if k > n:
+        raise DatasetError(
+            f"k={k} clusters cannot exceed the n={n} data rows"
+        )
+    if k < 1:
+        raise ConvergenceError(f"k={k} invalid for n={n}")
+    return k
+
+
+def reject_rows(bad: np.ndarray, name: str, what: str,
+                hint: str = "") -> None:
+    """Raise :class:`DatasetError` when the row mask ``bad`` flags any
+    row, naming the first eight: ``"<name>: 3 <what> (rows [...])"``."""
+    rows = np.flatnonzero(bad)
+    if rows.size == 0:
+        return
+    more = f" (+{rows.size - 8} more)" if rows.size > 8 else ""
+    raise DatasetError(
+        f"{name}: {rows.size} {what} (rows {rows[:8].tolist()}{more})"
+        f"{hint}"
+    )
+
+
+def check_rows_finite(x: np.ndarray, name: str) -> None:
+    """Reject NaN/inf cells, naming the offending rows (the loader's
+    contract: a non-finite cell poisons every distance it touches)."""
+    reject_rows(
+        ~np.isfinite(x).all(axis=1), name, "rows contain NaN/inf",
+        "; clean the data before fitting",
+    )
 
 
 def resolve_memory_manager(

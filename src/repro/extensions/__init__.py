@@ -25,13 +25,14 @@ The "later phases" targets are implemented too:
 * :func:`agglomerative` -- hierarchical clustering with
   single/complete/average/ward linkage (Lance-Williams).
 
-Each clustering variant above also ships as an MM plane port
-(clusterNOR's generalization, see :mod:`repro.runtime.mm`):
+Each clustering variant above is implemented once, as an MM plane
+algorithm (clusterNOR's generalization, see :mod:`repro.runtime.mm`):
 :class:`GmmMM`, :class:`SphericalMM`, :class:`SemisupervisedMM` and
-:class:`YinyangMM` are bit-identical re-expressions of the standalone
-loops that inherit all three execution backends, faults/recovery,
-checkpoints and the observer bus, joined by the serving plane's
-streaming :class:`~repro.serve.MiniBatchMM`. :data:`MM_ALGORITHMS` /
+:class:`YinyangMM`, joined by the serving plane's streaming
+:class:`~repro.serve.MiniBatchMM`. The entry points above build one
+and run it with :func:`~repro.runtime.mm.run_mm_inmemory`; the same
+classes inherit all three execution backends, faults/recovery,
+checkpoints and the observer bus. :data:`MM_ALGORITHMS` /
 :func:`make_mm_algorithm` / :func:`run_algorithm` dispatch by name
 (kNN and agglomerative stay standalone -- their reductions are not
 additive, see :mod:`repro.extensions.registry`).

@@ -7,6 +7,8 @@ structure knor generalizes to -- the per-thread accumulators simply
 carry weighted sums and weighted squared sums instead of plain sums.
 
 Numerics follow the usual log-space formulation for stability.
+:class:`GmmMM` is the one implementation; :func:`gmm_em` runs it in
+memory and returns the fitted model as a :class:`GmmResult`.
 """
 
 from __future__ import annotations
@@ -16,37 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.init import init_centroids
-from repro.errors import ConvergenceError, DatasetError
+from repro.drivers.common import check_rows_finite, check_x_k
+from repro.errors import ConfigError, ConvergenceError, DatasetError
+from repro.runtime.mm import MMStep, run_mm_inmemory
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
-
-
-def _check_rows_finite(x: np.ndarray) -> None:
-    """Reject NaN/inf cells, naming the offending rows (the loader's
-    contract: a non-finite cell poisons every density it touches)."""
-    finite = np.isfinite(x).all(axis=1)
-    if finite.all():
-        return
-    bad = np.nonzero(~finite)[0]
-    shown = bad[:8].tolist()
-    more = f" (+{bad.size - 8} more)" if bad.size > 8 else ""
-    raise DatasetError(
-        f"gmm: {bad.size} rows contain NaN/inf (rows {shown}{more}); "
-        "clean the data before fitting"
-    )
-
-
-def _validate_gmm_inputs(x: np.ndarray, k: int, max_iters: int) -> None:
-    n = x.shape[0]
-    if k > n:
-        raise DatasetError(
-            f"k={k} components cannot exceed the n={n} data rows"
-        )
-    if k < 1:
-        raise ConvergenceError(f"k={k} invalid for n={n}")
-    if max_iters < 1:
-        raise ConvergenceError("max_iters must be >= 1")
-    _check_rows_finite(x)
 
 
 @dataclass
@@ -87,31 +63,6 @@ def _log_prob(
     return out
 
 
-def _init_model(
-    x: np.ndarray,
-    k: int,
-    init: str | np.ndarray,
-    seed: int,
-    var_floor: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Initial (means, variances, weights), shared by both entry
-    points."""
-    n, d = x.shape
-    if isinstance(init, np.ndarray):
-        means = np.array(init, dtype=np.float64, copy=True)
-        if means.shape != (k, d):
-            raise DatasetError(
-                f"init means shape {means.shape} != ({k}, {d})"
-            )
-    else:
-        means = init_centroids(x, k, init, seed=seed)
-    variances = np.tile(
-        np.maximum(x.var(axis=0), var_floor), (k, 1)
-    )
-    weights = np.full(k, 1.0 / k)
-    return means, variances, weights
-
-
 def gmm_em(
     x: np.ndarray,
     k: int,
@@ -122,7 +73,8 @@ def gmm_em(
     tol: float = 1e-6,
     var_floor: float = 1e-6,
 ) -> GmmResult:
-    """Fit a k-component diagonal GMM with EM.
+    """Fit a k-component diagonal GMM with EM: :class:`GmmMM` on the
+    in-memory substrate (:func:`~repro.runtime.mm.run_mm_inmemory`).
 
     Parameters
     ----------
@@ -134,59 +86,21 @@ def gmm_em(
         Converged when the mean log-likelihood improves by less than
         this between iterations.
     var_floor:
-        Lower bound on each variance (prevents collapse onto a point).
+        Lower bound on each variance (prevents collapse onto a point);
+        must be positive.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise DatasetError(f"x must be 2-D, got shape {x.shape}")
-    n, d = x.shape
-    _validate_gmm_inputs(x, k, max_iters)
-
-    means, variances, weights = _init_model(
-        x, k, init, seed, var_floor
-    )
-
-    ll_history: list[float] = []
-    resp = np.zeros((n, k))
-    converged = False
-    iterations = 0
-    for _ in range(max_iters):
-        iterations += 1
-        # E-step in log space.
-        logp = _log_prob(x, means, variances, weights)
-        m = logp.max(axis=1, keepdims=True)
-        log_norm = m[:, 0] + np.log(
-            np.exp(logp - m).sum(axis=1)
-        )
-        resp = np.exp(logp - log_norm[:, None])
-        ll = float(log_norm.mean())
-        ll_history.append(ll)
-
-        # M-step: weighted reductions (the super-phase analogue).
-        nk = resp.sum(axis=0)  # (k,)
-        nk = np.maximum(nk, 1e-12)
-        means = (resp.T @ x) / nk[:, None]
-        sq = resp.T @ (x**2)
-        variances = np.maximum(
-            sq / nk[:, None] - means**2, var_floor
-        )
-        weights = nk / n
-
-        if len(ll_history) >= 2 and (
-            ll_history[-1] - ll_history[-2] < tol
-        ):
-            converged = True
-            break
-
+    alg = GmmMM(x, k, init=init, seed=seed, max_iters=max_iters,
+                tol=tol, var_floor=var_floor)
+    res = run_mm_inmemory(alg)
     return GmmResult(
-        means=means,
-        variances=variances,
-        weights=weights,
-        responsibilities=resp,
-        log_likelihood=ll_history[-1],
-        ll_history=ll_history,
-        iterations=iterations,
-        converged=converged,
+        means=alg.means,
+        variances=alg.variances,
+        weights=alg.weights,
+        responsibilities=alg.resp,
+        log_likelihood=alg.ll_history[-1],
+        ll_history=alg.ll_history,
+        iterations=res.iterations,
+        converged=res.converged,
     )
 
 
@@ -197,9 +111,8 @@ class GmmMM:
     responsibilities voting into additive accumulators ``nk`` (soft
     counts), ``wsum`` (weighted sums) and ``wsq`` (weighted squared
     sums). *Minimize* is the M-step closed form over the reduced
-    accumulators. Numerics replay :func:`gmm_em` operation for
-    operation, so the MM run is bit-identical to the standalone loop
-    (pinned by the MM plane suite).
+    accumulators. This is the only EM implementation: :func:`gmm_em`
+    runs it in memory, ``run_algorithm("gmm", ...)`` on any backend.
     """
 
     name = "gmm"
@@ -216,16 +129,30 @@ class GmmMM:
         var_floor: float = 1e-6,
     ) -> None:
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2:
-            raise DatasetError(f"x must be 2-D, got shape {x.shape}")
+        k = check_x_k(x, k)
+        if max_iters < 1:
+            raise ConvergenceError("max_iters must be >= 1")
+        if not var_floor > 0:
+            raise ConfigError(
+                f"var_floor must be > 0, got {var_floor!r}"
+            )
+        check_rows_finite(x, self.name)
         self.x = x
         self.n_rows, self.d = x.shape
         self.k = k
-        _validate_gmm_inputs(x, k, max_iters)
         self.max_iters = max_iters
         self.tol = tol
         self.var_floor = var_floor
-        self._model0 = _init_model(x, k, init, seed, var_floor)
+        if isinstance(init, np.ndarray):
+            means = np.array(init, dtype=np.float64, copy=True)
+            if means.shape != (k, self.d):
+                raise DatasetError(
+                    f"init means shape {means.shape} != ({k}, {self.d})"
+                )
+        else:
+            means = init_centroids(x, k, init, seed=seed)
+        variances = np.tile(np.maximum(x.var(axis=0), var_floor), (k, 1))
+        self._model0 = (means, variances, np.full(k, 1.0 / k))
         # nk rides as one extra slot beside the 2k d-length vectors.
         self.reduction_slots = 2 * k + 1
         self.state_bytes_per_row = 8 * k  # one responsibility row
@@ -242,9 +169,7 @@ class GmmMM:
         self._assignment = np.full(self.n_rows, -1, dtype=np.int32)
         self._pending_ll: float | None = None
 
-    def majorize(self):
-        from repro.runtime.mm import MMStep
-
+    def majorize(self) -> MMStep:
         n, k = self.n_rows, self.k
         logp = _log_prob(self.x, self.means, self.variances,
                          self.weights)

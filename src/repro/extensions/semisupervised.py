@@ -15,25 +15,39 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.centroids import flat_sums
 from repro.core.convergence import ConvergenceCriteria
 from repro.core.distance import euclidean, nearest_centroid
+from repro.drivers.common import check_rows_finite, check_x_k, reject_rows
 from repro.errors import ConvergenceError, DatasetError
-from repro.metrics import IterationRecord, RunResult
+from repro.metrics import RunResult
+from repro.runtime.mm import MMStep, run_mm_inmemory
 
 
-def _validate_labels(x: np.ndarray, k: int, labels: np.ndarray) -> None:
-    if x.ndim != 2:
-        raise DatasetError(f"x must be 2-D, got shape {x.shape}")
+def _validate_labels(x: np.ndarray, k: int, labels) -> np.ndarray:
+    """Check ``labels`` row by row; returns them as int64."""
+    labels = np.asarray(labels)
     if labels.shape != (x.shape[0],):
         raise DatasetError(
             f"labels shape {labels.shape} != ({x.shape[0]},)"
         )
-    if labels.max(initial=-1) >= k:
-        raise DatasetError("labels must lie in [0, k) or be -1")
+    if labels.dtype.kind not in "iuf":
+        raise DatasetError(
+            f"labels must be integers, got dtype {labels.dtype}"
+        )
+    valid = (labels == -1) | (
+        (labels >= 0) & (labels < k) & (labels == np.round(labels))
+    )
+    reject_rows(
+        ~valid, "semisupervised",
+        f"labels are neither -1 nor an integer in [0, {k})",
+    )
+    labels = labels.astype(np.int64)
     if not (labels >= 0).any():
         raise ConvergenceError(
             "semisupervised_kmeanspp needs at least one labeled point"
         )
+    return labels
 
 
 def _seed_centroids(
@@ -75,7 +89,8 @@ def semisupervised_kmeanspp(
     seed: int = 0,
     criteria: ConvergenceCriteria | None = None,
 ) -> RunResult:
-    """Seeded k-means with label anchoring.
+    """Seeded k-means with label anchoring (:class:`SemisupervisedMM`
+    on the in-memory substrate).
 
     Parameters
     ----------
@@ -84,57 +99,8 @@ def semisupervised_kmeanspp(
         ``-1`` for unlabeled ones. At least one point must be labeled;
         fully-labeled input degenerates to computing class means.
     """
-    x = np.asarray(x, dtype=np.float64)
-    labels = np.asarray(labels)
-    _validate_labels(x, k, labels)
-    crit = criteria or ConvergenceCriteria()
-    n, d = x.shape
-    rng = np.random.default_rng(seed)
-    centroids = _seed_centroids(x, k, labels, rng)
-
-    # --- anchored Lloyd's ---------------------------------------------
-    anchored = labels >= 0
-    assign = np.full(n, -1, dtype=np.int32)
-    records: list[IterationRecord] = []
-    converged = False
-    mindist = np.zeros(n)
-    for it in range(crit.max_iters):
-        new_assign, mindist = nearest_centroid(x, centroids)
-        new_assign[anchored] = labels[anchored]
-        n_changed = int(np.count_nonzero(new_assign != assign))
-        assign = new_assign
-        prev = centroids
-        sums = np.zeros((k, d))
-        for dim in range(d):
-            sums[:, dim] = np.bincount(
-                assign, weights=x[:, dim], minlength=k
-            )
-        counts = np.bincount(assign, minlength=k)
-        centroids = prev.copy()
-        nz = counts > 0
-        centroids[nz] = sums[nz] / counts[nz, None]
-        records.append(
-            IterationRecord(
-                iteration=it, sim_ns=0.0, n_changed=n_changed,
-                dist_computations=n * k,
-            )
-        )
-        if crit.converged(n, n_changed):
-            converged = True
-            break
-
-    return RunResult(
-        algorithm="semisupervised-kmeans++",
-        centroids=centroids,
-        assignment=assign,
-        iterations=len(records),
-        converged=converged,
-        inertia=float((mindist[~anchored] ** 2).sum()),
-        records=records,
-        params={
-            "n": n, "d": d, "k": k,
-            "n_labeled": int(anchored.sum()),
-        },
+    return run_mm_inmemory(
+        SemisupervisedMM(x, k, labels, seed=seed, criteria=criteria)
     )
 
 
@@ -143,9 +109,9 @@ class SemisupervisedMM:
 
     *Majorize*: nearest-centroid assignment with anchored labels plus
     per-cluster sums/counts (the additive accumulator). *Minimize*:
-    divide on the non-empty clusters. Replays
-    :func:`semisupervised_kmeanspp` operation for operation
-    (bit-identical, same ``seed``).
+    divide on the non-empty clusters. This is the only implementation:
+    :func:`semisupervised_kmeanspp` runs it in memory,
+    ``run_algorithm("semisupervised", ...)`` on any backend.
     """
 
     name = "semisupervised"
@@ -160,8 +126,9 @@ class SemisupervisedMM:
         criteria: ConvergenceCriteria | None = None,
     ) -> None:
         x = np.asarray(x, dtype=np.float64)
-        labels = np.asarray(labels)
-        _validate_labels(x, k, labels)
+        k = check_x_k(x, k)
+        check_rows_finite(x, self.name)
+        labels = _validate_labels(x, k, labels)
         self.x = x
         self.labels = labels
         self.n_rows, self.d = x.shape
@@ -182,10 +149,8 @@ class SemisupervisedMM:
         self.iteration = 0
         self._last_n_changed: int | None = None
 
-    def majorize(self):
-        from repro.runtime.mm import MMStep
-
-        n, k, d = self.n_rows, self.k, self.d
+    def majorize(self) -> MMStep:
+        n, k = self.n_rows, self.k
         new_assign, self.mindist = nearest_centroid(
             self.x, self.centroids
         )
@@ -195,18 +160,13 @@ class SemisupervisedMM:
         )
         self.assignment = new_assign
         self._last_n_changed = n_changed
-        sums = np.zeros((k, d))
-        for dim in range(d):
-            sums[:, dim] = np.bincount(
-                self.assignment, weights=self.x[:, dim], minlength=k
-            )
         counts = np.bincount(self.assignment, minlength=k)
         return MMStep(
             dist_per_row=np.full(n, k, dtype=np.int32),
             needs_data=np.ones(n, dtype=bool),
             n_changed=n_changed,
             payload={
-                "sums": sums,
+                "sums": flat_sums(self.x, self.assignment, k),
                 "counts": counts.astype(np.float64),
             },
         )
@@ -215,8 +175,8 @@ class SemisupervisedMM:
         sums, counts = payload["sums"], payload["counts"]
         centroids = self.centroids.copy()
         nz = counts > 0
-        # Exact-integer f64 counts: the divide is bit-identical to the
-        # legacy int64 divide.
+        # Exact-integer f64 counts: the divide is bit-identical to an
+        # int64-count divide.
         centroids[nz] = sums[nz] / counts[nz, None]
         self.centroids = centroids
         self.iteration += 1

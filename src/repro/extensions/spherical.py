@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.centroids import flat_sums
 from repro.core.convergence import ConvergenceCriteria
 from repro.core.init import init_centroids
-from repro.errors import ConvergenceError, DatasetError
-from repro.metrics import IterationRecord, RunResult
+from repro.drivers.common import check_rows_finite, check_x_k
+from repro.errors import DatasetError
+from repro.metrics import RunResult
+from repro.runtime.mm import MMStep, run_mm_inmemory
 
 
 def _normalize_rows(x: np.ndarray, name: str) -> np.ndarray:
@@ -36,72 +39,15 @@ def spherical_kmeans(
     seed: int = 0,
     criteria: ConvergenceCriteria | None = None,
 ) -> RunResult:
-    """Cluster directions: k-means under cosine similarity.
+    """Cluster directions: k-means under cosine similarity
+    (:class:`SphericalMM` on the in-memory substrate).
 
     Returns a :class:`RunResult` whose ``inertia`` field holds the
     *negative total cosine similarity* (so that, like Euclidean
     inertia, smaller is better and it is non-increasing).
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise DatasetError(f"x must be 2-D, got shape {x.shape}")
-    if k < 1 or k > x.shape[0]:
-        raise ConvergenceError(f"k={k} invalid for n={x.shape[0]}")
-    crit = criteria or ConvergenceCriteria()
-    xn = _normalize_rows(x, "x")
-
-    if isinstance(init, np.ndarray):
-        centroids = _normalize_rows(
-            np.array(init, dtype=np.float64, copy=True), "init"
-        )
-    else:
-        centroids = _normalize_rows(
-            init_centroids(xn, k, init, seed=seed), "init"
-        )
-
-    n = xn.shape[0]
-    assign = np.full(n, -1, dtype=np.int32)
-    records: list[IterationRecord] = []
-    converged = False
-    sims = np.zeros(n)
-
-    for it in range(crit.max_iters):
-        dots = xn @ centroids.T  # cosine similarity
-        new_assign = np.argmax(dots, axis=1).astype(np.int32)
-        sims = dots[np.arange(n), new_assign]
-        n_changed = int(np.count_nonzero(new_assign != assign))
-        assign = new_assign
-        prev = centroids
-        sums = np.zeros_like(centroids)
-        for dim in range(xn.shape[1]):
-            sums[:, dim] = np.bincount(
-                assign, weights=xn[:, dim], minlength=k
-            )
-        norms = np.sqrt(np.einsum("ij,ij->i", sums, sums))
-        centroids = prev.copy()
-        nonzero = norms > 1e-12
-        centroids[nonzero] = sums[nonzero] / norms[nonzero, None]
-        records.append(
-            IterationRecord(
-                iteration=it,
-                sim_ns=0.0,
-                n_changed=n_changed,
-                dist_computations=n * k,
-            )
-        )
-        if crit.converged(n, n_changed):
-            converged = True
-            break
-
-    return RunResult(
-        algorithm="spherical-kmeans",
-        centroids=centroids,
-        assignment=assign,
-        iterations=len(records),
-        converged=converged,
-        inertia=float(-sims.sum()),
-        records=records,
-        params={"n": n, "d": x.shape[1], "k": k, "metric": "cosine"},
+    return run_mm_inmemory(
+        SphericalMM(x, k, init=init, seed=seed, criteria=criteria)
     )
 
 
@@ -110,9 +56,9 @@ class SphericalMM:
 
     *Majorize*: dot-product assignment plus per-cluster direction sums
     (the additive accumulator). *Minimize*: renormalize the sums onto
-    the unit sphere. Operation-for-operation the same numerics as
-    :func:`spherical_kmeans`, so MM runs are bit-identical to the
-    standalone loop.
+    the unit sphere. This is the only implementation:
+    :func:`spherical_kmeans` runs it in memory,
+    ``run_algorithm("spherical", ...)`` on any backend.
     """
 
     name = "spherical"
@@ -127,28 +73,22 @@ class SphericalMM:
         criteria: ConvergenceCriteria | None = None,
     ) -> None:
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2:
-            raise DatasetError(f"x must be 2-D, got shape {x.shape}")
-        if k > x.shape[0]:
-            raise DatasetError(
-                f"k={k} clusters cannot exceed the n={x.shape[0]} "
-                "data rows"
-            )
-        if k < 1:
-            raise ConvergenceError(f"k={k} invalid for n={x.shape[0]}")
+        k = check_x_k(x, k)
+        check_rows_finite(x, self.name)
         self.crit = criteria or ConvergenceCriteria()
         self.max_iters = self.crit.max_iters
         self.xn = _normalize_rows(x, "x")
         self.n_rows, self.d = self.xn.shape
         self.k = k
         if isinstance(init, np.ndarray):
-            self._centroids0 = _normalize_rows(
-                np.array(init, dtype=np.float64, copy=True), "init"
-            )
+            c0 = np.array(init, dtype=np.float64, copy=True)
+            if c0.shape != (k, self.d):
+                raise DatasetError(
+                    f"init centroids shape {c0.shape} != ({k}, {self.d})"
+                )
         else:
-            self._centroids0 = _normalize_rows(
-                init_centroids(self.xn, k, init, seed=seed), "init"
-            )
+            c0 = init_centroids(self.xn, k, init, seed=seed)
+        self._centroids0 = _normalize_rows(c0, "init")
         self.reduction_slots = k
         self.state_bytes_per_row = 12  # int32 assignment + f64 sim
         self.reset()
@@ -160,9 +100,7 @@ class SphericalMM:
         self.iteration = 0
         self._last_n_changed: int | None = None
 
-    def majorize(self):
-        from repro.runtime.mm import MMStep
-
+    def majorize(self) -> MMStep:
         n, k = self.n_rows, self.k
         dots = self.xn @ self.centroids.T
         new_assign = np.argmax(dots, axis=1).astype(np.int32)
@@ -172,16 +110,11 @@ class SphericalMM:
         )
         self.assignment = new_assign
         self._last_n_changed = n_changed
-        sums = np.zeros_like(self.centroids)
-        for dim in range(self.d):
-            sums[:, dim] = np.bincount(
-                self.assignment, weights=self.xn[:, dim], minlength=k
-            )
         return MMStep(
             dist_per_row=np.full(n, k, dtype=np.int32),
             needs_data=np.ones(n, dtype=bool),
             n_changed=n_changed,
-            payload={"sums": sums},
+            payload={"sums": flat_sums(self.xn, self.assignment, k)},
         )
 
     def minimize(self, payload: dict[str, np.ndarray]) -> None:

@@ -30,12 +30,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.centroids import flat_sums
 from repro.core.convergence import ConvergenceCriteria
 from repro.core.distance import euclidean, rows_to_centroids
 from repro.core.init import init_centroids
 from repro.core.lloyd import lloyd
+from repro.drivers.common import check_k, check_rows_finite, check_x_k
 from repro.errors import DatasetError
-from repro.metrics import IterationRecord, RunResult
+from repro.metrics import RunResult
+from repro.runtime.mm import MMStep, run_mm_inmemory
 
 
 @dataclass
@@ -89,7 +92,7 @@ def yinyang_init(
     """Iteration 0: full pass seeding assignments and group bounds."""
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
-    k, d = centroids.shape
+    k = centroids.shape[0]
     if t is None:
         t = max(1, k // 10)
     if not 1 <= t <= k:
@@ -113,9 +116,7 @@ def yinyang_init(
     for gi, members in enumerate(groups):
         lb[:, gi] = masked[:, members].min(axis=1)
 
-    sums = np.zeros((k, d))
-    for dim in range(d):
-        sums[:, dim] = np.bincount(assign, weights=x[:, dim], minlength=k)
+    sums = flat_sums(x, assign, k)
     counts = np.bincount(assign, minlength=k).astype(np.int64)
     state = YinyangState(
         assignment=assign, ub=ub, lb=lb, group_of=group_of,
@@ -141,7 +142,7 @@ def yinyang_iteration(
 ) -> YinyangIterationResult:
     """One Yinyang-pruned iteration; mutates ``state`` in place."""
     x = np.asarray(x, dtype=np.float64)
-    n, d = x.shape
+    n = x.shape[0]
     k = centroids.shape[0]
     if state.n != n:
         raise DatasetError(f"state tracks {state.n} rows, data has {n}")
@@ -237,13 +238,8 @@ def yinyang_iteration(
         xc = x[changed]
         frm = old_assign[changed]
         to = assign[changed]
-        for dim in range(d):
-            state.sums[:, dim] -= np.bincount(
-                frm, weights=xc[:, dim], minlength=k
-            )
-            state.sums[:, dim] += np.bincount(
-                to, weights=xc[:, dim], minlength=k
-            )
+        state.sums -= flat_sums(xc, frm, k)
+        state.sums += flat_sums(xc, to, k)
         state.counts -= np.bincount(frm, minlength=k)
         state.counts += np.bincount(to, minlength=k)
 
@@ -270,50 +266,10 @@ def yinyang_kmeans(
     seed: int = 0,
     criteria: ConvergenceCriteria | None = None,
 ) -> RunResult:
-    """Run Yinyang k-means to convergence (exact, O(nt) memory)."""
-    x = np.asarray(x, dtype=np.float64)
-    crit = criteria or ConvergenceCriteria()
-    if isinstance(init, np.ndarray):
-        c0 = np.array(init, dtype=np.float64, copy=True)
-    else:
-        c0 = init_centroids(x, k, init, seed=seed)
-    state, res = yinyang_init(x, c0, t=t, seed=seed)
-    prev, cur = c0, res.new_centroids
-    records = [
-        IterationRecord(
-            iteration=0, sim_ns=0.0, n_changed=res.n_changed,
-            dist_computations=res.computed,
-        )
-    ]
-    converged = False
-    for it in range(1, crit.max_iters):
-        r = yinyang_iteration(x, cur, prev, state)
-        records.append(
-            IterationRecord(
-                iteration=it, sim_ns=0.0, n_changed=r.n_changed,
-                dist_computations=r.computed,
-                clause1_rows=r.global_filtered,
-            )
-        )
-        prev, cur = cur, r.new_centroids
-        if crit.converged(x.shape[0], r.n_changed, r.motion):
-            converged = True
-            break
-
-    dist = rows_to_centroids(x, cur, state.assignment)
-    n_bytes = state.lb.nbytes + state.ub.nbytes
-    return RunResult(
-        algorithm="yinyang",
-        centroids=cur,
-        assignment=state.assignment.copy(),
-        iterations=len(records),
-        converged=converged,
-        inertia=float((dist**2).sum()),
-        records=records,
-        memory_breakdown={"yinyang_bounds": n_bytes},
-        params={
-            "n": x.shape[0], "d": x.shape[1], "k": k, "t": state.t,
-        },
+    """Run Yinyang k-means to convergence (exact, O(nt) memory):
+    :class:`YinyangMM` on the in-memory substrate."""
+    return run_mm_inmemory(
+        YinyangMM(x, k, t=t, init=init, seed=seed, criteria=criteria)
     )
 
 
@@ -326,8 +282,8 @@ class YinyangMM:
     into the hardware plane -- and whose zero rows become real I/O
     savings on the SEM backend via ``needs_data``. The accumulator
     payload is the incrementally-maintained per-cluster sums/counts.
-    Numerics replay :func:`yinyang_kmeans` exactly (bit-identical,
-    including iteration counts).
+    This is the only Yinyang run: :func:`yinyang_kmeans` runs it in
+    memory, ``run_algorithm("yinyang", ...)`` on any backend.
     """
 
     name = "yinyang"
@@ -343,13 +299,10 @@ class YinyangMM:
         criteria: ConvergenceCriteria | None = None,
     ) -> None:
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2:
-            raise DatasetError(f"x must be 2-D, got shape {x.shape}")
-        if k > x.shape[0]:
-            raise DatasetError(
-                f"k={k} clusters cannot exceed the n={x.shape[0]} "
-                "data rows"
-            )
+        k = check_x_k(x, k)
+        if t is not None:
+            t = check_k(t, "t")
+        check_rows_finite(x, self.name)
         self.x = x
         self.n_rows, self.d = x.shape
         self.k = k
@@ -376,9 +329,7 @@ class YinyangMM:
         self.iteration = 0
         self._last: YinyangIterationResult | None = None
 
-    def majorize(self):
-        from repro.runtime.mm import MMStep
-
+    def majorize(self) -> MMStep:
         n = self.n_rows
         if self.state is None:
             self.state, r = yinyang_init(
@@ -411,8 +362,8 @@ class YinyangMM:
         from the same sums/counts (bit-identical divide)."""
 
     def converged(self) -> bool:
-        # The seeding pass never converges (the legacy loop only
-        # checks from the first pruned iteration onward).
+        # The seeding pass never converges: convergence is checked
+        # from the first pruned iteration onward.
         if self._last is None or self.iteration <= 1:
             return False
         return self.crit.converged(

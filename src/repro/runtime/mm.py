@@ -326,21 +326,15 @@ class KmeansMM:
     ) -> None:
         from repro.drivers.common import (
             NumericsLoop,
-            check_k,
+            check_x_k,
             default_criteria,
             resolve_init,
         )
 
-        k = check_k(k)
         if not (isinstance(x, np.ndarray) and x.dtype.kind == "f"):
             x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2:
-            raise DatasetError(f"x must be 2-D, got shape {x.shape}")
+        k = check_x_k(x, k)
         n, d = x.shape
-        if k > n:
-            raise DatasetError(
-                f"k={k} clusters cannot exceed the n={n} data rows"
-            )
         self.x = x
         self.k = k
         self.n_rows = n

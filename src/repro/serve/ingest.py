@@ -1,15 +1,14 @@
 """Streaming ingest: mini-batch k-means as a first-class MM algorithm.
 
-This promotes ``baselines/minibatch.py`` onto the MM plane. Each
-``majorize`` samples one seeded mini-batch, assigns it with the shared
-:class:`~repro.core.workspace.DistanceWorkspace`, and folds it into
-the centroids with Sculley's per-center learning rates via the
-vectorized :func:`repro.baselines.minibatch.minibatch_update`. The
-numerics are global and sequential -- one RNG stream, one centroid
+This is the only mini-batch implementation: the
+:func:`~repro.baselines.minibatch.minibatch_kmeans` baseline runs it
+in memory. Each ``majorize`` samples one seeded mini-batch, assigns it
+with the shared :class:`~repro.core.workspace.DistanceWorkspace`, and
+folds it into the centroids with Sculley's per-center learning rates
+via the vectorized :func:`repro.baselines.minibatch.minibatch_update`.
+The numerics are global and sequential -- one RNG stream, one centroid
 array -- so the model is bit-identical across the InMemory / Sem /
-Distributed backends by construction, and bit-identical to the
-standalone :func:`~repro.baselines.minibatch.minibatch_kmeans`
-baseline for the same parameters (pinned by ``tests/test_serve.py``).
+Distributed backends by construction.
 
 What the substrates add is the hardware story: ``needs_data`` is the
 sampled batch, so the SEM backend fetches *only the arriving rows*
@@ -29,7 +28,7 @@ from repro.baselines.minibatch import minibatch_update
 from repro.core.centroids import flat_sums
 from repro.core.distance import nearest_centroid, rows_to_centroids
 from repro.core.workspace import DistanceWorkspace
-from repro.errors import ConfigError, DatasetError
+from repro.errors import ConfigError
 from repro.metrics import RunResult
 from repro.runtime.mm import MMStep
 
@@ -63,16 +62,16 @@ class MiniBatchMM:
         criteria: Any = None,
         kernel: str = "blocked",
     ) -> None:
-        from repro.drivers.common import resolve_init
+        from repro.drivers.common import (
+            check_rows_finite,
+            check_x_k,
+            resolve_init,
+        )
 
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2:
-            raise DatasetError(f"x must be 2-D, got shape {x.shape}")
+        k = check_x_k(x, k)
+        check_rows_finite(x, self.name)
         n, d = x.shape
-        if k > n:
-            raise DatasetError(
-                f"k={k} clusters cannot exceed the n={n} data rows"
-            )
         if batch_size < 1:
             raise ConfigError(
                 f"batch_size must be >= 1, got {batch_size}"

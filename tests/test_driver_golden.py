@@ -1,6 +1,9 @@
-"""Golden digests pinning knori and knors results and event streams.
+"""Golden digests pinning knori, knors and MM-plane results and event
+streams.
 
-Each case runs one driver configuration and hashes two things:
+Each case runs one driver configuration (or one registered MM
+algorithm on one backend, through
+:func:`~repro.extensions.run_algorithm`) and hashes two things:
 
 * ``result`` -- the full :class:`~repro.metrics.RunResult`: algorithm,
   params, memory breakdown, iterations, convergence, every field of
@@ -9,6 +12,11 @@ Each case runs one driver configuration and hashes two things:
 * ``events`` -- the :class:`~repro.runtime.RecordingObserver` stream,
   without the memory manager's alloc/free/spill events (those count
   interpreter buffers, not the simulated run).
+
+GMM cases hash a third digest, ``model``: the fitted means, variances,
+weights, responsibilities, log-likelihood history, iterations and
+convergence flag, which :func:`~repro.extensions.gmm_em` returns as a
+:class:`~repro.extensions.GmmResult`.
 
 Floats hash by their exact hex form, so any change in the last bit of a
 centroid or a simulated time shows. Checkpoint paths are replaced by a
@@ -28,12 +36,23 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro import ConvergenceCriteria, knori, knors
 from repro.data import write_matrix
+from repro.baselines import minibatch_kmeans
+from repro.extensions import (
+    MM_ALGORITHMS,
+    gmm_em,
+    run_algorithm,
+    semisupervised_kmeanspp,
+    spherical_kmeans,
+    yinyang_kmeans,
+)
+from repro.extensions.gmm import GmmMM
 from repro.faults import FaultEvent, FaultPlan, FaultSpec, parse_fault_spec
 from repro.runtime import RecordingObserver
 
@@ -80,6 +99,24 @@ def _canon(value, tmp: str):
 def _sha(obj) -> str:
     text = json.dumps(obj, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def labels_for(x: np.ndarray) -> np.ndarray:
+    """Sparse semisupervised labels: every 40th row, classes cycling."""
+    n = x.shape[0]
+    labels = np.full(n, -1)
+    labels[::40] = np.arange(n)[::40] % K
+    return labels
+
+
+def gmm_model_digest(means, variances, weights, resp, ll_history,
+                     iterations, converged) -> str:
+    """The fitted GMM beyond what a :class:`RunResult` carries."""
+    return _sha(_canon({
+        "means": means, "variances": variances, "weights": weights,
+        "resp": resp, "ll_history": list(ll_history),
+        "iterations": iterations, "converged": converged,
+    }, ""))
 
 
 def digest(result, rec: RecordingObserver, tmp: str) -> dict[str, str]:
@@ -162,6 +199,45 @@ def _knors_faults(x, path, tmp):
     return [digest(res, rec, tmp)]
 
 
+#: Constructor arguments of each registered MM algorithm's golden
+#: cases; the standalone wrappers take the same ones.
+MM_KWARGS = {
+    "kmeans": {"seed": 1, "criteria": CRIT},
+    "gmm": {"seed": 1, "max_iters": 10},
+    "spherical": {"seed": 1, "criteria": CRIT},
+    "semisupervised": {"seed": 1, "criteria": CRIT},
+    "yinyang": {"t": 2, "seed": 1, "criteria": CRIT},
+    "minibatch": {"batch_size": 256, "n_steps": 10, "seed": 1},
+}
+MM_BACKENDS = ("inmemory", "sem", "distributed")
+
+
+def _mm_case(name, backend):
+    def run(x, path, tmp):
+        built = []
+
+        def build(*args, **kwargs):
+            built.append(GmmMM(*args, **kwargs))
+            return built[-1]
+
+        rec = RecordingObserver()
+        labels = labels_for(x) if name == "semisupervised" else None
+        with mock.patch.dict(MM_ALGORITHMS, {"gmm": build}):
+            res = run_algorithm(
+                name, x, K, backend=backend, labels=labels,
+                algorithm_kwargs=MM_KWARGS[name], observers=[rec],
+            )
+        out = digest(res, rec, tmp)
+        if built:
+            (alg,) = built
+            out["model"] = gmm_model_digest(
+                alg.means, alg.variances, alg.weights, alg.resp,
+                alg.ll_history, res.iterations, res.converged,
+            )
+        return [out]
+    return run
+
+
 CASES = {
     **{
         f"knori-{pruning}-{kernel}-{mem}": _knori_case(
@@ -179,6 +255,11 @@ CASES = {
     },
     "knors-checkpoint-resume": _knors_resume,
     "knors-faults-checkpoint-crash": _knors_faults,
+    **{
+        f"mm-{name}-{backend}": _mm_case(name, backend)
+        for name in MM_KWARGS
+        for backend in MM_BACKENDS
+    },
 }
 
 
@@ -205,6 +286,32 @@ def test_golden_covers_every_case(golden):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_driver_matches_golden(name, golden, tmp_path):
     assert run_case(name, tmp_path) == golden[name]
+
+
+#: The standalone entry points, each called with its golden case's
+#: arguments.
+WRAPPERS = {
+    "spherical": lambda x: spherical_kmeans(x, K, **MM_KWARGS["spherical"]),
+    "semisupervised": lambda x: semisupervised_kmeanspp(
+        x, K, labels_for(x), **MM_KWARGS["semisupervised"]),
+    "yinyang": lambda x: yinyang_kmeans(x, K, **MM_KWARGS["yinyang"]),
+    "minibatch": lambda x: minibatch_kmeans(x, K, **MM_KWARGS["minibatch"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRAPPERS))
+def test_wrapper_matches_inmemory_golden(name, golden, tmp_path):
+    res = WRAPPERS[name](dataset())
+    got = digest(res, RecordingObserver(), str(tmp_path))["result"]
+    assert got == golden[f"mm-{name}-inmemory"][0]["result"]
+
+
+def test_gmm_em_matches_inmemory_golden(golden):
+    r = gmm_em(dataset(), K, **MM_KWARGS["gmm"])
+    got = gmm_model_digest(r.means, r.variances, r.weights,
+                           r.responsibilities, r.ll_history,
+                           r.iterations, r.converged)
+    assert got == golden["mm-gmm-inmemory"][0]["model"]
 
 
 def record() -> None:

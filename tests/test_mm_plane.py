@@ -5,13 +5,12 @@ The clusterNOR generalization's acceptance contract, in three parts:
 * every registered MM algorithm yields **bit-identical** models,
   assignments and iteration counts across the InMemory / Sem /
   Distributed backends for the same seed;
-* each MM port replays its standalone extension loop **operation for
-  operation** (pinned against :func:`gmm_em`,
-  :func:`spherical_kmeans`, :func:`semisupervised_kmeanspp`,
-  :func:`yinyang_kmeans`, and classic ``knori`` for k-means);
+* ``KmeansMM`` replays classic ``knori`` (the extensions' standalone
+  entry points *are* their MM classes run in memory; their results
+  are pinned by ``tests/test_driver_golden.py``);
 * the satellite edges ride along: the yinyang k<10 single-group clamp
-  and empty-group drop both stay exact vs plain Lloyd's, and GMM input
-  hygiene raises the loader's typed errors.
+  and empty-group drop both stay exact vs plain Lloyd's, and every
+  algorithm rejects bad input with the loader's typed errors.
 
 The generic contract itself is pinned too: a hand-written
 :class:`MMAlgorithm` is priced by the work it reports, stops at its
@@ -40,7 +39,6 @@ from repro.extensions import (
     gmm_em,
     make_mm_algorithm,
     run_algorithm,
-    semisupervised_kmeanspp,
     spherical_kmeans,
     yinyang_init,
     yinyang_kmeans,
@@ -330,26 +328,6 @@ class TestKmeansMMGuards:
 
 
 class TestGmmPort:
-    def test_matches_standalone_em(self, mmdata):
-        ref = gmm_em(mmdata, K, seed=SEED, max_iters=30)
-        res = run_mm_inmemory(
-            GmmMM(mmdata, K, seed=SEED, max_iters=30)
-        )
-        np.testing.assert_array_equal(res.centroids, ref.means)
-        np.testing.assert_array_equal(res.assignment, ref.assignment)
-        assert res.iterations == ref.iterations
-        assert res.converged == ref.converged
-        assert res.params["log_likelihood"] == ref.log_likelihood
-
-    def test_model_attributes_match(self, mmdata):
-        ref = gmm_em(mmdata, K, seed=SEED, max_iters=10)
-        alg = GmmMM(mmdata, K, seed=SEED, max_iters=10)
-        run_mm_inmemory(alg)
-        np.testing.assert_array_equal(alg.variances, ref.variances)
-        np.testing.assert_array_equal(alg.weights, ref.weights)
-        np.testing.assert_array_equal(alg.resp, ref.responsibilities)
-        assert alg.ll_history == ref.ll_history
-
     def test_inmemory_prices_every_row(self, blobs):
         """EM on the NUMA substrate: converges, log-likelihood is
         monotone, the blobs are recovered, and every iteration is
@@ -403,19 +381,108 @@ class TestGmmHygiene:
             ctor(mmdata, 2, max_iters=0)
 
 
-class TestSphericalPort:
-    def test_matches_standalone(self, mmdata):
-        ref = spherical_kmeans(mmdata, K, seed=SEED, criteria=CRIT)
-        res = run_mm_inmemory(
-            make_mm_algorithm(
-                "spherical", mmdata, K, seed=SEED, criteria=CRIT
-            )
-        )
-        np.testing.assert_array_equal(res.centroids, ref.centroids)
-        np.testing.assert_array_equal(res.assignment, ref.assignment)
-        assert res.iterations == ref.iterations
-        assert res.inertia == ref.inertia
+def _short_kwargs(name):
+    """Three-iteration constructor arguments for ``name``."""
+    if name == "gmm":
+        return {"seed": SEED, "max_iters": 3}
+    return {"seed": SEED, "criteria": ConvergenceCriteria(max_iters=3)}
 
+
+#: ``(x, k)`` inputs -> the error every registered algorithm raises
+#: (``None``: the run succeeds with ``k == 3``).
+XK_CASES = {
+    "float-k": (lambda x: (x, 2.5), ConfigError),
+    "bool-k": (lambda x: (x, True), ConfigError),
+    "str-k": (lambda x: (x, "3"), ConfigError),
+    "uint8-k": (lambda x: (x, np.uint8(3)), None),
+    "int64-k": (lambda x: (x, np.int64(3)), None),
+    "zero-k": (lambda x: (x, 0), ConvergenceError),
+    "negative-k": (lambda x: (x, -2), ConvergenceError),
+    "k-over-n": (lambda x: (x[:4], 5), DatasetError),
+    "1-d-x": (lambda x: (x[:, 0], 2), DatasetError),
+}
+
+
+class TestInputContract:
+    """One ``(x, k)`` contract and typed rejection of bad input, for
+    every registered algorithm."""
+
+    @pytest.mark.parametrize("case", sorted(XK_CASES))
+    @pytest.mark.parametrize("name", sorted(MM_ALGORITHMS))
+    def test_x_k_contract(self, mmdata, mmlabels, name, case):
+        make, error = XK_CASES[case]
+        x, k = make(mmdata)
+        labels = None
+        if name == "semisupervised":  # classes {0, 1}: valid for k >= 2
+            labels = np.where(mmlabels >= 0, mmlabels % 2, -1)
+            labels = labels[: x.shape[0]]
+
+        def run():
+            return run_algorithm(name, x, k, labels=labels,
+                                 algorithm_kwargs=_short_kwargs(name))
+
+        if error is None:
+            assert run().params["k"] == 3
+        else:
+            with pytest.raises(error):
+                run()
+
+    @pytest.mark.parametrize("t", [2.5, True, "2"])
+    def test_non_integer_t_is_config_error(self, mmdata, t):
+        with pytest.raises(ConfigError, match=r"t="):
+            yinyang_kmeans(mmdata, K, t=t)
+
+    @pytest.mark.parametrize("name",
+                             ["spherical", "semisupervised", "yinyang",
+                              "minibatch"])
+    def test_non_finite_rows_rejected_naming_rows(
+        self, mmdata, mmlabels, name
+    ):
+        x = mmdata.copy()
+        x[5, 0] = np.nan
+        x[11, 2] = np.inf
+        labels = mmlabels if name == "semisupervised" else None
+        with pytest.raises(DatasetError, match=r"rows \[5, 11\]"):
+            make_mm_algorithm(name, x, K, labels=labels)
+
+    @pytest.mark.parametrize("bad", [-2, 0.5, np.nan, np.inf])
+    def test_bad_labels_rejected_naming_rows(self, mmdata, mmlabels,
+                                             bad):
+        labels = mmlabels.astype(np.float64)
+        labels[[7, 13]] = bad
+        with pytest.raises(DatasetError, match=r"rows \[7, 13\]"):
+            make_mm_algorithm("semisupervised", mmdata, K,
+                              labels=labels)
+
+    def test_integral_float_labels_accepted(self, mmdata, mmlabels):
+        as_int = run_algorithm(
+            "semisupervised", mmdata, K, labels=mmlabels,
+            algorithm_kwargs=_short_kwargs("semisupervised"),
+        )
+        as_float = run_algorithm(
+            "semisupervised", mmdata, K,
+            labels=mmlabels.astype(np.float64),
+            algorithm_kwargs=_short_kwargs("semisupervised"),
+        )
+        np.testing.assert_array_equal(as_int.centroids,
+                                      as_float.centroids)
+
+    @pytest.mark.parametrize("var_floor", [0.0, -1.0, np.nan])
+    def test_gmm_var_floor_must_be_positive(self, var_floor):
+        # A cluster of duplicate points: its variance collapses to the
+        # floor, so a non-positive floor would divide by zero.
+        rng = np.random.default_rng(0)
+        x = np.vstack([np.zeros((50, 2)),
+                       rng.normal(loc=5.0, size=(50, 2))])
+        with pytest.raises(ConfigError, match="var_floor"):
+            gmm_em(x, 2, seed=0, var_floor=var_floor)
+
+    def test_spherical_init_shape_is_dataset_error(self, mmdata):
+        with pytest.raises(DatasetError, match="init centroids shape"):
+            spherical_kmeans(mmdata, K, init=np.ones((K + 1, 5)))
+
+
+class TestSphericalPort:
     def test_rejects_zero_vectors(self):
         x = np.vstack([np.eye(3), np.zeros((1, 3))])
         with pytest.raises(DatasetError):
@@ -423,21 +490,6 @@ class TestSphericalPort:
 
 
 class TestSemisupervisedPort:
-    def test_matches_standalone(self, mmdata, mmlabels):
-        ref = semisupervised_kmeanspp(
-            mmdata, K, mmlabels, seed=SEED, criteria=CRIT
-        )
-        res = run_mm_inmemory(
-            make_mm_algorithm(
-                "semisupervised", mmdata, K, labels=mmlabels,
-                seed=SEED, criteria=CRIT,
-            )
-        )
-        np.testing.assert_array_equal(res.centroids, ref.centroids)
-        np.testing.assert_array_equal(res.assignment, ref.assignment)
-        assert res.iterations == ref.iterations
-        assert res.inertia == ref.inertia
-
     def test_labels_anchor(self, mmdata, mmlabels):
         res = run_mm_inmemory(
             make_mm_algorithm(
@@ -452,32 +504,17 @@ class TestSemisupervisedPort:
 
 
 class TestYinyangPort:
-    def test_matches_standalone(self, mmdata):
-        ref = yinyang_kmeans(mmdata, K, t=2, seed=SEED, criteria=CRIT)
-        res = run_mm_inmemory(
-            make_mm_algorithm(
-                "yinyang", mmdata, K, t=2, seed=SEED, criteria=CRIT
-            )
-        )
-        np.testing.assert_array_equal(res.centroids, ref.centroids)
-        np.testing.assert_array_equal(res.assignment, ref.assignment)
-        assert res.iterations == ref.iterations
-        assert res.inertia == ref.inertia
-        assert res.params["t"] == ref.params["t"] == 2
-
     def test_pruning_counters_survive_the_port(self, mmdata):
-        ref = yinyang_kmeans(mmdata, K, t=2, seed=SEED, criteria=CRIT)
+        """The seeding pass computes every distance; the pruned passes
+        report fewer, and their global-filter skips as clause 1."""
         res = run_mm_inmemory(
             make_mm_algorithm(
                 "yinyang", mmdata, K, t=2, seed=SEED, criteria=CRIT
             )
         )
-        ref_by_it = {r.iteration: r for r in ref.records}
-        for rec in res.records:
-            assert (
-                rec.dist_computations
-                == ref_by_it[rec.iteration].dist_computations
-            )
+        full = mmdata.shape[0] * K
+        assert res.records[0].dist_computations == full
+        assert all(r.dist_computations < full for r in res.records[1:])
         assert any(r.clause1_rows > 0 for r in res.records)
 
     def test_sem_io_tracks_pruning(self, mmdata):
