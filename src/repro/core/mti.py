@@ -38,12 +38,22 @@ Everything after the clause-1 test walks the ``m`` active rows in
 blocks of at most ``BLOCK_BYTES`` of row data (4096 rows at d=32). Per
 block the kernel gathers the rows, takes their norms, tightens, ranks
 both bounds, and, for the rows with a surviving candidate only, runs
-the candidate GEMM and masks its pruned centroids, then writes the
-block's bounds, assignments and distance counts back. The kernel's
-temporaries are therefore O(n) index and bound vectors plus per-block
-buffers of at most one block's rows; no (m, d) or (m, k) array is
-built. The one row gather outside the blocks is of the rows that
-changed cluster, which the incremental update moves. Each row's
+the candidate GEMM and a *verified unmasked argmin*, then writes the
+block's bounds, assignments and distance counts back. The argmin runs
+over the whole GEMM row, with the tightened bound in the row's own
+column, and each winner is checked in O(1): it must be the own
+centroid or a surviving candidate. A winner that passes is also the
+masked argmin's answer, since the masked set then holds the row's
+minimum and argmin breaks ties to the lowest index in both. Only a row
+whose winner was pruned (rounding on a bisector can let a pruned
+centroid tie or beat the own one) redoes the argmin with its pruned
+centroids masked to ``+inf``. So the algorithm still only "sees"
+candidate distances plus its own, and a pruning bug still surfaces as
+a wrong assignment, without an (m, k) mask pass per block. The
+kernel's temporaries are therefore O(n) index and bound vectors plus
+per-block buffers of at most one block's rows; no (m, d) or (m, k)
+array is built. The one row gather outside the blocks is of the rows
+that changed cluster, which the incremental update moves. Each row's
 arithmetic is its own, so the outcome does not depend on the block
 size as long as BLAS rounds a row the same in every call (see the even
 split in :func:`mti_iteration`). Rows are gathered by fancy index,
@@ -165,6 +175,13 @@ class ClauseThresholds:
             pos += (probe < u) * step
             step >>= 1
         return pos
+
+    def is_candidate(
+        self, b: np.ndarray, c: np.ndarray, count: np.ndarray
+    ) -> np.ndarray:
+        """Whether ``c[i]`` is among the ``count[i]`` lowest thresholds
+        of row ``b[i]``: one rank lookup per row, O(m)."""
+        return self._rank[b, c] < count
 
     def pruned(self, b: np.ndarray, count: np.ndarray) -> np.ndarray:
         """``(len(b), k)`` mask of the centroids *not* among the
@@ -308,9 +325,11 @@ def mti_iteration(
             c_idx = np.flatnonzero(n_tight)  # positions within the block
             if c_idx.size:
                 bc = bb[c_idx]
+                nc = n_tight[c_idx]
+                uc = ut[c_idx]
                 # Only rows with a surviving candidate get a k-wide
-                # block: the GEMM output, masked in place. (Often every
-                # row has one; then the rows need no second gather.)
+                # block: the GEMM output. (Often every row has one;
+                # then the rows need no second gather.)
                 dist = euclidean(
                     xb if c_idx.size == idx.size else xb[c_idx],
                     centroids, c_sq=c_sq,
@@ -321,15 +340,25 @@ def mti_iteration(
                     x_sq=xb_sq[c_idx],
                 )
                 # The algorithm only "sees" candidate distances plus the
-                # tightened own distance; mask everything else so a
-                # pruning bug would surface as a wrong assignment.
+                # tightened own distance. Argmin the unmasked row and
+                # verify that the winner is one of those: then it is
+                # the masked argmin's winner too (module docstring).
                 rows = np.arange(c_idx.size)
-                np.putmask(
-                    dist, thresholds.pruned(bc, n_tight[c_idx]), np.inf
-                )
-                dist[rows, bc] = ut[c_idx]
+                dist[rows, bc] = uc
                 best = np.argmin(dist, axis=1).astype(np.int32)
+                seen = (best == bc) | thresholds.is_candidate(bc, best, nc)
+                if not seen.all():
+                    # A pruned centroid won: redo these rows masked, so
+                    # a pruning bug would surface as a wrong assignment.
+                    redo = np.flatnonzero(~seen)
+                    sub = dist[redo]
+                    np.putmask(sub, thresholds.pruned(bc[redo], nc[redo]),
+                               np.inf)
+                    sub[np.arange(redo.size), bc[redo]] = uc[redo]
+                    best[redo] = np.argmin(sub, axis=1)
                 bb[c_idx] = best
+                # Every winner is now the own column (holding ut) or a
+                # candidate, whose unmasked distance is the one it won by.
                 ut[c_idx] = dist[rows, best]
 
             # Write back tightened bounds and any reassignments.

@@ -14,7 +14,7 @@ from repro.core import (
     mti_init,
     mti_iteration,
 )
-from repro.core.distance import rows_to_centroids
+from repro.core.distance import BLOCK_ROWS, rows_to_centroids
 from repro.core.empty import check_empty_cluster_policy
 from repro.core.workspace import DistanceWorkspace
 from repro.errors import (
@@ -108,6 +108,30 @@ def check_rows_finite(x: np.ndarray, name: str) -> None:
     )
 
 
+def check_row_dist_finite(
+    x: np.ndarray, row_dist: np.ndarray, name: str
+) -> None:
+    """:func:`check_rows_finite` without a pass over ``x``.
+
+    ``row_dist`` is each row's distance to its nearest centroid from a
+    full assignment pass. A NaN/inf cell makes every distance of its
+    row non-finite, so only rows with a non-finite distance can be bad;
+    just those are read back (in blocks, so a memmapped ``x`` is never
+    copied whole) and checked cell by cell. A row that only looks bad
+    -- a non-finite centroid makes every distance NaN -- is not named.
+    """
+    suspect = np.flatnonzero(~np.isfinite(row_dist))
+    if suspect.size == 0:
+        return
+    bad = np.zeros(x.shape[0], dtype=bool)
+    for lo in range(0, suspect.size, BLOCK_ROWS):
+        idx = suspect[lo:lo + BLOCK_ROWS]
+        bad[idx] = ~np.isfinite(x[idx]).all(axis=1)
+    reject_rows(
+        bad, name, "rows contain NaN/inf", "; clean the data before fitting"
+    )
+
+
 def resolve_memory_manager(
     mem,
     mem_budget_bytes,
@@ -148,6 +172,12 @@ class IterationNumerics:
     #: incrementally maintained accumulators otherwise.
     sums: np.ndarray
     counts: np.ndarray
+    #: Each row's distance to its assigned centroid, where the step
+    #: measured every row against every centroid (every unpruned step,
+    #: a pruned mode's iteration 0); ``None`` otherwise. The pruned
+    #: modes hand out their live bound array: read it before the next
+    #: step loosens it.
+    row_dist: np.ndarray | None = None
 
 
 class NumericsLoop:
@@ -241,6 +271,7 @@ class NumericsLoop:
                 motion=None,
                 sums=res.sums,
                 counts=res.counts,
+                row_dist=res.mindist,
             )
         elif self.iteration == 0:
             init_fn = mti_init if self.pruning == "mti" else elkan_init
@@ -258,6 +289,7 @@ class NumericsLoop:
                 motion=None,
                 sums=self._state.sums,
                 counts=self._state.counts,
+                row_dist=self._state.ub,
             )
         else:
             iter_fn = (
@@ -390,6 +422,11 @@ def resolve_init(
         if c.shape != (k, x.shape[1]):
             raise ConfigError(
                 f"init centroids shape {c.shape} != ({k}, {x.shape[1]})"
+            )
+        if not np.isfinite(c).all():
+            bad = np.flatnonzero(~np.isfinite(c).all(axis=1))
+            raise ConfigError(
+                f"init centroids {bad.tolist()} contain NaN/inf"
             )
         return c
     return init_centroids(x, k, init, seed=seed)

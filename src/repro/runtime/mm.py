@@ -362,7 +362,15 @@ class KmeansMM:
         )
 
     def majorize(self) -> MMStep:
+        from repro.drivers.common import check_row_dist_finite
+
+        first = self.loop.iteration == 0
         num = self.loop.step()
+        if first:
+            # Iteration 0 measures every row against every centroid; a
+            # NaN/inf row shows in its distance, so the check needs no
+            # pass of its own over the data (a memmap under knors).
+            check_row_dist_finite(self.x, num.row_dist, self.name)
         self._progress = (num.n_changed, num.motion)
         return MMStep(
             dist_per_row=num.dist_per_row,

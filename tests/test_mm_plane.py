@@ -327,6 +327,62 @@ class TestKmeansMMGuards:
         assert np.shares_memory(alg.x, view)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestKmeansNonFiniteRows:
+    """knori and knors reject NaN/inf rows typed, naming the rows, from
+    the iteration-0 distances (no pass of its own over the data)."""
+
+    @staticmethod
+    def run(entry, x, tmp_path, **kwargs):
+        if entry == "knori":
+            return knori(x, K, criteria=CRIT, **kwargs)
+        if entry == "knors":
+            return knors(x, K, criteria=CRIT, **kwargs)
+        path = write_matrix(tmp_path / "bad.knor", x.astype(np.float32))
+        return knors(path, K, criteria=CRIT, **kwargs)
+
+    @pytest.mark.parametrize("pruning", ["mti", "elkan", None])
+    @pytest.mark.parametrize("entry", ["knori", "knors", "knors-file"])
+    def test_rows_named(self, mmdata, tmp_path, entry, pruning):
+        x = mmdata.copy()
+        x[5, 0] = np.nan
+        x[11, 2] = np.inf
+        with pytest.raises(DatasetError, match=r"2 rows .* \(rows \[5, 11\]\)"):
+            self.run(entry, x, tmp_path, pruning=pruning)
+
+    @pytest.mark.parametrize("kernel", ["blocked", "gemm"])
+    def test_negative_inf_and_many_rows(self, mmdata, kernel):
+        x = mmdata.copy()
+        x[:10, 1] = -np.inf
+        with pytest.raises(DatasetError, match=r"10 rows .*\(\+2 more\)"):
+            knori(x, K, criteria=CRIT, kernel=kernel)
+
+    def test_bad_initial_centroid_names_only_bad_rows(self, mmdata):
+        """With k = n the random init takes every row, so one centroid
+        is the NaN row and every row's distance is NaN; the re-read
+        names the one bad row only."""
+        x = mmdata[:K].copy()
+        x[3, 1] = np.nan
+        with pytest.raises(DatasetError, match=r"1 rows .*\(rows \[3\]\)"):
+            knori(x, K, criteria=CRIT)
+
+    def test_non_finite_init_is_config_error(self, mmdata):
+        c0 = mmdata[:K].copy()
+        c0[[1, 4], 0] = np.inf
+        with pytest.raises(ConfigError, match=r"init centroids \[1, 4\]"):
+            knori(mmdata, K, init=c0, criteria=CRIT)
+
+    def test_overflowing_finite_row_is_not_named(self):
+        """A finite row whose squared norm overflows has an infinite
+        distance, but no NaN/inf cell: the re-read clears it."""
+        from repro.drivers.common import check_row_dist_finite
+
+        x = np.array([[1.0, 2.0], [1e200, 0.0], [np.nan, 0.0]])
+        with pytest.raises(DatasetError, match=r"\(rows \[2\]\)"):
+            check_row_dist_finite(x, np.array([1.0, np.inf, np.nan]), "t")
+        check_row_dist_finite(x[:2], np.array([1.0, np.inf]), "t")
+
+
 class TestGmmPort:
     def test_inmemory_prices_every_row(self, blobs):
         """EM on the NUMA substrate: converges, log-likelihood is

@@ -8,6 +8,11 @@ row blocks. Every output and every pruning counter must agree bit for
 bit, iteration by iteration, under both kernel strategies and without a
 workspace, at the default block size and at blocks of a few rows (see
 the note above the multi-block test for which data those use).
+
+The kernel argmins each candidate row unmasked and redoes only the
+rows whose winner was pruned with the oracle's mask; two tests pin
+that this fallback is reached, by a fixed case and by the drawn
+instances, so the equalities cover both paths.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import mti
-from repro.core.distance import pairwise_centroid_distances
+from repro.core.distance import euclidean, pairwise_centroid_distances
 from repro.core.mti import ClauseThresholds, mti_init, mti_iteration
 from repro.core.workspace import DistanceWorkspace
 
@@ -262,6 +267,79 @@ def test_duplicate_centroids_match_oracle():
     assert_same_iteration(x, moved, c, state_o, state_n, None)
 
 
+def count_fallbacks():
+    """Patch ``ClauseThresholds.pruned`` to record the rows of every
+    call: the kernel builds a pruned mask only for the rows whose
+    unmasked argmin picked a pruned centroid."""
+    calls = []
+    real = ClauseThresholds.pruned
+
+    def counting(self, b, count):
+        calls.append(b.size)
+        return real(self, b, count)
+
+    return calls, mock.patch.object(ClauseThresholds, "pruned", counting)
+
+
+@pytest.mark.parametrize("kernel", [None, "blocked", "gemm"])
+def test_pruned_winner_takes_the_masked_fallback(kernel):
+    """Row (1, 0) sits on the bisector of centroids 0 and 2. It is
+    assigned to 2, and centroid 2's move loosens its bound past clause
+    1. Its tightened bound equals 0.5 * d(2, 0), so clause 3 prunes
+    centroid 0, yet the unmasked row ties 0 with 2 and argmin picks
+    the lower index: the kernel must redo the row masked."""
+    x = np.array([[1.0, 0.0]])
+    prev = np.array([[2.0, 0.0], [0.0, 1.5], [0.5, 0.0]])
+    cur = np.array([[2.0, 0.0], [0.0, 1.5], [0.0, 0.0]])
+    k, d = cur.shape
+    state_o, _ = mti_init(x, prev, workspace=_workspace(kernel, k, d))
+    assert state_o.assignment.tolist() == [2]
+    state_n = copy.deepcopy(state_o)
+
+    # Precondition: past clause 1, centroid 0 pruned, centroid 1 a
+    # candidate, and the unmasked argmin picks the pruned centroid 0.
+    cc = pairwise_centroid_distances(cur)
+    table = ClauseThresholds(cc)
+    b = np.array([2])
+    ub = state_o.ub + np.linalg.norm(cur - prev, axis=1)[b]
+    assert ub[0] > 0.5 * np.delete(cc[2], 2).min()
+    ut = euclidean(x, cur)[:, 2]
+    n_tight = table.count_below(b, np.minimum(ub, ut))
+    assert n_tight.tolist() == [1]
+    assert table.is_candidate(b, np.array([1]), n_tight).all()
+    assert not table.is_candidate(b, np.array([0]), n_tight).any()
+    unmasked = euclidean(x, cur)
+    unmasked[0, 2] = ut[0]
+    assert np.argmin(unmasked, axis=1).tolist() == [0]
+
+    calls, patch = count_fallbacks()
+    with patch:
+        assert_same_iteration(x, cur, prev, state_o, state_n, kernel)
+    assert calls == [1]
+    assert state_n.assignment.tolist() == [2]
+
+
+def test_hypothesis_instances_reach_the_fallback():
+    """The bit-equality properties above cover the masked fallback, not
+    just the unmasked fast path: grid instances put rows on bisectors
+    often enough that some pruned centroid wins an unmasked argmin."""
+    calls, patch = count_fallbacks()
+
+    @settings(
+        max_examples=150, deadline=None, derandomize=True, database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(inst=instances())
+    def run(inst):
+        x, c0, grid, moves = inst
+        k, d = c0.shape
+        run_both(x, c0, None, replay(moves, k, d, grid))
+
+    with patch:
+        run()
+    assert calls
+
+
 def assert_counts_match_dense(cc, b, u):
     """``count_below`` is the number of thresholds strictly under the
     bound, and ``pruned`` marks exactly the centroids not counted."""
@@ -272,6 +350,11 @@ def assert_counts_match_dense(cc, b, u):
     counts = table.count_below(b, u)
     assert np.array_equal(counts, below.sum(axis=1))
     assert np.array_equal(table.pruned(b, counts), ~below)
+    # The O(m) per-row lookup agrees with the mask, column by column.
+    for c in range(cc.shape[0]):
+        assert np.array_equal(
+            table.is_candidate(b, np.full(b.size, c), counts), below[:, c]
+        )
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,6 +6,8 @@ accounting -- every counter bit-identical, only simulated time moves."""
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -222,6 +224,46 @@ class TestSafsEquivalence:
                 legacy.pages_of_rows(rows, row_bytes),
                 new.pages_of_rows(rows, row_bytes),
             )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(st.integers(0, 3_000), min_size=1, max_size=300),
+        order=st.sampled_from(["unique", "sorted", "unsorted"]),
+        row_bytes=st.one_of(
+            st.sampled_from([8, 4095, 4096, 4097, 9000]),
+            st.integers(1, 20_000),
+        ),
+        data_offset=st.sampled_from([0, 28, 4096]),
+        expand_cells=st.sampled_from([16, 1 << 20]),
+    )
+    def test_pages_of_rows_property(
+        self, rows, order, row_bytes, data_offset, expand_cells
+    ):
+        """Sorted rows take the ``diff`` dedupe, unsorted ones the
+        ``np.unique`` fallback; both, with duplicate rows, with rows
+        below and above the page size and through a tiny chunk budget,
+        give the legacy expansion's distinct sorted pages."""
+        rows = np.array(rows, dtype=np.int64)
+        if order == "unique":
+            rows = np.unique(rows)
+        elif order == "sorted":
+            rows = np.sort(rows)
+        legacy = LegacySafs(OCZ_INTREPID_ARRAY, page_cache_bytes=0,
+                            data_offset=data_offset)
+        new = Safs(OCZ_INTREPID_ARRAY, page_cache_bytes=0,
+                   data_offset=data_offset)
+        with mock.patch.object(safs_mod, "_EXPAND_CELLS", expand_cells):
+            got = new.pages_of_rows(rows, row_bytes)
+        want = legacy.pages_of_rows(rows, row_bytes)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+        # The same pages as the dense first..last expansion.
+        page = OCZ_INTREPID_ARRAY.page_bytes
+        first = (data_offset + rows * row_bytes) // page
+        last = (data_offset + (rows + 1) * row_bytes - 1) // page
+        np.testing.assert_array_equal(got, np.unique(np.concatenate(
+            [np.arange(f, l + 1) for f, l in zip(first, last)]
+        )))
 
     def test_merge_requests_sorted_contract(self):
         rng = np.random.default_rng(3)
