@@ -56,13 +56,20 @@ def random_partition(
 
 
 def kmeanspp(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ (Arthur & Vassilvitskii): D^2-weighted seeding."""
+    """k-means++ (Arthur & Vassilvitskii): D^2-weighted seeding.
+
+    A NaN/inf row is rejected with a :class:`DatasetError` naming it,
+    read off the first ``d2`` (no pass of its own over ``x``).
+    """
+    from repro.drivers.common import check_row_dist_finite
+
     n = x.shape[0]
     centroids = np.empty((k, x.shape[1]))
     first = int(rng.integers(0, n))
     centroids[0] = x[first]
     # Squared distance to the nearest chosen centroid so far.
     d2 = euclidean(x, centroids[:1])[:, 0] ** 2
+    check_row_dist_finite(x, d2, "kmeans++")
     for j in range(1, k):
         total = d2.sum()
         if total <= 0:

@@ -86,12 +86,14 @@ def check_x_k(x: np.ndarray, k) -> int:
 
 
 def reject_rows(bad: np.ndarray, name: str, what: str,
-                hint: str = "") -> None:
+                hint: str = "", *, first_row: int = 0) -> None:
     """Raise :class:`DatasetError` when the row mask ``bad`` flags any
-    row, naming the first eight: ``"<name>: 3 <what> (rows [...])"``."""
+    row, naming the first eight: ``"<name>: 3 <what> (rows [...])"``.
+    ``bad`` covers rows ``first_row`` on (a shard of the dataset)."""
     rows = np.flatnonzero(bad)
     if rows.size == 0:
         return
+    rows += first_row
     more = f" (+{rows.size - 8} more)" if rows.size > 8 else ""
     raise DatasetError(
         f"{name}: {rows.size} {what} (rows {rows[:8].tolist()}{more})"
@@ -109,7 +111,7 @@ def check_rows_finite(x: np.ndarray, name: str) -> None:
 
 
 def check_row_dist_finite(
-    x: np.ndarray, row_dist: np.ndarray, name: str
+    x: np.ndarray, row_dist: np.ndarray, name: str, *, first_row: int = 0
 ) -> None:
     """:func:`check_rows_finite` without a pass over ``x``.
 
@@ -119,6 +121,8 @@ def check_row_dist_finite(
     just those are read back (in blocks, so a memmapped ``x`` is never
     copied whole) and checked cell by cell. A row that only looks bad
     -- a non-finite centroid makes every distance NaN -- is not named.
+    When ``x`` is a shard starting at global row ``first_row``, the
+    error names global row ids.
     """
     suspect = np.flatnonzero(~np.isfinite(row_dist))
     if suspect.size == 0:
@@ -128,7 +132,8 @@ def check_row_dist_finite(
         idx = suspect[lo:lo + BLOCK_ROWS]
         bad[idx] = ~np.isfinite(x[idx]).all(axis=1)
     reject_rows(
-        bad, name, "rows contain NaN/inf", "; clean the data before fitting"
+        bad, name, "rows contain NaN/inf", "; clean the data before fitting",
+        first_row=first_row,
     )
 
 

@@ -697,7 +697,18 @@ class ShardedKmeans(ShardedProgram):
         return [s.shape[0] for s in self.shards]
 
     def step(self, mi: int) -> StepStats:
-        num = self.loops[mi].step()
+        from repro.drivers.common import check_row_dist_finite
+
+        loop = self.loops[mi]
+        first = loop.iteration == 0
+        num = loop.step()
+        if first:
+            # As in KmeansMM: iteration 0 measures every shard row, so
+            # a NaN/inf row shows in its distance with no extra pass.
+            check_row_dist_finite(
+                self.shards[mi], num.row_dist, "kmeans",
+                first_row=int(self.bounds[mi]),
+            )
         return StepStats(
             dist_per_row=num.dist_per_row,
             needs_data=num.needs_data,

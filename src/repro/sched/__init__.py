@@ -19,7 +19,10 @@ The paper compares three policies (Section 8.4, Figure 5):
 All schedulers consume :class:`repro.simhw.TaskWork` items and answer
 the engine's ``next_task`` calls with
 :class:`repro.simhw.ScheduleDecision` records that carry exact lock
-probe counts, so queue contention is charged faithfully.
+probe counts, so queue contention is charged faithfully. Each policy
+also declares the lock price of its *owner phase* (every pop before a
+queue empties, see :meth:`BaseScheduler.owner_phase`), which the engine
+prices in arrays before it asks for any decision.
 """
 
 from repro.sched.base import BaseScheduler, owner_of_task

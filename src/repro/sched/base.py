@@ -31,7 +31,19 @@ class BaseScheduler(abc.ABC):
     of empty queues is kept incrementally by :meth:`_pop` (the only way
     a task leaves a queue), so the contention estimate and the
     all-drained early exit need no scan over the partitions.
+
+    A policy declares ``owner_probes`` next to its ``next_task`` when,
+    while no queue is empty, that ``next_task`` pops the front of the
+    caller's own queue at that lock-probe price. The engine then prices
+    this owner phase in arrays (see :meth:`owner_phase`).
     """
+
+    #: Lock probes of one owner pop while no queue is empty, declared
+    #: by the class that defines the modelled ``next_task``.
+    owner_probes: tuple[int, ...] | None = None
+    #: Whether a thread whose own queue is empty steals; if not, the
+    #: owner phase is the whole run.
+    steals: bool = True
 
     def __init__(self) -> None:
         self._queues: list[deque[TaskWork]] = []
@@ -39,17 +51,43 @@ class BaseScheduler(abc.ABC):
         self._n_threads = 0
         self._n_empty = 0
 
+    def owner_phase(self) -> tuple[int, ...] | None:
+        """The ``owner_probes`` of the class that defines ``next_task``.
+
+        ``None`` -- the engine replays every decision -- unless that
+        class declared them, so a subclass that overrides ``next_task``
+        (a test double, a new policy) opts out until it declares its
+        own.
+        """
+        for cls in type(self).__mro__:
+            if "next_task" in vars(cls):
+                return vars(cls).get("owner_probes")
+        return None
+
     def assign(self, tasks: list[TaskWork], threads: list[SimThread]) -> None:
         """Load a fresh iteration's tasks into per-thread queues."""
         if not threads:
             raise SchedulerError("assign() needs at least one thread")
+        queues: list[list[TaskWork]] = [[] for _ in threads]
+        n_tasks, n_threads = len(tasks), len(threads)
+        for task in tasks:
+            queues[owner_of_task(task.task_id, n_tasks, n_threads)].append(task)
+        self.load(queues, threads)
+
+    def load(
+        self, queues: list[list[TaskWork]], threads: list[SimThread]
+    ) -> None:
+        """Install one queue per thread, front first: what :meth:`assign`
+        builds, or what is left after the engine committed the owner
+        phase."""
+        if len(queues) != len(threads) or not threads:
+            raise SchedulerError(
+                f"load() needs one queue per thread, got {len(queues)} "
+                f"queues for {len(threads)} threads"
+            )
         self._n_threads = len(threads)
         self._thread_nodes = [th.node for th in threads]
-        self._queues = [deque() for _ in threads]
-        n_tasks = len(tasks)
-        for task in tasks:
-            owner = owner_of_task(task.task_id, n_tasks, self._n_threads)
-            self._queues[owner].append(task)
+        self._queues = [deque(q) for q in queues]
         self._n_empty = sum(1 for q in self._queues if not q)
 
     def queue_lengths(self) -> list[int]:

@@ -8,6 +8,14 @@ on billion-point data (Section 8.4). Each block's exact work content
 algorithm's per-row statistics; this module only aggregates them, with
 one segmented reduction (``np.add.reduceat``) per statistic over the
 block starts rather than a Python loop over blocks.
+
+The blocks come back as a :class:`~repro.simhw.engine.TaskBlocks`: five
+int64 arrays (``n_rows``, ``n_dist``, ``data_bytes``, ``state_bytes``,
+``home_node``), block ``i`` at index ``i``. No per-task object is made:
+the engine prices the owner phase straight from the arrays, and only
+the few tasks left for the steal tail are materialised as
+:class:`~repro.simhw.engine.TaskWork` (iteration gives that view too,
+and ``len()`` is the task count).
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SchedulerError
-from repro.simhw.engine import TaskWork
+from repro.simhw.engine import TaskBlocks
 from repro.simhw.machine import SimMachine
 
 #: The paper's minimum task size (rows per block).
@@ -47,8 +55,8 @@ def build_task_blocks(
     task_rows: int = DEFAULT_TASK_ROWS,
     itemsize: int = 8,
     state_bytes_per_row: int = 12,
-) -> list[TaskWork]:
-    """Aggregate per-row stats into :class:`TaskWork` blocks.
+) -> TaskBlocks:
+    """Aggregate per-row stats into :class:`TaskBlocks`.
 
     Parameters
     ----------
@@ -89,7 +97,7 @@ def build_task_blocks(
         raise SchedulerError(
             f"dist_per_row must hold integer counts, got {dist_per_row.dtype}"
         )
-    starts = np.arange(0, n_rows, task_rows)
+    starts = np.arange(0, n_rows, task_rows, dtype=np.int64)
     rows = np.minimum(starts + task_rows, n_rows) - starts
     n_dist = np.add.reduceat(dist_per_row, starts, dtype=np.int64)
     if needs_data is None:
@@ -105,17 +113,10 @@ def build_task_blocks(
     homes = machine.nodes_of_row_blocks(starts / n_rows)
 
     row_bytes = d * itemsize
-    return [
-        TaskWork(
-            task_id=block,
-            n_rows=r,
-            n_dist=nd,
-            data_bytes=dr * row_bytes,
-            state_bytes=r * state_bytes_per_row,
-            home_node=home,
-        )
-        for block, (r, nd, dr, home) in enumerate(zip(
-            rows.tolist(), n_dist.tolist(), data_rows.tolist(),
-            homes.tolist(),
-        ))
-    ]
+    return TaskBlocks(
+        n_rows=rows,
+        n_dist=n_dist,
+        data_bytes=data_rows * row_bytes,
+        state_bytes=rows * state_bytes_per_row,
+        home_node=homes.astype(np.int64, copy=False),
+    )

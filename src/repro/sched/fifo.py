@@ -18,6 +18,9 @@ from repro.simhw.thread import SimThread
 class FifoScheduler(BaseScheduler):
     """Partitioned queues, steal from anyone in thread-id order."""
 
+    # No queue empty yet: no prowlers, so one contender per lock.
+    owner_probes = (1,)
+
     def next_task(self, thread: SimThread) -> ScheduleDecision | None:
         """Own queue first, then steal from any backlog in id order."""
         if self._drained():

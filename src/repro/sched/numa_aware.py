@@ -21,6 +21,8 @@ pruning skew, which is the entire point of Figure 5.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.sched.base import BaseScheduler
 from repro.simhw.engine import ScheduleDecision, TaskWork
 from repro.simhw.thread import SimThread
@@ -29,23 +31,16 @@ from repro.simhw.thread import SimThread
 class NumaAwareScheduler(BaseScheduler):
     """Partitioned priority queue with local-node-first stealing."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._steal_orders: list[list[int]] = []
+    # No queue empty yet: no prowlers, so one contender per lock.
+    owner_probes = (1,)
 
-    def assign(self, tasks: list[TaskWork], threads: list[SimThread]) -> None:
+    def load(
+        self, queues: list[list[TaskWork]], threads: list[SimThread]
+    ) -> None:
         """Load the queues and fix each thread's steal order for the
-        iteration: same-node partitions first, then remote, both in
-        deterministic id order starting after the thread."""
-        super().assign(tasks, threads)
-        n = self._n_threads
-        nodes = self._thread_nodes
-        self._steal_orders = []
-        for tid in range(n):
-            ring = [(tid + s) % n for s in range(1, n)]
-            local = [v for v in ring if nodes[v] == nodes[tid]]
-            remote = [v for v in ring if nodes[v] != nodes[tid]]
-            self._steal_orders.append(local + remote)
+        iteration (see :func:`_steal_orders`)."""
+        super().load(queues, threads)
+        self._steal_orders = _steal_orders(tuple(self._thread_nodes))
 
     def next_task(self, thread: SimThread) -> ScheduleDecision | None:
         """Own partition, then same-node victims, then remote."""
@@ -73,3 +68,19 @@ class NumaAwareScheduler(BaseScheduler):
                     was_steal=True,
                 )
         return None
+
+
+@lru_cache(maxsize=64)
+def _steal_orders(nodes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Each thread's steal order: same-node partitions first, then
+    remote, both in deterministic id order starting after the thread.
+    It depends only on the thread placement, so each placement's
+    O(T^2) orders are built once."""
+    n = len(nodes)
+    orders = []
+    for tid in range(n):
+        ring = [(tid + s) % n for s in range(1, n)]
+        local = [v for v in ring if nodes[v] == nodes[tid]]
+        remote = [v for v in ring if nodes[v] != nodes[tid]]
+        orders.append(tuple(local + remote))
+    return tuple(orders)

@@ -18,6 +18,10 @@ from repro.simhw.thread import SimThread
 class StaticScheduler(BaseScheduler):
     """No locks, no stealing: drain your own preassigned queue."""
 
+    # No lock and no stealing: the whole run is the owner phase.
+    owner_probes = ()
+    steals = False
+
     def next_task(self, thread: SimThread) -> ScheduleDecision | None:
         """Drain the caller's preassigned queue; never steal."""
         tid = thread.thread_id

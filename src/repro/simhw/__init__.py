@@ -37,6 +37,7 @@ from repro.simhw.engine import (
     ProvisionRequest,
     ProvisionTimeline,
     ScheduleDecision,
+    TaskBlocks,
     TaskExecution,
     TaskWork,
 )
@@ -71,6 +72,7 @@ __all__ = [
     "ProvisionRequest",
     "ProvisionTimeline",
     "ScheduleDecision",
+    "TaskBlocks",
     "TaskExecution",
     "TaskWork",
     "AsyncIoQueue",

@@ -329,8 +329,9 @@ class TestKmeansMMGuards:
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestKmeansNonFiniteRows:
-    """knori and knors reject NaN/inf rows typed, naming the rows, from
-    the iteration-0 distances (no pass of its own over the data)."""
+    """knori, knors and knord reject NaN/inf rows typed, naming the
+    rows, from the iteration-0 distances (no pass of its own over the
+    data); so do the kmeans++ and kmeans|| seedings."""
 
     @staticmethod
     def run(entry, x, tmp_path, **kwargs):
@@ -371,6 +372,26 @@ class TestKmeansNonFiniteRows:
         c0[[1, 4], 0] = np.inf
         with pytest.raises(ConfigError, match=r"init centroids \[1, 4\]"):
             knori(mmdata, K, init=c0, criteria=CRIT)
+
+    @pytest.mark.parametrize("pruning", ["mti", None])
+    def test_knord_names_global_rows(self, mmdata, pruning):
+        """knord checks each shard's iteration-0 distances and names
+        the bad row by its global id, here one in the second shard."""
+        x = mmdata.copy()
+        bad = x.shape[0] - 3
+        x[bad, 1] = np.nan
+        with pytest.raises(DatasetError, match=rf"1 rows .*\(rows \[{bad}\]\)"):
+            knord(x, K, n_machines=2, criteria=CRIT, pruning=pruning)
+
+    @pytest.mark.parametrize("init", ["kmeans++", "kmeans||"])
+    def test_seeding_names_rows(self, mmdata, init):
+        """Both seedings fail typed on a NaN/inf row, before the D^2
+        draw can turn it into numpy's untyped ValueError."""
+        x = mmdata.copy()
+        x[5, 0] = np.nan
+        x[11, 2] = np.inf
+        with pytest.raises(DatasetError, match=r"2 rows .* \(rows \[5, 11\]\)"):
+            knori(x, K, criteria=CRIT, init=init)
 
     def test_overflowing_finite_row_is_not_named(self):
         """A finite row whose squared norm overflows has an infinite

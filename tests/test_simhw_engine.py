@@ -1,9 +1,12 @@
 """Event-driven iteration engine: dispatch, accounting, and invariants."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SchedulerError
-from repro.sched import NumaAwareScheduler, StaticScheduler
+from repro.sched import FifoScheduler, NumaAwareScheduler, StaticScheduler
 from repro.simhw import (
     BindPolicy,
     FOUR_SOCKET_XEON,
@@ -262,6 +265,93 @@ def test_run_matches_reference_single_bank():
         StaticScheduler(), tasks, threads, d=8, k=10
     )
     assert _trace_key(t_new) == _trace_key(t_ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sched_cls=st.sampled_from(
+        [StaticScheduler, FifoScheduler, NumaAwareScheduler]
+    ),
+    policy=st.sampled_from([BindPolicy.NUMA_BIND, BindPolicy.OBLIVIOUS]),
+    n_threads=st.integers(1, 48),
+    n_tasks=st.integers(0, 150),
+    work=st.sampled_from(["skewed", "uniform", "zero", "mixed"]),
+    n_banks=st.sampled_from([1, 2, 4]),
+    slow=st.lists(st.sampled_from([1.0, 1.0, 0.5, 2.0, 3.7]),
+                  min_size=48, max_size=48),
+    record=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_run_matches_reference_generated(
+    sched_cls, policy, n_threads, n_tasks, work, n_banks, slow, record,
+    seed,
+):
+    """On generated task sets the owner-phase prefix plus the steal
+    tail equals the reference loop bit for bit: trace, record order and
+    every thread's counters. ``n_tasks < n_threads`` starts with empty
+    queues; ``uniform`` and ``zero`` work makes clock ties across and
+    within threads; ``slow`` stretches some threads."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(1, 300, n_tasks)
+    dist = (rng.pareto(1.2, n_tasks) * 500).astype(np.int64)
+    if work == "uniform":
+        rows[:], dist[:] = 64, 640
+    elif work == "zero":
+        rows[:], dist[:] = 0, 0
+    elif work == "mixed":
+        free = rng.random(n_tasks) < 0.4
+        rows[free], dist[free] = 0, 0
+    tasks = [
+        TaskWork(
+            task_id=i,
+            n_rows=int(rows[i]),
+            n_dist=int(dist[i]),
+            data_bytes=int(rows[i]) * 128 * int(rng.integers(0, 2)),
+            state_bytes=int(rows[i]) * 12,
+            home_node=int(rng.integers(0, n_banks)),
+        )
+        for i in range(n_tasks)
+    ]
+    cm = FOUR_SOCKET_XEON
+    engine = IterationEngine(
+        cm, bind_policy=policy, record_executions=record
+    )
+    sides = []
+    for replay in (engine.run, engine.run_reference):
+        threads = spawn_threads(cm.topology, n_threads, policy)
+        for th, sf in zip(threads, slow):
+            th.slow_factor = sf
+        trace = replay(sched_cls(), tasks, threads, d=16, k=8)
+        sides.append((_trace_key(trace), [th.counters for th in threads]))
+    assert sides[0] == sides[1]
+
+
+def test_owner_phase_leaves_the_scheduler_only_the_tail():
+    """Uniform local work: every thread starts its last task at the
+    same clock, so the first queue-empty event is thread 0's, and the
+    ties on higher threads are all that is left for the scheduler."""
+    cm = FOUR_SOCKET_XEON
+    n_threads, per_thread = 8, 8
+    threads = spawn_threads(cm.topology, n_threads, BindPolicy.NUMA_BIND)
+    tasks = make_tasks(
+        n_threads * per_thread,
+        home_nodes=[threads[i // per_thread].node
+                    for i in range(n_threads * per_thread)],
+    )
+    sched = NumaAwareScheduler()
+    calls = []
+    next_task = sched.next_task
+    sched.next_task = lambda th: calls.append(th.thread_id) or next_task(th)
+    trace = IterationEngine(cm).run(sched, tasks, threads, d=8, k=10)
+    assert calls == list(range(1, n_threads))
+    ref_threads = spawn_threads(cm.topology, n_threads, BindPolicy.NUMA_BIND)
+    ref = IterationEngine(cm).run_reference(
+        NumaAwareScheduler(), tasks, ref_threads, d=8, k=10
+    )
+    assert _trace_key(trace) == _trace_key(ref)
+    assert [th.counters for th in threads] == [
+        th.counters for th in ref_threads
+    ]
 
 
 def test_run_reference_rejects_double_dispatch():
