@@ -100,6 +100,23 @@ def _as_matrix(a: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
+def as_rows(a: np.ndarray, name: str = "x") -> np.ndarray:
+    """``a`` as a 2-D floating-point row matrix, for kernels that widen
+    per block.
+
+    A floating-point ndarray is kept as given: a float32 matrix or a
+    memmap view is never copied whole. Kernels widen each gathered
+    block with ``np.asarray(block, dtype=np.float64)``, which is exact,
+    so the results are those of the whole matrix widened to float64.
+    Anything else is converted to float64 here.
+    """
+    if not (isinstance(a, np.ndarray) and a.dtype.kind == "f"):
+        a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2:
+        raise DatasetError(f"{name} must be 2-D, got shape {a.shape}")
+    return a
+
+
 def euclidean(
     x: np.ndarray,
     c: np.ndarray,
@@ -211,7 +228,8 @@ def _nearest_centroid_gemm(
         stop = min(start + block_rows, n)
         m = stop - start
         out = None if workspace is None else workspace.dist_buffer(m)
-        q = np.matmul(x[start:stop], neg2ct, out=out)
+        xb = np.asarray(x[start:stop], dtype=np.float64)
+        q = np.matmul(xb, neg2ct, out=out)
         q += c_sq[None, :]
         a = np.argmin(q, axis=1).astype(np.int32, copy=False)
         assign[start:stop] = a
@@ -228,6 +246,7 @@ def nearest_centroid(
     block_rows: int = BLOCK_ROWS,
     workspace: "DistanceWorkspace | None" = None,
     kernel: str | None = None,
+    x_sq_out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact nearest centroid for every row (Phase I of Lloyd's).
 
@@ -243,8 +262,13 @@ def nearest_centroid(
     is the bit-identical reference, ``"gemm"`` the ULP-equivalent fast
     path. ``None`` defers to the workspace's configured strategy (or
     ``"blocked"`` without one).
+
+    A float32 ``x`` is widened to float64 one block at a time (exact),
+    never as a whole. Under ``"blocked"``, ``x_sq_out`` is an ``(n,)``
+    buffer that receives every row's squared norm as the pass takes it
+    (``mti_init`` fills the workspace's norm cache this way).
     """
-    x = _as_matrix(x, "x")
+    x = as_rows(x)
     c = _as_matrix(c, "c")
     n = x.shape[0]
     if kernel is None:
@@ -275,7 +299,11 @@ def nearest_centroid(
         stop = min(start + block_rows, n)
         m = stop - start
         out = None if workspace is None else workspace.dist_buffer(m)
-        dist = euclidean(x[start:stop], c, c_sq=c_sq, out=out)
+        xb = np.asarray(x[start:stop], dtype=np.float64)
+        xb_sq = None
+        if x_sq_out is not None:
+            xb_sq = row_norms(xb, out=x_sq_out[start:stop])
+        dist = euclidean(xb, c, c_sq=c_sq, out=out, x_sq=xb_sq)
         assign[start:stop] = np.argmin(dist, axis=1)
         mindist[start:stop] = dist[
             np.arange(m), assign[start:stop]

@@ -36,30 +36,65 @@ follow from those two O(m) vectors.
 
 Everything after the clause-1 test walks the ``m`` active rows in
 blocks of at most ``BLOCK_BYTES`` of row data (4096 rows at d=32). Per
-block the kernel gathers the rows, takes their norms, tightens, ranks
-both bounds, and, for the rows with a surviving candidate only, runs
-the candidate GEMM and a *verified unmasked argmin*, then writes the
-block's bounds, assignments and distance counts back. The argmin runs
-over the whole GEMM row, with the tightened bound in the row's own
-column, and each winner is checked in O(1): it must be the own
-centroid or a surviving candidate. A winner that passes is also the
-masked argmin's answer, since the masked set then holds the row's
-minimum and argmin breaks ties to the lowest index in both. Only a row
-whose winner was pruned (rounding on a bisector can let a pruned
-centroid tie or beat the own one) redoes the argmin with its pruned
-centroids masked to ``+inf``. So the algorithm still only "sees"
-candidate distances plus its own, and a pruning bug still surfaces as
-a wrong assignment, without an (m, k) mask pass per block. The
-kernel's temporaries are therefore O(n) index and bound vectors plus
-per-block buffers of at most one block's rows; no (m, d) or (m, k)
-array is built. The one row gather outside the blocks is of the rows
-that changed cluster, which the incremental update moves. Each row's
-arithmetic is its own, so the outcome does not depend on the block
-size as long as BLAS rounds a row the same in every call (see the even
-split in :func:`mti_iteration`). Rows are gathered by fancy index,
-``x[idx]``: knors hands the kernel a memmap view whose data starts at
-byte 28 of the file, and on such an unaligned array
+block the kernel gathers the rows, widens them to float64, reads their
+norms, tightens, ranks both bounds, and, for the rows with a surviving
+candidate only, runs the candidate GEMM and a *verified unmasked
+argmin*, then writes the block's bounds, assignments and distance
+counts back. The argmin runs over the whole GEMM row, with the
+tightened bound in the row's own column, and each winner is checked in
+O(1): it must be the own centroid or a surviving candidate. A winner
+that passes is also the masked argmin's answer, since the masked set
+then holds the row's minimum and argmin breaks ties to the lowest
+index in both. Only a row whose winner was pruned (rounding on a
+bisector can let a pruned centroid tie or beat the own one) redoes the
+argmin with its pruned centroids masked to ``+inf``. So the algorithm
+still only "sees" candidate distances plus its own, and a pruning bug
+still surfaces as a wrong assignment, without an (m, k) mask pass per
+block. The kernel's temporaries are therefore O(n) index and bound
+vectors plus per-block buffers of at most one block's rows; no (m, d)
+or (m, k) array is built. The one row gather outside the blocks is of
+the rows that changed cluster, which the incremental update moves.
+Each row's arithmetic is its own, so the outcome does not depend on
+the block size as long as BLAS rounds a row the same in every call
+(see the even split in :class:`_BlockPass`). Rows are gathered by
+fancy index, ``x[idx]``: knors hands the kernel a memmap view whose
+data starts at byte 28 of the file, and on such an unaligned array
 ``np.take(x, idx, axis=0)`` costs about a copy of the whole matrix.
+
+A float32 matrix stays float32: each gathered block is widened on its
+own, and so are the changed rows the centroid update moves (by its
+``bincount``). The conversion is exact, so the results are
+bit-identical to a run on the matrix widened to float64, without ever
+holding that copy. With a workspace, the squared row norms come from
+its per-array cache (``workspace.x_sq``), filled during :func:`mti_init`'s
+full pass from float64 rows, so no iteration takes a norm; gathered
+cached norms equal the per-row reductions bit for bit.
+
+The blocks run on host threads, the paper's partitioned workers made
+real on the wall clock: the calling thread and a process-wide pool of
+``WORKERS - 1`` threads (one per CPU of the process's affinity mask),
+at most one thread per block, each claiming the next unclaimed block
+until none is left. A call with a single block (a small shard or
+batch) runs on the calling thread alone and dispatches nothing.
+Threads change who runs a block, never what it computes:
+
+* the partition is a function of ``(m, d)`` only, never of the worker
+  count, so every block hands BLAS the same GEMM on any host (the even
+  split above keeps holding);
+* blocks own disjoint rows of ``ub``, ``assign`` and ``dist_per_row``,
+  and each row's arithmetic is its own;
+* each block's loose and tight candidate totals land in the block's
+  own slot and are summed after the join;
+* every :mod:`repro.mem`-owned buffer is taken on the calling thread
+  before dispatch: each worker gets a disjoint row range of the
+  workspace's distance buffer, kept across iterations;
+* if a block raises, the workers stop claiming blocks, every worker
+  finishes the block it holds, and only then is the exception of the
+  lowest failed block raised, so crash recovery never races a worker
+  still writing state.
+
+The threads live below ``NumericsLoop.step``: whatever times or
+attributes a step sees one call, as before.
 
 Centroid updates are *incremental*: only points that changed membership
 move between the persistent per-cluster sums, so clause-1-skipped rows
@@ -69,6 +104,9 @@ elision in the semi-external module.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -76,6 +114,7 @@ import numpy as np
 
 from repro.core.centroids import flat_sums, move_rows
 from repro.core.distance import (
+    as_rows,
     euclidean,
     half_min_inter_centroid,
     nearest_centroid,
@@ -93,6 +132,47 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: enough that a block's rows, norms, bounds and candidate distances
 #: stay in L2.
 BLOCK_BYTES = 1 << 20
+
+
+def _affinity_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+#: Host threads that run one :func:`mti_iteration` call's blocks: the
+#: calling thread plus ``WORKERS - 1`` pool threads, one per CPU in the
+#: process's affinity mask, and never more than the call has blocks.
+#: Results do not depend on it (module docstring).
+WORKERS = _affinity_cpus()
+
+_pool: tuple[int, ThreadPoolExecutor] | None = None
+_pool_lock = threading.Lock()
+
+
+def _host_pool(threads: int) -> ThreadPoolExecutor:
+    """The process-wide block pool, with at least ``threads`` threads."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] < threads:
+            if _pool is not None:
+                _pool[1].shutdown(wait=False)
+            _pool = (threads, ThreadPoolExecutor(
+                threads, thread_name_prefix="mti-block"
+            ))
+        return _pool[1]
+
+
+def _forget_pool() -> None:
+    # A forked child inherits the pool object but none of its threads.
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 @dataclass
@@ -200,12 +280,30 @@ def mti_init(
     """Iteration 0: full assignment pass that seeds the MTI state.
 
     Every row costs k distance computations and a data read, exactly
-    like an unpruned iteration.
+    like an unpruned iteration. Under the ``blocked`` kernel the pass
+    also fills the workspace's row-norm cache, which every later
+    :func:`mti_iteration` reads.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = as_rows(x)
     k, d = centroids.shape
     n = x.shape[0]
-    assign, mindist = nearest_centroid(x, centroids, workspace=workspace)
+
+    def assign_pass(x_sq_out=None):
+        return nearest_centroid(
+            x, centroids, workspace=workspace, x_sq_out=x_sq_out
+        )
+
+    if workspace is None or workspace.kernel == "gemm":
+        # The gemm pass reads the workspace's norm cache itself.
+        assign, mindist = assign_pass()
+    else:
+        passes = []
+        workspace.x_sq(x, fill=lambda norms: passes.append(
+            assign_pass(norms)
+        ))
+        # A rerun of iteration 0 (crash recovery's reset) finds the
+        # norms cached already.
+        assign, mindist = passes[0] if passes else assign_pass()
     sums = flat_sums(
         x, assign, k,
         scratch=None if workspace is None else workspace.accum,
@@ -229,6 +327,156 @@ def mti_init(
     return state, result
 
 
+class _BlockPass:
+    """The post-clause-1 walk of one :func:`mti_iteration` call.
+
+    The ``m`` active rows are split into ``n_blocks`` even blocks, a
+    function of ``(m, d)`` only. :meth:`run` computes one block and
+    writes its bounds, assignments and distance counts into the state's
+    arrays; blocks own disjoint rows, so they may run on any thread in
+    any order. Each block's loose and tight candidate totals go to its
+    own slot, summed by the caller once every block has run.
+    """
+
+    def __init__(
+        self,
+        x: np.ndarray,
+        centroids: np.ndarray,
+        c_sq: np.ndarray | None,
+        x_sq: np.ndarray | None,
+        thresholds: ClauseThresholds,
+        active_idx: np.ndarray,
+        state: MtiState,
+        dist_per_row: np.ndarray,
+    ) -> None:
+        self.x = x
+        self.centroids = centroids
+        self.c_sq = c_sq
+        self.x_sq = x_sq
+        self.thresholds = thresholds
+        self.active_idx = active_idx
+        self.state = state
+        self.dist_per_row = dist_per_row
+        # Blocks of at most the row budget, split evenly: a sliver of
+        # a last block would hand BLAS a GEMM small enough for its
+        # single-row or small-matrix path, which rounds differently
+        # from the kernel a full block's GEMM runs.
+        block_rows = max(1, BLOCK_BYTES // (8 * x.shape[1]))
+        self.n_blocks = -(-active_idx.size // block_rows)
+        self.loose = np.zeros(self.n_blocks, dtype=np.int64)
+        self.tight = np.zeros(self.n_blocks, dtype=np.int64)
+
+    def run(self, blk: int, dist_buf: np.ndarray | None) -> None:
+        """Compute block ``blk``; ``dist_buf`` is the running thread's
+        ``(rows, k)`` distance buffer (``None``: allocate)."""
+        m = self.active_idx.size
+        idx = self.active_idx[
+            blk * m // self.n_blocks:(blk + 1) * m // self.n_blocks
+        ]
+        centroids, c_sq = self.centroids, self.c_sq
+        thresholds = self.thresholds
+        ub = self.state.ub
+        assign = self.state.assignment
+        xb = np.asarray(self.x[idx], dtype=np.float64)
+        bb = assign[idx]
+        ub_b = ub[idx]
+        xb_sq = row_norms(xb) if self.x_sq is None else self.x_sq[idx]
+        # U(u): exact d(x, b). Every active row is tightened: ub >
+        # s[b] means ub exceeds some 0.5 * d(b, c), so a loose
+        # candidate always exists.
+        ut = rows_to_centroids(xb, centroids, bb, c_sq=c_sq, x_sq=xb_sq)
+
+        # Clauses 2 and 3 as candidate counts: c survives the loose
+        # bound when 0.5 * d(b, c) < ub, and the tightened bound when
+        # 0.5 * d(b, c) < min(ub, ut).
+        n_loose = thresholds.count_below(bb, ub_b)
+        n_tight = thresholds.count_below(bb, np.minimum(ub_b, ut))
+        self.loose[blk] = n_loose.sum()
+        self.tight[blk] = n_tight.sum()
+        self.dist_per_row[idx] = 1 + n_tight
+
+        c_idx = np.flatnonzero(n_tight)  # positions within the block
+        if c_idx.size:
+            bc = bb[c_idx]
+            nc = n_tight[c_idx]
+            uc = ut[c_idx]
+            # Only rows with a surviving candidate get a k-wide block:
+            # the GEMM output. (Often every row has one; then the rows
+            # need no second gather.)
+            dist = euclidean(
+                xb if c_idx.size == idx.size else xb[c_idx],
+                centroids, c_sq=c_sq,
+                out=None if dist_buf is None else dist_buf[:c_idx.size],
+                x_sq=xb_sq[c_idx],
+            )
+            # The algorithm only "sees" candidate distances plus the
+            # tightened own distance. Argmin the unmasked row and verify
+            # that the winner is one of those: then it is the masked
+            # argmin's winner too (module docstring).
+            rows = np.arange(c_idx.size)
+            dist[rows, bc] = uc
+            best = np.argmin(dist, axis=1).astype(np.int32)
+            seen = (best == bc) | thresholds.is_candidate(bc, best, nc)
+            if not seen.all():
+                # A pruned centroid won: redo these rows masked, so a
+                # pruning bug would surface as a wrong assignment.
+                redo = np.flatnonzero(~seen)
+                sub = dist[redo]
+                np.putmask(sub, thresholds.pruned(bc[redo], nc[redo]),
+                           np.inf)
+                sub[np.arange(redo.size), bc[redo]] = uc[redo]
+                best[redo] = np.argmin(sub, axis=1)
+            bb[c_idx] = best
+            # Every winner is now the own column (holding ut) or a
+            # candidate, whose unmasked distance is the one it won by.
+            ut[c_idx] = dist[rows, best]
+
+        # Write back tightened bounds and any reassignments.
+        ub[idx] = ut
+        assign[idx] = bb
+
+    def dispatch(self, bufs: list) -> None:
+        """Run every block on ``len(bufs)`` threads: the calling thread
+        and ``len(bufs) - 1`` pool threads, each with its own distance
+        buffer, pulling the next unclaimed block until none is left.
+
+        If blocks raise, the workers stop claiming blocks, every worker
+        finishes the block it holds, and the exception of the lowest
+        failed block is raised: blocks are claimed in order, so that
+        block is the lowest failing one whatever the timing.
+        """
+        if len(bufs) == 1:
+            for blk in range(self.n_blocks):
+                self.run(blk, bufs[0])
+            return
+        claim = threading.Lock()
+        blocks = iter(range(self.n_blocks))
+        errors: dict[int, BaseException] = {}
+
+        def work(buf):
+            while not errors:
+                with claim:
+                    blk = next(blocks, None)
+                if blk is None:
+                    return
+                try:
+                    self.run(blk, buf)
+                except BaseException as exc:  # re-raised after the join
+                    errors[blk] = exc
+
+        pool = _host_pool(len(bufs) - 1)
+        futures = [pool.submit(work, buf) for buf in bufs[1:]]
+        try:
+            work(bufs[0])
+        finally:
+            # Never hand control back while a worker still writes.
+            wait(futures)
+        if errors:
+            raise errors[min(errors)]
+        for future in futures:
+            future.result()
+
+
 def mti_iteration(
     x: np.ndarray,
     centroids: np.ndarray,
@@ -239,11 +487,12 @@ def mti_iteration(
 ) -> MtiIterationResult:
     """One MTI-pruned super-phase; mutates ``state`` in place.
 
-    With a ``workspace``, the centroid norms, pairwise matrix and
-    clause-1 thresholds are computed once and the candidate distance
-    block reuses a preallocated buffer; outputs are bit-identical.
+    With a ``workspace``, the centroid norms, pairwise matrix, clause-1
+    thresholds and row norms are computed once and each thread's
+    candidate distance block reuses a preallocated buffer; outputs are
+    bit-identical.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = as_rows(x)
     n = x.shape[0]
     k = centroids.shape[0]
     if state.n != n:
@@ -257,17 +506,15 @@ def mti_iteration(
     state.ub += motion[state.assignment]
 
     c_sq = None
-    x_sq_full = None
+    x_sq = None
     if workspace is not None:
         centroids = workspace.ensure(centroids)
         c_sq = workspace.c_sq
         cc = workspace.pairwise()
         s = workspace.half_min()
-        if workspace.kernel == "gemm":
-            # The gemm strategy's per-array norm cache feeds the
-            # tighten and candidate passes; gathered norms are
-            # bit-identical to inline per-row reductions.
-            x_sq_full = workspace.x_sq(x)
+        # Cached norms, gathered per block, are bit-identical to the
+        # per-row reductions of the gathered rows.
+        x_sq = workspace.x_sq(x)
     else:
         cc = pairwise_centroid_distances(centroids)
         s = half_min_inter_centroid(cc)
@@ -293,78 +540,24 @@ def mti_iteration(
     computed = 0
 
     if m:
-        thresholds = ClauseThresholds(cc)
-        ub = state.ub
-        loose_total = 0
-        tight_total = 0
-        # Blocks of at most the row budget, split evenly: a sliver of
-        # a last block would hand BLAS a GEMM small enough for its
-        # single-row or small-matrix path, which rounds differently
-        # from the kernel a full block's GEMM runs.
-        n_blocks = -(-m // max(1, BLOCK_BYTES // (8 * x.shape[1])))
-        for blk in range(n_blocks):
-            idx = active_idx[blk * m // n_blocks:(blk + 1) * m // n_blocks]
-            xb = x[idx]
-            bb = assign[idx]
-            ub_b = ub[idx]
-            xb_sq = row_norms(xb) if x_sq_full is None else x_sq_full[idx]
-            # U(u): exact d(x, b). Every active row is tightened: ub >
-            # s[b] means ub exceeds some 0.5 * d(b, c), so a loose
-            # candidate always exists.
-            ut = rows_to_centroids(xb, centroids, bb, c_sq=c_sq, x_sq=xb_sq)
-
-            # Clauses 2 and 3 as candidate counts: c survives the loose
-            # bound when 0.5 * d(b, c) < ub, and the tightened bound
-            # when 0.5 * d(b, c) < min(ub, ut).
-            n_loose = thresholds.count_below(bb, ub_b)
-            n_tight = thresholds.count_below(bb, np.minimum(ub_b, ut))
-            loose_total += int(n_loose.sum())
-            tight_total += int(n_tight.sum())
-            dist_per_row[idx] = 1 + n_tight
-
-            c_idx = np.flatnonzero(n_tight)  # positions within the block
-            if c_idx.size:
-                bc = bb[c_idx]
-                nc = n_tight[c_idx]
-                uc = ut[c_idx]
-                # Only rows with a surviving candidate get a k-wide
-                # block: the GEMM output. (Often every row has one;
-                # then the rows need no second gather.)
-                dist = euclidean(
-                    xb if c_idx.size == idx.size else xb[c_idx],
-                    centroids, c_sq=c_sq,
-                    out=(
-                        None if workspace is None
-                        else workspace.dist_buffer(c_idx.size)
-                    ),
-                    x_sq=xb_sq[c_idx],
-                )
-                # The algorithm only "sees" candidate distances plus the
-                # tightened own distance. Argmin the unmasked row and
-                # verify that the winner is one of those: then it is
-                # the masked argmin's winner too (module docstring).
-                rows = np.arange(c_idx.size)
-                dist[rows, bc] = uc
-                best = np.argmin(dist, axis=1).astype(np.int32)
-                seen = (best == bc) | thresholds.is_candidate(bc, best, nc)
-                if not seen.all():
-                    # A pruned centroid won: redo these rows masked, so
-                    # a pruning bug would surface as a wrong assignment.
-                    redo = np.flatnonzero(~seen)
-                    sub = dist[redo]
-                    np.putmask(sub, thresholds.pruned(bc[redo], nc[redo]),
-                               np.inf)
-                    sub[np.arange(redo.size), bc[redo]] = uc[redo]
-                    best[redo] = np.argmin(sub, axis=1)
-                bb[c_idx] = best
-                # Every winner is now the own column (holding ut) or a
-                # candidate, whose unmasked distance is the one it won by.
-                ut[c_idx] = dist[rows, best]
-
-            # Write back tightened bounds and any reassignments.
-            ub[idx] = ut
-            assign[idx] = bb
-
+        blocks = _BlockPass(
+            x, centroids, c_sq, x_sq, ClauseThresholds(cc), active_idx,
+            state, dist_per_row,
+        )
+        n_workers = min(WORKERS, blocks.n_blocks)
+        rows = -(-m // blocks.n_blocks)  # the largest block
+        if workspace is None:
+            bufs = [None] * n_workers
+        else:
+            # The manager-owned buffer is taken here, on the calling
+            # thread, before any block runs; each worker gets its own
+            # row range of it. It is the one the iteration-0 pass
+            # sized, so it seldom grows.
+            buf = workspace.dist_buffer(n_workers * rows)
+            bufs = [buf[w * rows:(w + 1) * rows] for w in range(n_workers)]
+        blocks.dispatch(bufs)
+        loose_total = int(blocks.loose.sum())
+        tight_total = int(blocks.tight.sum())
         clause2_pruned = m * (k - 1) - loose_total
         clause3_pruned = loose_total - tight_total
         computed = m + tight_total

@@ -12,7 +12,8 @@ per-iteration-constant work out of the hot loop:
   computed at most once per centroid set (:meth:`pairwise`,
   :meth:`half_min`);
 * one distance buffer and one k x k scratch are preallocated and
-  reused across blocks and iterations (:meth:`dist_buffer`);
+  reused across blocks and iterations (:meth:`dist_buffer`); the host
+  threads that run MTI blocks each take a disjoint row range of it;
 * an :class:`~repro.core.centroids.AccumScratch` carries the reusable
   flat-index buffers for centroid accumulation.
 
@@ -26,12 +27,19 @@ triggers recomputation. The library produces a fresh centroid array
 every iteration; callers must not mutate a centroid matrix in place
 between kernel calls that share a workspace.
 
-The workspace also carries the selected **kernel strategy**
+The workspace also caches the squared row norms ``|x|^2`` per data
+array (:meth:`x_sq`), so a shard's norms are computed once for the
+whole run rather than once per pass: ``mti_iteration`` reads them under
+both kernel strategies, and ``mti_init`` fills them during its full
+assignment pass. The norms are taken from float64 rows, widened block
+by block, so a float32 matrix is never copied whole. The cache is a
+host-side ledger entry (``workspace/x_sq``), not part of the simulated
+Table 1 layout: the modelled knor holds no norm vector.
+
+The workspace carries the selected **kernel strategy**
 (``kernel="blocked" | "gemm"``, see :mod:`repro.core.distance`): under
 ``"gemm"`` it additionally caches the pre-scaled ``(-2 C)^T`` per
-centroid set and the squared row norms ``|x|^2`` per data array
-(:meth:`x_sq`), so a shard's norms are computed once for the whole
-run rather than once per assignment pass.
+centroid set.
 
 Every buffer is owned by a :class:`~repro.mem.MemoryManager` (the
 current manager at construction unless one is passed), so arenas can
@@ -45,6 +53,7 @@ strong-ref FIFO did.
 from __future__ import annotations
 
 import weakref
+from typing import Callable
 
 import numpy as np
 
@@ -203,14 +212,23 @@ class DistanceWorkspace:
         for key in list(self._x_sq_cache):
             self._drop_x_sq(key)
 
-    def x_sq(self, x: np.ndarray) -> np.ndarray:
+    def x_sq(
+        self,
+        x: np.ndarray,
+        *,
+        fill: Callable[[np.ndarray], None] | None = None,
+    ) -> np.ndarray:
         """Cached squared row norms ``|x|^2``, keyed by array identity.
 
         A batch driver calls this with the same shard array every
-        iteration, so the norms are computed once per run. Entries hold
-        weak references: a dead data array's entry is reclaimed by its
-        finalizer (its id can then be safely reused), and the cache is
-        additionally capped at :data:`X_SQ_CACHE_SLOTS` entries,
+        iteration, so the norms are computed once per run. On a miss
+        they are taken block by block from rows widened to float64, or
+        by ``fill(norms)`` when given: a caller about to make a full
+        pass over ``x`` anyway (``mti_init``) writes them on its way,
+        so a memmapped matrix gets no pass of the cache's own. Entries
+        hold weak references: a dead data array's entry is reclaimed by
+        its finalizer (its id can then be safely reused), and the cache
+        is additionally capped at :data:`X_SQ_CACHE_SLOTS` entries,
         evicting oldest-first, so the serve plane's per-batch gather
         arrays can never grow it without bound.
         """
@@ -224,7 +242,19 @@ class DistanceWorkspace:
         norms = self.mem.alloc(
             (x.shape[0],), np.float64, tag="workspace/x_sq"
         )
-        row_norms(x, out=norms)
+        if fill is None:
+            for start in range(0, x.shape[0], self.block_rows):
+                stop = start + self.block_rows
+                row_norms(
+                    np.asarray(x[start:stop], dtype=np.float64),
+                    out=norms[start:stop],
+                )
+        else:
+            try:
+                fill(norms)
+            except BaseException:
+                self.mem.free(norms)
+                raise
         if len(self._x_sq_cache) >= X_SQ_CACHE_SLOTS:
             self._drop_x_sq(next(iter(self._x_sq_cache)))
         wself = weakref.ref(self)
@@ -244,7 +274,9 @@ class DistanceWorkspace:
 
         Grows monotonically to the largest block seen; the returned
         view aliases previous calls' views, so consume each block's
-        distances before requesting the next buffer.
+        distances before requesting the next buffer. Call it on the
+        thread that owns the workspace: the memory manager is not
+        thread-safe.
         """
         self._dist_buf = self.mem.ensure_capacity(
             self._dist_buf, (m, self.k), np.float64,

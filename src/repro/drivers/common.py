@@ -14,6 +14,7 @@ from repro.core import (
     mti_init,
     mti_iteration,
 )
+from repro.core import mti
 from repro.core.distance import BLOCK_ROWS, rows_to_centroids
 from repro.core.empty import check_empty_cluster_policy
 from repro.core.workspace import DistanceWorkspace
@@ -352,8 +353,23 @@ class NumericsLoop:
         return partial.sums, partial.counts
 
     def inertia(self) -> float:
-        """k-means objective at the current assignment/centroids."""
-        dist = rows_to_centroids(self.x, self.centroids, self.assignment)
+        """k-means objective at the current assignment/centroids.
+
+        The distances are taken in blocks of ``mti.BLOCK_BYTES`` of row
+        data, so a float32 or memmapped ``x`` is widened to float64 one
+        small block at a time; each row's distance is its own, and the
+        sum runs over all of them.
+        """
+        n, d = self.x.shape
+        assign = self.assignment
+        dist = np.empty(n)
+        rows = max(1, mti.BLOCK_BYTES // (8 * d))
+        for lo in range(0, n, rows):
+            hi = lo + rows
+            dist[lo:hi] = rows_to_centroids(
+                np.asarray(self.x[lo:hi], dtype=np.float64),
+                self.centroids, assign[lo:hi],
+            )
         return float((dist**2).sum())
 
     # -- checkpoint support (knors fault tolerance) ----------------
