@@ -24,12 +24,7 @@ import numpy as np
 
 from repro.core.centroids import cluster_sums
 from repro.core.convergence import ConvergenceCriteria
-from repro.core.distance import (
-    BLOCK_ROWS,
-    euclidean,
-    nearest_centroid,
-    row_norms,
-)
+from repro.core.distance import euclidean, nearest_centroid, row_norms
 from repro.core.init import init_centroids
 from repro.errors import DatasetError
 from repro.metrics import IterationRecord, RunResult
@@ -120,7 +115,7 @@ def iterative_kmeans(
     init: str | np.ndarray = "random",
     seed: int = 0,
     criteria: ConvergenceCriteria | None = None,
-    block_rows: int = BLOCK_ROWS,
+    block_rows: int | None = None,
 ) -> RunResult:
     """Serial iterative/blocked Lloyd's, wall-clock timed."""
 

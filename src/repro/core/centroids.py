@@ -16,6 +16,21 @@ sequentially in input order, and the flat row-major order visits each
 as the per-dimension form did -- so the floating-point sums are
 bit-identical (asserted by the golden-value suite), while the data is
 read once, contiguously, instead of ``d`` strided passes.
+
+A call longer than one block (:data:`~repro.core.distance.BLOCK_BYTES`
+of float64 rows, 4096 rows at d=32) is **streamed**, so no call holds
+the ``n * d`` index or a float64 copy of a float32 or memmapped ``x``.
+The first block is one bincount. Every later block's bincount puts the
+running ``k * d`` sums in front of the block's own weights, at indices
+``0..k*d-1``, and the block's row ``i`` gathers its indices as row
+``assign[i]`` of that ``0..k*d-1`` head. Carrying is exact: bincount
+starts each bucket at +0.0 and adds its weights in input order, and
++0.0 + s == s, so each bucket's first addition reproduces the running
+sum and the rest continue the single bincount's sequence. (The running
+sum is never -0.0: from +0.0, round-to-nearest addition gives -0.0
+only from two -0.0 operands.) A streamed call allocates its one block
+of index and weights and frees it on return; an :class:`AccumScratch`
+serves the one-block calls of the hot incremental updates.
 """
 
 from __future__ import annotations
@@ -24,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.distance import BLOCK_BYTES
 from repro.errors import DatasetError
 from repro.mem import MemoryManager, current_manager
 
@@ -98,21 +114,51 @@ def flat_sums(
     *,
     scratch: AccumScratch | None = None,
 ) -> np.ndarray:
-    """Per-cluster ``(k, d)`` sums of rows via one flat-index bincount.
+    """Per-cluster ``(k, d)`` sums of rows via flat-index bincounts.
 
-    Bit-identical to the per-dimension ``bincount`` loop it replaced:
-    each ``(cluster, dim)`` bucket receives its contributions in the
-    same ascending-row order.
+    A call of up to one block (``BLOCK_BYTES`` of float64 rows) is one
+    bincount, bit-identical to the per-dimension ``bincount`` loop it
+    replaced: each ``(cluster, dim)`` bucket receives its contributions
+    in the same ascending-row order. A longer call is streamed (module
+    docstring): the same result to the last bit, holding one block's
+    index and widened rows. ``scratch`` serves the one-block path.
     """
-    d = x.shape[1]
-    idx = (
-        scratch.flat_indices(assign, d)
-        if scratch is not None
-        else _flat_indices(assign, d)
-    )
-    return np.bincount(
-        idx, weights=x.ravel(), minlength=k * d
-    ).reshape(k, d)
+    n, d = x.shape
+    kd = k * d
+    rows = max(1, BLOCK_BYTES // (8 * max(d, 1)))
+    if n <= rows:
+        idx = (
+            scratch.flat_indices(assign, d)
+            if scratch is not None
+            else _flat_indices(assign, d)
+        )
+        return np.bincount(
+            idx, weights=x.ravel(), minlength=kd
+        ).reshape(k, d)
+    if assign.min() < 0 or assign.max() >= k:
+        raise DatasetError(f"assignment outside clusters 0..{k - 1}")
+    # One block's index and weights, each headed by the k*d carry.
+    idx = np.empty(kd + rows * d, dtype=np.int64)
+    idx[:kd] = np.arange(kd, dtype=np.int64)
+    w = np.empty(kd + rows * d)
+    # Row i's index is row assign[i] of the 0..kd-1 head, as a (k, d)
+    # table; a gather, since assign was range-checked above.
+    table = idx[:kd].reshape(k, d)
+    sums = None
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        end = kd + (hi - lo) * d
+        np.take(table, assign[lo:hi], axis=0, mode="clip",
+                out=idx[kd:end].reshape(hi - lo, d))
+        if sums is None:  # the first block: one plain bincount
+            sums = np.bincount(
+                idx[kd:end], weights=x[lo:hi].ravel(), minlength=kd
+            )
+            continue
+        w[:kd] = sums
+        np.copyto(w[kd:end].reshape(hi - lo, d), x[lo:hi])
+        sums = np.bincount(idx[:end], weights=w[:end], minlength=kd)
+    return sums.reshape(k, d)
 
 
 @dataclass

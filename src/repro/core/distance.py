@@ -13,7 +13,7 @@ negative for near-identical vectors).
 Every kernel accepts optional precomputed inputs and output buffers so
 a per-iteration :class:`~repro.core.workspace.DistanceWorkspace` can
 (a) compute the centroid norms ``|c|^2`` once per iteration instead of
-once per call and (b) reuse one ``(BLOCK_ROWS, k)`` temporary across
+once per call and (b) reuse one ``(rows, k)`` temporary across
 blocks instead of reallocating it. Both paths produce bit-identical
 values: ``-(2g)`` equals ``(-2)g`` exactly in IEEE-754, and float
 addition is commutative, so the in-place evaluation order matches the
@@ -44,6 +44,28 @@ agree everywhere except exact floating-point ties, which the
 equivalence suite pins. Exact ties (duplicate centroids) produce
 bitwise-equal candidates under both strategies, so argmin's
 lowest-index rule picks the same centroid.
+
+One block budget
+----------------
+:data:`BLOCK_BYTES` is the one budget of every full-data pass in
+:mod:`repro.core`: :func:`nearest_centroid` (both strategies), the
+workspace's row-norm miss pass, the streamed centroid sums of
+:mod:`repro.core.centroids`, MTI's post-clause-1 blocks, Elkan's
+iteration-0 matrix and the drivers' finiteness and inertia passes all
+walk at most ``BLOCK_BYTES // (8 * d)`` rows at a time. A float32 or
+memmapped matrix is widened to float64 one such block at a time, so no
+pass holds more than one block of temporaries per thread, and a pass
+over an ``(n, d)`` matrix never costs another ``(n, d)`` array.
+
+:func:`nearest_centroid` splits its ``n`` rows into even blocks under
+that budget, a function of ``(n, d)`` only: block sizes differ by at
+most a row, so none is a sliver for which BLAS would take its
+small-matrix path (which rounds differently), and each row's distances
+are the same bits whatever the block size. With ``workers > 1`` the
+blocks run on host threads
+(:mod:`repro.core.hostpool`); MTI's iteration-0 pass does this, on the
+same pool and under the same rules as its later iterations. A pass of
+one block (a serve batch, a small shard) dispatches nothing.
 """
 
 from __future__ import annotations
@@ -52,14 +74,18 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.hostpool import block_bounds, even_blocks, run_blocks
 from repro.errors import ConfigError, DatasetError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.workspace import DistanceWorkspace
 
-#: Rows per block for distance evaluation; bounds temporary memory at
-#: roughly ``BLOCK_ROWS * k * 8`` bytes.
-BLOCK_ROWS = 65536
+#: The one block budget of the kernels: a full-data pass walks its
+#: rows in blocks of at most ``BLOCK_BYTES // (8 * d)`` rows (4096 at
+#: d=32), i.e. one megabyte of float64 row data, so a block's widened
+#: rows, norms and ``(rows, k)`` distances stay in L2 and no pass holds
+#: more than one block of temporaries per thread.
+BLOCK_BYTES = 1 << 20
 
 #: Accepted values for the ``kernel`` strategy parameter.
 KERNEL_STRATEGIES = ("blocked", "gemm")
@@ -206,47 +232,15 @@ def half_min_inter_centroid(
     return out
 
 
-def _nearest_centroid_gemm(
-    x: np.ndarray,
-    c: np.ndarray,
-    c_sq: np.ndarray,
-    x_sq: np.ndarray,
-    neg2ct: np.ndarray,
-    block_rows: int,
-    workspace: "DistanceWorkspace | None",
-) -> tuple[np.ndarray, np.ndarray]:
-    """The ``"gemm"`` assignment pass over ``q = -2 X C^T + |c|^2``.
-
-    Per block: one GEMM against the pre-scaled ``(-2 C)^T``, one
-    ``|c|^2`` broadcast-add, one argmin -- then clamp + sqrt only on
-    the ``m`` winners (O(m) instead of O(m * k) post-processing).
-    """
-    n = x.shape[0]
-    assign = np.empty(n, dtype=np.int32)
-    mindist = np.empty(n, dtype=np.float64)
-    for start in range(0, n, block_rows):
-        stop = min(start + block_rows, n)
-        m = stop - start
-        out = None if workspace is None else workspace.dist_buffer(m)
-        xb = np.asarray(x[start:stop], dtype=np.float64)
-        q = np.matmul(xb, neg2ct, out=out)
-        q += c_sq[None, :]
-        a = np.argmin(q, axis=1).astype(np.int32, copy=False)
-        assign[start:stop] = a
-        sq = q[np.arange(m), a] + x_sq[start:stop]
-        np.maximum(sq, 0.0, out=sq)
-        mindist[start:stop] = np.sqrt(sq, out=sq)
-    return assign, mindist
-
-
 def nearest_centroid(
     x: np.ndarray,
     c: np.ndarray,
     *,
-    block_rows: int = BLOCK_ROWS,
+    block_rows: int | None = None,
     workspace: "DistanceWorkspace | None" = None,
     kernel: str | None = None,
     x_sq_out: np.ndarray | None = None,
+    workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact nearest centroid for every row (Phase I of Lloyd's).
 
@@ -254,9 +248,14 @@ def nearest_centroid(
     the lowest centroid index (argmin semantics), consistently across
     all algorithms.
 
-    With a ``workspace``, centroid norms come from the per-iteration
-    cache and every block writes into one preallocated distance buffer
-    instead of reallocating ``(block_rows, k)`` temporaries.
+    The rows are walked in even blocks of at most :data:`BLOCK_BYTES`
+    of float64 row data each, a function of ``(n, d)`` only. An
+    explicit ``block_rows`` walks fixed strides of that many rows
+    instead, the last block taking the remainder (the pre-budget
+    kernel's partition). With a ``workspace``, centroid norms come
+    from the per-iteration cache and every block writes into one
+    preallocated distance buffer instead of reallocating ``(rows, k)``
+    temporaries.
 
     ``kernel`` selects the strategy (module docstring): ``"blocked"``
     is the bit-identical reference, ``"gemm"`` the ULP-equivalent fast
@@ -267,10 +266,16 @@ def nearest_centroid(
     never as a whole. Under ``"blocked"``, ``x_sq_out`` is an ``(n,)``
     buffer that receives every row's squared norm as the pass takes it
     (``mti_init`` fills the workspace's norm cache this way).
+
+    ``workers > 1`` runs the blocks on up to that many host threads
+    (:func:`repro.core.hostpool.run_blocks`). Each row's arithmetic is
+    its own and the partition does not depend on ``workers``, so the
+    results are the same bits. The workspace's distance buffer serves
+    a serial pass only; pooled blocks allocate their own.
     """
     x = as_rows(x)
     c = _as_matrix(c, "c")
-    n = x.shape[0]
+    n, d = x.shape
     if kernel is None:
         kernel = "blocked" if workspace is None else workspace.kernel
     check_kernel(kernel)
@@ -278,6 +283,7 @@ def nearest_centroid(
     if workspace is not None:
         c = workspace.ensure(c)
         c_sq = workspace.c_sq
+    x_sq = None
     if kernel == "gemm":
         if c_sq is None:
             c_sq = row_norms(c)
@@ -285,29 +291,60 @@ def nearest_centroid(
             x_sq = workspace.x_sq(x)
             neg2ct = workspace.neg2ct
         else:
-            x_sq = row_norms(x)
             # Scaling by -2 is exact in IEEE-754 and the .T view keeps
             # the BLAS layout identical to ``x @ c.T``, so the GEMM
             # output equals ``-2 * (x @ c.T)`` to the last bit.
             neg2ct = (c * -2.0).T
-        return _nearest_centroid_gemm(
-            x, c, c_sq, x_sq, neg2ct, block_rows, workspace
-        )
     assign = np.empty(n, dtype=np.int32)
     mindist = np.empty(n, dtype=np.float64)
-    for start in range(0, n, block_rows):
-        stop = min(start + block_rows, n)
-        m = stop - start
-        out = None if workspace is None else workspace.dist_buffer(m)
-        xb = np.asarray(x[start:stop], dtype=np.float64)
-        xb_sq = None
-        if x_sq_out is not None:
-            xb_sq = row_norms(xb, out=x_sq_out[start:stop])
-        dist = euclidean(xb, c, c_sq=c_sq, out=out, x_sq=xb_sq)
-        assign[start:stop] = np.argmin(dist, axis=1)
-        mindist[start:stop] = dist[
-            np.arange(m), assign[start:stop]
-        ]
+    if block_rows is None:
+        n_blocks = even_blocks(n, max(1, BLOCK_BYTES // (8 * d)))
+    else:
+        n_blocks = even_blocks(n, block_rows)
+    if n_blocks == 0:
+        return assign, mindist
+
+    def run(blk: int, buf: np.ndarray | None) -> None:
+        if block_rows is None:
+            lo, hi = block_bounds(blk, n_blocks, n)
+        else:
+            lo, hi = blk * block_rows, min(n, (blk + 1) * block_rows)
+        m = hi - lo
+        out = None if buf is None else buf[:m]
+        xb = np.asarray(x[lo:hi], dtype=np.float64)
+        rows = np.arange(m)
+        if kernel == "gemm":
+            # One GEMM against the pre-scaled ``(-2 C)^T``, one
+            # ``|c|^2`` broadcast-add, one argmin -- then clamp + sqrt
+            # only on the ``m`` winners.
+            q = np.matmul(xb, neg2ct, out=out)
+            q += c_sq[None, :]
+            a = np.argmin(q, axis=1).astype(np.int32, copy=False)
+            sq = q[rows, a] + (
+                row_norms(xb) if x_sq is None else x_sq[lo:hi]
+            )
+            np.maximum(sq, 0.0, out=sq)
+            np.sqrt(sq, out=mindist[lo:hi])
+        else:
+            xb_sq = None
+            if x_sq_out is not None:
+                xb_sq = row_norms(xb, out=x_sq_out[lo:hi])
+            dist = euclidean(xb, c, c_sq=c_sq, out=out, x_sq=xb_sq)
+            a = np.argmin(dist, axis=1)
+            mindist[lo:hi] = dist[rows, a]
+        assign[lo:hi] = a
+
+    n_workers = max(1, min(workers, n_blocks))
+    if workspace is None or n_workers > 1:
+        # Pooled blocks take their (rows, k) distances as plain numpy
+        # temporaries, freed as each block ends: no manager call leaves
+        # the calling thread, and no workers-wide buffer outlives the
+        # pass.
+        bufs = [None] * n_workers
+    else:
+        largest = -(-n // n_blocks) if block_rows is None else block_rows
+        bufs = [workspace.dist_buffer(min(n, largest))]
+    run_blocks(n_blocks, run, bufs)
     return assign, mindist
 
 

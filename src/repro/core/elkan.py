@@ -23,11 +23,14 @@ import numpy as np
 
 from repro.core.centroids import flat_sums, move_rows
 from repro.core.distance import (
+    BLOCK_BYTES,
+    as_rows,
     euclidean,
     half_min_inter_centroid,
     pairwise_centroid_distances,
     rows_to_centroids,
 )
+from repro.core.hostpool import block_bounds, even_blocks
 from repro.errors import DatasetError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -84,8 +87,13 @@ def elkan_init(
     *,
     workspace: "DistanceWorkspace | None" = None,
 ) -> tuple[ElkanState, ElkanIterationResult]:
-    """Iteration 0: full distance matrix seeds ub, lb and assignments."""
-    x = np.asarray(x, dtype=np.float64)
+    """Iteration 0: full distance matrix seeds ub, lb and assignments.
+
+    The matrix is filled in even blocks of at most ``BLOCK_BYTES`` of
+    row data, each widened to float64 on its own, so a float32 ``x`` is
+    never copied whole.
+    """
+    x = as_rows(x)
     k, d = centroids.shape
     n = x.shape[0]
     c_sq = None
@@ -97,7 +105,14 @@ def elkan_init(
             x_sq = workspace.x_sq(x)
     # The full matrix becomes the persistent lb state, so it is
     # allocated fresh rather than drawn from the workspace buffer.
-    dist = euclidean(x, centroids, c_sq=c_sq, x_sq=x_sq)
+    dist = np.empty((n, k))
+    n_blocks = even_blocks(n, max(1, BLOCK_BYTES // (8 * d)))
+    for blk in range(n_blocks):
+        lo, hi = block_bounds(blk, n_blocks, n)
+        euclidean(
+            np.asarray(x[lo:hi], dtype=np.float64), centroids, c_sq=c_sq,
+            x_sq=None if x_sq is None else x_sq[lo:hi], out=dist[lo:hi],
+        )
     assign = np.argmin(dist, axis=1).astype(np.int32)
     ub = dist[np.arange(n), assign].copy()
     sums = flat_sums(
@@ -131,7 +146,7 @@ def elkan_iteration(
     workspace: "DistanceWorkspace | None" = None,
 ) -> ElkanIterationResult:
     """One Elkan-pruned iteration; mutates ``state`` in place."""
-    x = np.asarray(x, dtype=np.float64)
+    x = as_rows(x)
     n, d = x.shape
     k = centroids.shape[0]
     if state.n != n:
@@ -172,7 +187,11 @@ def elkan_iteration(
 
     if active_idx.size:
         m = active_idx.size
-        xa = x[active_idx]
+        # The active rows, gathered and widened block by block.
+        xa = np.empty((m, d))
+        step = max(1, BLOCK_BYTES // (8 * d))
+        for lo in range(0, m, step):
+            xa[lo:lo + step] = x[active_idx[lo:lo + step]]
         ba = assign[active_idx].copy()
         ua = state.ub[active_idx].copy()
         lba = state.lb[active_idx]

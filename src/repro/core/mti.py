@@ -35,7 +35,9 @@ per-row distance counts and the set of rows needing a candidate pass all
 follow from those two O(m) vectors.
 
 Everything after the clause-1 test walks the ``m`` active rows in
-blocks of at most ``BLOCK_BYTES`` of row data (4096 rows at d=32). Per
+blocks of at most ``BLOCK_BYTES`` of row data (4096 rows at d=32), the
+one block budget of :mod:`repro.core.distance` (this module binds the
+name itself, so a test can shrink these blocks alone). Per
 block the kernel gathers the rows, widens them to float64, reads their
 norms, tightens, ranks both bounds, and, for the rows with a surviving
 candidate only, runs the candidate GEMM and a *verified unmasked
@@ -74,9 +76,15 @@ The blocks run on host threads, the paper's partitioned workers made
 real on the wall clock: the calling thread and a process-wide pool of
 ``WORKERS - 1`` threads (one per CPU of the process's affinity mask),
 at most one thread per block, each claiming the next unclaimed block
-until none is left. A call with a single block (a small shard or
-batch) runs on the calling thread alone and dispatches nothing.
-Threads change who runs a block, never what it computes:
+until none is left (:func:`repro.core.hostpool.run_blocks`, shared by
+both passes). A call with a single block (a small shard or batch) runs
+on the calling thread alone and dispatches nothing. The iteration-0
+pass of :func:`mti_init` runs its assignment blocks the same way
+(``nearest_centroid(..., workers=WORKERS)``, even blocks of the budget
+above, a function of ``(n, d)`` only), each block writing its own rows
+of the assignment, the distances and the norm cache; its centroid sums
+follow as a separate, sequential streamed pass. Threads change who
+runs a block, never what it computes:
 
 * the partition is a function of ``(m, d)`` only, never of the worker
   count, so every block hands BLAS the same GEMM on any host (the even
@@ -86,8 +94,10 @@ Threads change who runs a block, never what it computes:
 * each block's loose and tight candidate totals land in the block's
   own slot and are summed after the join;
 * every :mod:`repro.mem`-owned buffer is taken on the calling thread
-  before dispatch: each worker gets a disjoint row range of the
-  workspace's distance buffer, kept across iterations;
+  before dispatch: in an iteration each worker gets a disjoint row
+  range of the workspace's distance buffer, kept across iterations
+  (the iteration-0 pass's pooled blocks take plain per-block
+  temporaries instead, so that buffer is first sized by iteration 1);
 * if a block raises, the workers stop claiming blocks, every worker
   finishes the block it holds, and only then is the exception of the
   lowest failed block raised, so crash recovery never races a worker
@@ -104,9 +114,6 @@ elision in the semi-external module.
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -114,6 +121,7 @@ import numpy as np
 
 from repro.core.centroids import flat_sums, move_rows
 from repro.core.distance import (
+    BLOCK_BYTES,
     as_rows,
     euclidean,
     half_min_inter_centroid,
@@ -122,57 +130,23 @@ from repro.core.distance import (
     row_norms,
     rows_to_centroids,
 )
+from repro.core.hostpool import (
+    affinity_cpus,
+    block_bounds,
+    even_blocks,
+    run_blocks,
+)
 from repro.errors import DatasetError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.workspace import DistanceWorkspace
 
-#: Budget of gathered row data per block of the post-clause-1 pass:
-#: ``BLOCK_BYTES // (8 * d)`` float64 rows (4096 at d=32), small
-#: enough that a block's rows, norms, bounds and candidate distances
-#: stay in L2.
-BLOCK_BYTES = 1 << 20
-
-
-def _affinity_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
-
-
-#: Host threads that run one :func:`mti_iteration` call's blocks: the
-#: calling thread plus ``WORKERS - 1`` pool threads, one per CPU in the
-#: process's affinity mask, and never more than the call has blocks.
-#: Results do not depend on it (module docstring).
-WORKERS = _affinity_cpus()
-
-_pool: tuple[int, ThreadPoolExecutor] | None = None
-_pool_lock = threading.Lock()
-
-
-def _host_pool(threads: int) -> ThreadPoolExecutor:
-    """The process-wide block pool, with at least ``threads`` threads."""
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] < threads:
-            if _pool is not None:
-                _pool[1].shutdown(wait=False)
-            _pool = (threads, ThreadPoolExecutor(
-                threads, thread_name_prefix="mti-block"
-            ))
-        return _pool[1]
-
-
-def _forget_pool() -> None:
-    # A forked child inherits the pool object but none of its threads.
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+#: Host threads that run one pass's blocks (:func:`mti_iteration`'s
+#: and :func:`mti_init`'s): the calling thread plus ``WORKERS - 1``
+#: pool threads, one per CPU in the process's affinity mask, and never
+#: more than the pass has blocks. Results do not depend on it (module
+#: docstring).
+WORKERS = affinity_cpus()
 
 
 @dataclass
@@ -280,7 +254,9 @@ def mti_init(
     """Iteration 0: full assignment pass that seeds the MTI state.
 
     Every row costs k distance computations and a data read, exactly
-    like an unpruned iteration. Under the ``blocked`` kernel the pass
+    like an unpruned iteration. The assignment blocks run on
+    :data:`WORKERS` host threads; the per-cluster sums are a second,
+    streamed pass. Under the ``blocked`` kernel the assignment pass
     also fills the workspace's row-norm cache, which every later
     :func:`mti_iteration` reads.
     """
@@ -290,7 +266,8 @@ def mti_init(
 
     def assign_pass(x_sq_out=None):
         return nearest_centroid(
-            x, centroids, workspace=workspace, x_sq_out=x_sq_out
+            x, centroids, workspace=workspace, x_sq_out=x_sq_out,
+            workers=WORKERS,
         )
 
     if workspace is None or workspace.kernel == "gemm":
@@ -310,7 +287,7 @@ def mti_init(
     )
     counts = np.bincount(assign, minlength=k).astype(np.int64)
     state = MtiState(
-        assignment=assign, ub=mindist.copy(), sums=sums, counts=counts
+        assignment=assign, ub=mindist, sums=sums, counts=counts
     )
     new_centroids = centroids.copy()
     nonzero = counts > 0
@@ -361,18 +338,17 @@ class _BlockPass:
         # a last block would hand BLAS a GEMM small enough for its
         # single-row or small-matrix path, which rounds differently
         # from the kernel a full block's GEMM runs.
-        block_rows = max(1, BLOCK_BYTES // (8 * x.shape[1]))
-        self.n_blocks = -(-active_idx.size // block_rows)
+        self.n_blocks = even_blocks(
+            active_idx.size, max(1, BLOCK_BYTES // (8 * x.shape[1]))
+        )
         self.loose = np.zeros(self.n_blocks, dtype=np.int64)
         self.tight = np.zeros(self.n_blocks, dtype=np.int64)
 
     def run(self, blk: int, dist_buf: np.ndarray | None) -> None:
         """Compute block ``blk``; ``dist_buf`` is the running thread's
         ``(rows, k)`` distance buffer (``None``: allocate)."""
-        m = self.active_idx.size
-        idx = self.active_idx[
-            blk * m // self.n_blocks:(blk + 1) * m // self.n_blocks
-        ]
+        lo, hi = block_bounds(blk, self.n_blocks, self.active_idx.size)
+        idx = self.active_idx[lo:hi]
         centroids, c_sq = self.centroids, self.c_sq
         thresholds = self.thresholds
         ub = self.state.ub
@@ -436,45 +412,9 @@ class _BlockPass:
         assign[idx] = bb
 
     def dispatch(self, bufs: list) -> None:
-        """Run every block on ``len(bufs)`` threads: the calling thread
-        and ``len(bufs) - 1`` pool threads, each with its own distance
-        buffer, pulling the next unclaimed block until none is left.
-
-        If blocks raise, the workers stop claiming blocks, every worker
-        finishes the block it holds, and the exception of the lowest
-        failed block is raised: blocks are claimed in order, so that
-        block is the lowest failing one whatever the timing.
-        """
-        if len(bufs) == 1:
-            for blk in range(self.n_blocks):
-                self.run(blk, bufs[0])
-            return
-        claim = threading.Lock()
-        blocks = iter(range(self.n_blocks))
-        errors: dict[int, BaseException] = {}
-
-        def work(buf):
-            while not errors:
-                with claim:
-                    blk = next(blocks, None)
-                if blk is None:
-                    return
-                try:
-                    self.run(blk, buf)
-                except BaseException as exc:  # re-raised after the join
-                    errors[blk] = exc
-
-        pool = _host_pool(len(bufs) - 1)
-        futures = [pool.submit(work, buf) for buf in bufs[1:]]
-        try:
-            work(bufs[0])
-        finally:
-            # Never hand control back while a worker still writes.
-            wait(futures)
-        if errors:
-            raise errors[min(errors)]
-        for future in futures:
-            future.result()
+        """Run every block on ``len(bufs)`` threads, each with its own
+        distance buffer (:func:`repro.core.hostpool.run_blocks`)."""
+        run_blocks(self.n_blocks, self.run, bufs)
 
 
 def mti_iteration(

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.centroids import PartialCentroids, funnel_merge
-from repro.core.distance import nearest_centroid
+from repro.core.distance import as_rows, nearest_centroid
 from repro.core.empty import (
     check_empty_cluster_policy,
     reseed_empty_clusters,
@@ -86,7 +86,9 @@ def full_iteration(
         cluster from the farthest point, ``"error"`` raises
         :class:`~repro.errors.EmptyClusterError`.
     """
-    x = np.asarray(x, dtype=np.float64)
+    # A float32 or memmapped x stays as given: the assignment pass and
+    # the streamed accumulation widen one block at a time.
+    x = as_rows(x)
     k, d = centroids.shape
     n = x.shape[0]
     if n_partitions < 1:

@@ -59,7 +59,7 @@ import numpy as np
 
 from repro.core.centroids import AccumScratch
 from repro.core.distance import (
-    BLOCK_ROWS,
+    BLOCK_BYTES,
     check_kernel,
     euclidean,
     half_min_inter_centroid,
@@ -83,7 +83,7 @@ class DistanceWorkspace:
         k: int,
         d: int,
         *,
-        block_rows: int = BLOCK_ROWS,
+        block_rows: int | None = None,
         kernel: str = "blocked",
         mem: MemoryManager | None = None,
     ) -> None:
@@ -93,7 +93,11 @@ class DistanceWorkspace:
             )
         self.k = k
         self.d = d
-        self.block_rows = block_rows
+        # Rows per block of the norm cache's own miss pass.
+        self.block_rows = (
+            max(1, BLOCK_BYTES // (8 * d)) if block_rows is None
+            else block_rows
+        )
         self.kernel = check_kernel(kernel)
         self.mem = mem if mem is not None else current_manager()
         self.accum = AccumScratch(mem=self.mem)

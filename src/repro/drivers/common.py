@@ -14,8 +14,7 @@ from repro.core import (
     mti_init,
     mti_iteration,
 )
-from repro.core import mti
-from repro.core.distance import BLOCK_ROWS, rows_to_centroids
+from repro.core.distance import BLOCK_BYTES, rows_to_centroids
 from repro.core.empty import check_empty_cluster_policy
 from repro.core.workspace import DistanceWorkspace
 from repro.errors import (
@@ -129,8 +128,9 @@ def check_row_dist_finite(
     if suspect.size == 0:
         return
     bad = np.zeros(x.shape[0], dtype=bool)
-    for lo in range(0, suspect.size, BLOCK_ROWS):
-        idx = suspect[lo:lo + BLOCK_ROWS]
+    rows = max(1, BLOCK_BYTES // (8 * x.shape[1]))
+    for lo in range(0, suspect.size, rows):
+        idx = suspect[lo:lo + rows]
         bad[idx] = ~np.isfinite(x[idx]).all(axis=1)
     reject_rows(
         bad, name, "rows contain NaN/inf", "; clean the data before fitting",
@@ -355,7 +355,7 @@ class NumericsLoop:
     def inertia(self) -> float:
         """k-means objective at the current assignment/centroids.
 
-        The distances are taken in blocks of ``mti.BLOCK_BYTES`` of row
+        The distances are taken in blocks of ``BLOCK_BYTES`` of row
         data, so a float32 or memmapped ``x`` is widened to float64 one
         small block at a time; each row's distance is its own, and the
         sum runs over all of them.
@@ -363,7 +363,7 @@ class NumericsLoop:
         n, d = self.x.shape
         assign = self.assignment
         dist = np.empty(n)
-        rows = max(1, mti.BLOCK_BYTES // (8 * d))
+        rows = max(1, BLOCK_BYTES // (8 * d))
         for lo in range(0, n, rows):
             hi = lo + rows
             dist[lo:hi] = rows_to_centroids(

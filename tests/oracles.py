@@ -2,9 +2,10 @@
 
 Each function here is the straightforward form of a library kernel,
 kept for the equivalence tests only: ``mti_iteration_masks`` evaluates
-MTI's clauses 2 and 3 with ``(m, k)`` boolean masks, and
-``build_task_blocks_loop`` sums each task block in a Python loop. The
-library's versions must match them bit for bit.
+MTI's clauses 2 and 3 with ``(m, k)`` boolean masks,
+``flat_sums_single`` takes the per-cluster sums in one bincount over
+the whole call, and ``build_task_blocks_loop`` sums each task block in
+a Python loop. The library's versions must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -185,6 +186,37 @@ def mti_iteration_masks(
         tightened_rows=n_tightened,
         computed=computed,
     )
+
+
+def flat_sums_single(
+    x: np.ndarray, assign: np.ndarray, k: int
+) -> np.ndarray:
+    """Per-cluster ``(k, d)`` sums in one flat-index bincount over every
+    row at once: the ``n * d`` index and the float64 weights whole."""
+    d = x.shape[1]
+    idx = (
+        assign.astype(np.int64)[:, None] * d + np.arange(d, dtype=np.int64)
+    ).ravel()
+    return np.bincount(
+        idx, weights=np.asarray(x, dtype=np.float64).ravel(),
+        minlength=k * d,
+    ).reshape(k, d)
+
+
+def add_block_single(sums, counts, x, assign) -> None:
+    """``add_block`` on :func:`flat_sums_single`."""
+    k = sums.shape[0]
+    counts += np.bincount(assign, minlength=k).astype(np.int64)
+    sums += flat_sums_single(x, assign, k)
+
+
+def move_rows_single(sums, counts, x, frm, to) -> None:
+    """``move_rows`` on :func:`flat_sums_single`."""
+    k = sums.shape[0]
+    sums -= flat_sums_single(x, frm, k)
+    sums += flat_sums_single(x, to, k)
+    counts -= np.bincount(frm, minlength=k)
+    counts += np.bincount(to, minlength=k)
 
 
 def build_task_blocks_loop(

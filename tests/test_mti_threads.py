@@ -1,15 +1,16 @@
-"""``mti_iteration`` on host threads: who runs a block, never what it
-computes.
+"""MTI on host threads: who runs a block, never what it computes.
 
-The post-clause-1 blocks of an MTI iteration run on the calling thread
-plus a process-wide pool (``repro.core.mti.WORKERS`` threads in all,
-at most one per block). The block partition depends on ``(m, d)``
-only, each block writes disjoint rows, and the clause totals are
-summed after the join, so every state and result field must be bit
-for bit the same at any worker count. These tests pin that for 1, 2, 3
-and 5 workers, the serial path (one block) and the failure path (a
-worker's exception is raised only once every worker has stopped, and
-it is the lowest failed block's).
+The post-clause-1 blocks of an MTI iteration, and the blocks of the
+iteration-0 assignment pass (``nearest_centroid`` with ``workers``),
+run on the calling thread plus a process-wide pool
+(``repro.core.mti.WORKERS`` threads in all, at most one per block).
+The block partition depends on the data shape only, each block writes
+disjoint rows, and the clause totals are summed after the join, so
+every state and result field must be bit for bit the same at any
+worker count. These tests pin that for 1, 2, 3 and 5 workers, the
+serial path (one block) and the failure path (a worker's exception is
+raised only once every worker has stopped, and it is the lowest failed
+block's).
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import numpy as np
 import pytest
 
 from repro import knors
-from repro.core import ConvergenceCriteria, mti
+from repro.core import ConvergenceCriteria, distance, hostpool, mti
+from repro.core.distance import nearest_centroid
 from repro.core.mti import ClauseThresholds, mti_init, mti_iteration
 from repro.core.workspace import DistanceWorkspace
 from repro.data.matrixfile import MatrixFile, write_matrix
@@ -127,7 +129,7 @@ def test_single_block_dispatches_nothing(monkeypatch):
     def no_pool(threads):
         raise AssertionError("a single-block call used the pool")
 
-    monkeypatch.setattr(mti, "_host_pool", no_pool)
+    monkeypatch.setattr(hostpool, "_host_pool", no_pool)
     dispatched = record_dispatch(monkeypatch)
     run_iterations(monkeypatch, x, c0, 5, "blocked")
     assert dispatched and set(dispatched) == {1}
@@ -277,8 +279,8 @@ def test_knors_float32_file_is_not_widened_whole(monkeypatch, tmp_path):
     """knors on a float32 file clusters exactly like knors on the same
     matrix widened to a float64 file, and its traced peak is no larger:
     no MTI call copies the whole matrix to float64. The matrix spans
-    several 65,536-row assignment blocks, so one widened block is far
-    below the run's peak (the iteration-0 centroid sums)."""
+    many assignment blocks, so one widened block is far below the
+    run's peak (its O(n) state vectors)."""
     x, c0 = blobs(160_000, 8, 8, seed=5)
     # One thread: with several, the peak depends on how the workers'
     # block temporaries happen to overlap.
@@ -301,3 +303,105 @@ def test_knors_float32_file_is_not_widened_whole(monkeypatch, tmp_path):
     assert np.array_equal(r32.centroids, r64.centroids)
     assert r32.iterations == r64.iterations
     assert peaks["f32"] <= peaks["f64"]
+
+
+def record_block_runs(monkeypatch):
+    """Record the thread count of every dispatched assignment pass."""
+    counts = []
+    real = distance.run_blocks
+
+    def recording(n_blocks, run, bufs):
+        counts.append(len(bufs))
+        return real(n_blocks, run, bufs)
+
+    monkeypatch.setattr(distance, "run_blocks", recording)
+    return counts
+
+
+def init_snapshot(monkeypatch, x, c0, workers, kernel):
+    """``mti_init``'s state and result, plus the norm cache it filled."""
+    monkeypatch.setattr(mti, "WORKERS", workers)
+    k, d = c0.shape
+    ws = None if kernel is None else DistanceWorkspace(k, d, kernel=kernel)
+    state, res = mti_init(x, c0, workspace=ws)
+    snap = (
+        {f: getattr(state, f).copy() for f in STATE_FIELDS}
+        | {f: getattr(res, f) for f in RESULT_FIELDS}
+    )
+    if ws is not None:
+        snap["x_sq"] = ws.x_sq(x).copy()
+    return snap
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_mti_init_worker_counts_agree(monkeypatch, kernel):
+    """The iteration-0 pass in 24 blocks: the state, the result and the
+    norm cache it fills are the same bits at every worker count."""
+    x, c0 = blobs(6000, 4, 9, seed=7)
+    monkeypatch.setattr(distance, "BLOCK_BYTES", 256 * 8 * 4)
+    dispatched = record_block_runs(monkeypatch)
+    snaps = {w: init_snapshot(monkeypatch, x, c0, w, kernel)
+             for w in WORKER_COUNTS}
+    for w in WORKER_COUNTS[1:]:
+        assert_same_runs([snaps[1]], [snaps[w]])
+    assert set(dispatched) == set(WORKER_COUNTS)
+
+
+def assignment_pass(x, c0, workers, kernel, workspace, norms):
+    k, d = c0.shape
+    ws = None
+    if workspace:
+        ws = DistanceWorkspace(k, d, kernel=kernel)
+    x_sq_out = np.full(x.shape[0], np.nan) if norms else None
+    assign, mindist = nearest_centroid(
+        x, c0, kernel=kernel, workspace=ws, x_sq_out=x_sq_out,
+        workers=workers,
+    )
+    return {"assign": assign, "mindist": mindist, "x_sq": x_sq_out}
+
+
+@pytest.mark.parametrize("kernel,workspace,norms", [
+    ("blocked", False, False),
+    ("blocked", True, False),
+    ("blocked", True, True),
+    ("gemm", False, False),
+    ("gemm", True, False),
+])
+def test_nearest_centroid_worker_counts_agree(monkeypatch, tmp_path,
+                                              kernel, workspace, norms):
+    """Blocked and gemm assignment passes, with and without a
+    workspace and with the ``x_sq_out`` fill: a float32 memmap at 1, 2,
+    3 and 5 workers gives the bits of one worker on the matrix widened
+    to float64."""
+    x, c0 = blobs(5000, 6, 7, seed=8)
+    x32 = x.astype(np.float32)
+    write_matrix(tmp_path / "x32.knor", x32)
+    view = MatrixFile(tmp_path / "x32.knor").row_view()
+    monkeypatch.setattr(distance, "BLOCK_BYTES", 300 * 8 * 6)
+    ref = assignment_pass(x32.astype(np.float64), c0, 1, kernel,
+                          workspace, norms)
+    assert not norms or not np.isnan(ref["x_sq"]).any()
+    dispatched = record_block_runs(monkeypatch)
+    for w in WORKER_COUNTS:
+        got = assignment_pass(view, c0, w, kernel, workspace, norms)
+        for name, want in ref.items():
+            if want is None:
+                assert got[name] is None
+            else:
+                assert want.dtype == got[name].dtype, (w, name)
+                assert np.array_equal(want, got[name]), (w, name)
+    assert dispatched == list(WORKER_COUNTS)
+
+
+def test_single_block_assignment_pass_dispatches_nothing(monkeypatch):
+    """One block (a serve batch, a small shard) never touches the pool,
+    however many workers the call may use."""
+    x, c0 = blobs(500, 4, 6, seed=9)
+
+    def no_pool(threads):
+        raise AssertionError("a single-block pass used the pool")
+
+    monkeypatch.setattr(hostpool, "_host_pool", no_pool)
+    ws = DistanceWorkspace(6, 4)
+    nearest_centroid(x, c0, workspace=ws, workers=5)
+    init_snapshot(monkeypatch, x, c0, 5, "blocked")
