@@ -35,10 +35,20 @@ def minibatch_update(
     the same idiom as the PR 3 accumulation kernels. The Python-level
     loop shrinks from ``len(batch)`` iterations to the largest
     per-center member count (roughly ``batch/k`` on balanced data).
+    When no center repeats in the batch -- always for one row, the
+    serving plane's common fold -- that is one pass with nothing to
+    group, applied directly.
     """
     k = counts.shape[0]
     assign = np.asarray(assign, dtype=np.int64)
-    if assign.size == 0:
+    m = assign.size
+    if m == 0:
+        return
+    if m <= k and (m == 1 or len(set(assign.tolist())) == m):
+        seen = counts[assign] + 1
+        counts[assign] = seen
+        eta = (1.0 / seen)[:, None]
+        centroids[assign] = (1.0 - eta) * centroids[assign] + eta * batch
         return
     order = np.argsort(assign, kind="stable")
     grouped = assign[order]

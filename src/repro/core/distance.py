@@ -165,14 +165,30 @@ def euclidean(
     """
     x = _as_matrix(x, "x")
     c = _as_matrix(c, "c")
+    _check_dims(x, c)
+    if c_sq is None:
+        c_sq = row_norms(c)
+    return _distances(x, c, c_sq, out, x_sq)
+
+
+def _check_dims(x: np.ndarray, c: np.ndarray) -> None:
     if x.shape[1] != c.shape[1]:
         raise DatasetError(
             f"dimension mismatch: x has d={x.shape[1]}, c has d={c.shape[1]}"
         )
+
+
+def _distances(
+    x: np.ndarray,
+    c: np.ndarray,
+    c_sq: np.ndarray,
+    out: np.ndarray | None,
+    x_sq: np.ndarray | None,
+) -> np.ndarray:
+    """:func:`euclidean`'s arithmetic on float64 matrices of matching
+    ``d`` (the kernels' blocks, already validated once per pass)."""
     if x_sq is None:
         x_sq = row_norms(x)
-    if c_sq is None:
-        c_sq = row_norms(c)
     if out is None:
         sq = x_sq[:, None] - 2.0 * (x @ c.T) + c_sq[None, :]
     else:
@@ -275,18 +291,18 @@ def nearest_centroid(
     """
     x = as_rows(x)
     c = _as_matrix(c, "c")
+    _check_dims(x, c)
     n, d = x.shape
     if kernel is None:
         kernel = "blocked" if workspace is None else workspace.kernel
     check_kernel(kernel)
-    c_sq = None
     if workspace is not None:
         c = workspace.ensure(c)
         c_sq = workspace.c_sq
-    x_sq = None
+    else:
+        c_sq = row_norms(c)
+    x_sq = neg2ct = None
     if kernel == "gemm":
-        if c_sq is None:
-            c_sq = row_norms(c)
         if workspace is not None:
             x_sq = workspace.x_sq(x)
             neg2ct = workspace.neg2ct
@@ -301,7 +317,14 @@ def nearest_centroid(
         n_blocks = even_blocks(n, max(1, BLOCK_BYTES // (8 * d)))
     else:
         n_blocks = even_blocks(n, block_rows)
-    if n_blocks == 0:
+    if n_blocks <= 1:
+        # One block (a serve batch, a small shard): no dispatch.
+        if n:
+            _assign_block(
+                x, c, c_sq, kernel, neg2ct, x_sq, x_sq_out,
+                None if workspace is None else workspace.dist_buffer(n),
+                assign, mindist,
+            )
         return assign, mindist
 
     def run(blk: int, buf: np.ndarray | None) -> None:
@@ -309,30 +332,13 @@ def nearest_centroid(
             lo, hi = block_bounds(blk, n_blocks, n)
         else:
             lo, hi = blk * block_rows, min(n, (blk + 1) * block_rows)
-        m = hi - lo
-        out = None if buf is None else buf[:m]
-        xb = np.asarray(x[lo:hi], dtype=np.float64)
-        rows = np.arange(m)
-        if kernel == "gemm":
-            # One GEMM against the pre-scaled ``(-2 C)^T``, one
-            # ``|c|^2`` broadcast-add, one argmin -- then clamp + sqrt
-            # only on the ``m`` winners.
-            q = np.matmul(xb, neg2ct, out=out)
-            q += c_sq[None, :]
-            a = np.argmin(q, axis=1).astype(np.int32, copy=False)
-            sq = q[rows, a] + (
-                row_norms(xb) if x_sq is None else x_sq[lo:hi]
-            )
-            np.maximum(sq, 0.0, out=sq)
-            np.sqrt(sq, out=mindist[lo:hi])
-        else:
-            xb_sq = None
-            if x_sq_out is not None:
-                xb_sq = row_norms(xb, out=x_sq_out[lo:hi])
-            dist = euclidean(xb, c, c_sq=c_sq, out=out, x_sq=xb_sq)
-            a = np.argmin(dist, axis=1)
-            mindist[lo:hi] = dist[rows, a]
-        assign[lo:hi] = a
+        _assign_block(
+            x[lo:hi], c, c_sq, kernel, neg2ct,
+            None if x_sq is None else x_sq[lo:hi],
+            None if x_sq_out is None else x_sq_out[lo:hi],
+            None if buf is None else buf[: hi - lo],
+            assign[lo:hi], mindist[lo:hi],
+        )
 
     n_workers = max(1, min(workers, n_blocks))
     if workspace is None or n_workers > 1:
@@ -346,6 +352,46 @@ def nearest_centroid(
         bufs = [workspace.dist_buffer(min(n, largest))]
     run_blocks(n_blocks, run, bufs)
     return assign, mindist
+
+
+def _assign_block(
+    xb: np.ndarray,
+    c: np.ndarray,
+    c_sq: np.ndarray,
+    kernel: str,
+    neg2ct: np.ndarray | None,
+    xb_sq: np.ndarray | None,
+    xb_sq_out: np.ndarray | None,
+    out: np.ndarray | None,
+    assign: np.ndarray,
+    mindist: np.ndarray,
+) -> None:
+    """Assign one block of :func:`nearest_centroid`'s rows, writing
+    ``assign`` and ``mindist`` (the block's slices of the results).
+
+    ``xb_sq`` is the block's cached row norms (``gemm``), ``xb_sq_out``
+    the block's slice of the caller's norm buffer (``blocked``) and
+    ``out`` an ``(m, k)`` distance buffer, or ``None`` for a fresh one.
+    """
+    xb = np.asarray(xb, dtype=np.float64)
+    rows = np.arange(xb.shape[0])
+    if kernel == "gemm":
+        # One GEMM against the pre-scaled ``(-2 C)^T``, one ``|c|^2``
+        # broadcast-add, one argmin -- then clamp + sqrt only on the
+        # ``m`` winners.
+        q = np.matmul(xb, neg2ct, out=out)
+        q += c_sq[None, :]
+        a = np.argmin(q, axis=1).astype(np.int32, copy=False)
+        sq = q[rows, a] + (row_norms(xb) if xb_sq is None else xb_sq)
+        np.maximum(sq, 0.0, out=sq)
+        np.sqrt(sq, out=mindist)
+    else:
+        if xb_sq_out is not None:
+            xb_sq = row_norms(xb, out=xb_sq_out)
+        dist = _distances(xb, c, c_sq, out, xb_sq)
+        a = np.argmin(dist, axis=1)
+        mindist[:] = dist[rows, a]
+    assign[:] = a
 
 
 def rows_to_centroids(

@@ -506,9 +506,12 @@ def mti_iteration(
     changed = np.nonzero(assign != old_assign)[0]
     n_changed = int(changed.size)
     if n_changed:
+        # Widened once here: a float32 gather would be widened again
+        # by each of move_rows' two bincounts.
         move_rows(
             state.sums, state.counts,
-            x[changed], old_assign[changed], assign[changed],
+            np.asarray(x[changed], dtype=np.float64),
+            old_assign[changed], assign[changed],
             scratch=None if workspace is None else workspace.accum,
         )
 

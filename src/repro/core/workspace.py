@@ -282,9 +282,13 @@ class DistanceWorkspace:
         thread that owns the workspace: the memory manager is not
         thread-safe.
         """
+        buf = self._dist_buf
+        if buf is not None and buf.shape[0] >= m:
+            # ensure_capacity's reuse branch, without its shape walk.
+            self.mem.touch(buf)
+            return buf[:m]
         self._dist_buf = self.mem.ensure_capacity(
-            self._dist_buf, (m, self.k), np.float64,
-            tag="workspace/dist_buf",
+            buf, (m, self.k), np.float64, tag="workspace/dist_buf",
         )
         return self._dist_buf[:m]
 

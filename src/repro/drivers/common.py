@@ -86,14 +86,20 @@ def check_x_k(x: np.ndarray, k) -> int:
 
 
 def reject_rows(bad: np.ndarray, name: str, what: str,
-                hint: str = "", *, first_row: int = 0) -> None:
+                hint: str = "", *, first_row: int = 0,
+                row_ids: np.ndarray | None = None) -> None:
     """Raise :class:`DatasetError` when the row mask ``bad`` flags any
     row, naming the first eight: ``"<name>: 3 <what> (rows [...])"``.
-    ``bad`` covers rows ``first_row`` on (a shard of the dataset)."""
+    ``bad`` covers rows ``first_row`` on (a shard of the dataset), or
+    the rows ``row_ids`` (a gathered batch; each distinct id is named
+    once)."""
     rows = np.flatnonzero(bad)
     if rows.size == 0:
         return
-    rows += first_row
+    if row_ids is not None:
+        rows = np.unique(np.asarray(row_ids)[rows])
+    else:
+        rows += first_row
     more = f" (+{rows.size - 8} more)" if rows.size > 8 else ""
     raise DatasetError(
         f"{name}: {rows.size} {what} (rows {rows[:8].tolist()}{more})"
@@ -111,7 +117,8 @@ def check_rows_finite(x: np.ndarray, name: str) -> None:
 
 
 def check_row_dist_finite(
-    x: np.ndarray, row_dist: np.ndarray, name: str, *, first_row: int = 0
+    x: np.ndarray, row_dist: np.ndarray, name: str, *, first_row: int = 0,
+    row_ids: np.ndarray | None = None,
 ) -> None:
     """:func:`check_rows_finite` without a pass over ``x``.
 
@@ -121,8 +128,9 @@ def check_row_dist_finite(
     just those are read back (in blocks, so a memmapped ``x`` is never
     copied whole) and checked cell by cell. A row that only looks bad
     -- a non-finite centroid makes every distance NaN -- is not named.
-    When ``x`` is a shard starting at global row ``first_row``, the
-    error names global row ids.
+    When ``x`` is a shard starting at global row ``first_row``, or rows
+    gathered from the global ids ``row_ids``, the error names global
+    row ids.
     """
     suspect = np.flatnonzero(~np.isfinite(row_dist))
     if suspect.size == 0:
@@ -134,7 +142,7 @@ def check_row_dist_finite(
         bad[idx] = ~np.isfinite(x[idx]).all(axis=1)
     reject_rows(
         bad, name, "rows contain NaN/inf", "; clean the data before fitting",
-        first_row=first_row,
+        first_row=first_row, row_ids=row_ids,
     )
 
 
@@ -355,15 +363,17 @@ class NumericsLoop:
     def inertia(self) -> float:
         """k-means objective at the current assignment/centroids.
 
-        The distances are taken in blocks of ``BLOCK_BYTES`` of row
-        data, so a float32 or memmapped ``x`` is widened to float64 one
-        small block at a time; each row's distance is its own, and the
-        sum runs over all of them.
+        The distances are taken in blocks of rows, so a float32 or
+        memmapped ``x`` is widened to float64 one small block at a
+        time; each row's distance is its own, and the sum runs over all
+        of them. A block holds two ``(rows, d)`` float64 arrays, its
+        widened rows and their gathered centroids, so it takes half the
+        rows of the ``BLOCK_BYTES`` budget to stay within it.
         """
         n, d = self.x.shape
         assign = self.assignment
         dist = np.empty(n)
-        rows = max(1, BLOCK_BYTES // (8 * d))
+        rows = max(1, BLOCK_BYTES // (16 * d))
         for lo in range(0, n, rows):
             hi = lo + rows
             dist[lo:hi] = rows_to_centroids(

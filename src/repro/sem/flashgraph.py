@@ -90,9 +90,12 @@ class RowEngine:
         # *entering* this iteration, before any refresh below.
         prefetchable = rc is not None and rc.populated
         if rc is not None and needed.size:
+            # The lookup tallies its hits; read the count off the tally
+            # rather than summing the mask again.
+            hits_before = rc.hits
             hit_mask = rc.lookup(needed)
-            misses = needed[~hit_mask]
-            rc_hits = int(hit_mask.sum())
+            rc_hits = rc.hits - hits_before
+            misses = needed[~hit_mask] if rc_hits else needed
         else:
             hit_mask = np.zeros(0, dtype=bool)
             misses = needed
@@ -144,7 +147,7 @@ class RowEngine:
     def _check_rows(self, rows: np.ndarray) -> np.ndarray:
         """``rows`` as an ``intp`` array, or a typed error naming it."""
         rows = np.asarray(rows)
-        if rows.ndim != 1 or not np.issubdtype(rows.dtype, np.integer):
+        if rows.ndim != 1 or rows.dtype.kind not in "iu":
             raise IoSubsystemError(
                 "run_iteration rows must be a 1-D array of integer row "
                 f"ids, got dtype {rows.dtype} and shape {rows.shape}"

@@ -76,11 +76,11 @@ class PageCache:
     def capacity_bytes(self) -> int:
         return self.capacity_pages * self.page_bytes
 
-    def _cover(self, pages: np.ndarray) -> np.ndarray:
-        """The page table, grown geometrically to index every page."""
+    def _cover(self, top: int) -> np.ndarray:
+        """The page table, grown geometrically to index pages below
+        ``top``."""
         table = self._table
         n = 0 if table is None else table.size
-        top = int(pages.max()) + 1
         if top > n:
             grown = self.mem.alloc(max(top, 2 * n), np.int64,
                                    tag="pagecache/table")
@@ -127,8 +127,8 @@ class PageCache:
         window = 2 * excess + 32
         while True:
             end = min(head + window, tail)
-            pages, stamps = log[:, head:end]
-            live = np.flatnonzero(table[pages] == stamps)
+            pages = log[0, head:end]
+            live = (table[pages] == log[1, head:end]).nonzero()[0]
             if live.size >= excess or end == tail:
                 break
             window *= 2
@@ -148,14 +148,24 @@ class PageCache:
         recency of its *last* probe.
         """
         pages = _page_ids(pages)
-        if pages.size == 0 or self.capacity_pages == 0:
-            self.misses += int(pages.size)
-            return np.zeros(pages.size, dtype=bool)
-        table = self._cover(pages)
+        top = int(pages.max()) + 1 if pages.size else 0
+        return self._probe(pages, top)[0]
+
+    def _probe(
+        self, pages: np.ndarray, top: int
+    ) -> tuple[np.ndarray, int]:
+        """:meth:`lookup_batch` on valid int64 ids below ``top``; returns
+        the hit mask and the hit count. SAFS calls it directly with its
+        sorted, distinct pages, which need no re-validation."""
+        m = int(pages.size)
+        if m == 0 or self.capacity_pages == 0:
+            self.misses += m
+            return np.zeros(m, dtype=bool), 0
+        table = self._cover(top)
         hit = table[pages] >= 0
         n_hits = int(np.count_nonzero(hit))
         self.hits += n_hits
-        self.misses += int(pages.size) - n_hits
+        self.misses += m - n_hits
         if n_hits:
             hit_pages = pages[hit]
             stamps = np.arange(self._clock, self._clock + n_hits)
@@ -164,7 +174,7 @@ class PageCache:
             table[hit_pages] = stamps
             self._append(hit_pages, stamps)
             self._clock += n_hits
-        return hit
+        return hit, n_hits
 
     def admit_batch(self, pages: np.ndarray) -> None:
         """Insert pages read from SSD, evicting LRU pages as needed.
@@ -180,7 +190,7 @@ class PageCache:
         if self.capacity_pages == 0 or m == 0:
             self._clock += m
             return
-        table = self._cover(pages)
+        table = self._cover(int(pages.max()) + 1)
         was = table[pages]
         stamps = np.arange(self._clock, self._clock + m)
         self._clock += m
@@ -190,6 +200,25 @@ class PageCache:
         win = table[pages] == stamps
         self._size += int(np.count_nonzero(win & (was < 0)))
         self._append(pages[win], stamps[win])
+        self._trim()
+
+    def _admit_missed(self, pages: np.ndarray) -> None:
+        """:meth:`admit_batch` for distinct pages that :meth:`_probe`
+        just missed (so the table covers them and none is resident):
+        each is new and stamped once, with no dedupe."""
+        m = int(pages.size)
+        if self.capacity_pages == 0 or m == 0:
+            self._clock += m
+            return
+        stamps = np.arange(self._clock, self._clock + m)
+        self._clock += m
+        self._table[pages] = stamps
+        self._size += m
+        self._append(pages, stamps)
+        self._trim()
+
+    def _trim(self) -> None:
+        """Evict whatever an admission pushed past capacity."""
         excess = self._size - self.capacity_pages
         if excess > 0:
             self._evict(excess)

@@ -102,8 +102,9 @@ class RowCache:
         """Hit mask for the requested rows; updates hit/miss tallies."""
         rows = np.asarray(rows, dtype=np.int64)
         mask = self._cached[rows]
-        self.hits += int(mask.sum())
-        self.misses += int(rows.size - mask.sum())
+        hits = int(np.count_nonzero(mask))
+        self.hits += hits
+        self.misses += int(rows.size) - hits
         return mask
 
     def should_refresh(self, iteration: int) -> bool:

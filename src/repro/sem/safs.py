@@ -131,19 +131,32 @@ class Safs:
 
         Rows are contiguous on disk (row-major layout), so row ``i``
         spans bytes ``[i*row_bytes, (i+1)*row_bytes)`` after the
-        header offset. Single-page rows (the common geometry:
-        row_bytes << page_bytes) reduce to one dedupe of the first
-        pages; rows that span pages expand first..last ranges in
-        bounded chunks so the temporary never exceeds ``_EXPAND_CELLS``
-        cells even when row_bytes >= page_bytes. Sorted rows (what
-        every caller passes) yield non-decreasing pages, deduped
-        without a sort (see :func:`_sorted_unique`).
+        header offset. When ``row_bytes`` divides both the page size
+        and the offset (128 B and 256 B rows on 4 KB pages), no row
+        can span a page and a row's page is one integer division of
+        its id. Other single-page rows (row_bytes << page_bytes)
+        reduce to one dedupe of the first pages; rows that span pages
+        expand first..last ranges in bounded chunks so the temporary
+        never exceeds ``_EXPAND_CELLS`` cells even when row_bytes >=
+        page_bytes. Sorted rows (what every caller passes) yield
+        non-decreasing pages, deduped without a sort (see
+        :func:`_sorted_unique`).
         """
         if row_bytes <= 0:
             raise IoSubsystemError(f"row_bytes must be > 0, got {row_bytes}")
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size == 0:
             return np.empty(0, dtype=np.int64)
+        if self.page_bytes % row_bytes == 0 and (
+            self.data_offset % row_bytes == 0
+        ):
+            # Page p holds rows [p*r, (p+1)*r) of the file's row grid,
+            # r = page_bytes / row_bytes, which starts offset/row_bytes
+            # rows before row 0.
+            lead = self.data_offset // row_bytes
+            if lead:
+                rows = rows + lead
+            return _sorted_unique(rows // (self.page_bytes // row_bytes))
         starts = self.data_offset + rows * row_bytes
         ends = starts + row_bytes - 1
         first = starts // self.page_bytes
@@ -175,10 +188,9 @@ class Safs:
         cache-miss subset, which preserves order, so no re-sort.
         """
         pages = np.asarray(pages, dtype=np.int64)
-        if pages.size == 0:
-            return 0
-        breaks = np.count_nonzero(np.diff(pages) > 1)
-        return int(breaks) + 1
+        if pages.size < 2:
+            return int(pages.size)
+        return int(np.count_nonzero(pages[1:] - pages[:-1] > 1)) + 1
 
     def fetch_rows(
         self,
@@ -193,39 +205,46 @@ class Safs:
         Returns the exact I/O accounting; the caller holds the actual
         data (from the memmapped file), so no bytes move through here.
         ``iteration``/``observer`` feed the fault plane when a plan is
-        attached (a batch that reads zero pages cannot fault).
+        attached (a batch that reads zero pages cannot fault, and an
+        empty batch costs nothing).
+
+        The page cache is driven through its private cores: the pages
+        built here are already sorted, distinct, non-negative int64
+        ids, and the misses are exactly the pages to admit, so neither
+        needs the public methods' validation or dedupe.
         """
         rows = np.asarray(rows, dtype=np.int64)
-        bytes_requested = int(rows.size) * row_bytes
         pages = self.pages_of_rows(rows, row_bytes)
-        hit_mask = self.page_cache.lookup_batch(pages)
-        miss_pages = pages[~hit_mask]
-        hits = int(pages.size) - int(miss_pages.size)
+        if pages.size == 0:
+            return IoBatch(0, 0, 0, 0, 0, 0, 0, 0.0)
+        if pages[0] < 0:  # sorted: the lowest page comes first
+            raise IoSubsystemError(f"page id {int(pages[0])} is negative")
+        cache = self.page_cache
+        hit_mask, hits = cache._probe(pages, int(pages[-1]) + 1)
+        miss_pages = pages[~hit_mask] if hits else pages
+        n_miss = int(miss_pages.size)
         n_requests = self.merge_requests(miss_pages)
-        result = self.ssd.read(n_requests, int(miss_pages.size))
+        result = self.ssd.read(n_requests, n_miss)
         if self.io_queue is not None:
             async_clean_ns = self.ssd.read_async(
-                n_requests, int(miss_pages.size), self.io_queue
+                n_requests, n_miss, self.io_queue
             ).service_ns
         else:
             async_clean_ns = result.service_ns
-        if self.faults is not None and result.pages_read > 0:
-            result = self._apply_faults(result, iteration, observer)
-        if (
-            self.faults is not None
-            and getattr(self.faults, "corruption_enabled", False)
-            and pages.size > 0
-        ):
-            result = self._apply_corruption(
-                result, pages, hit_mask, iteration, observer
-            )
-        self.page_cache.admit_batch(miss_pages)
+        if self.faults is not None:
+            if result.pages_read > 0:
+                result = self._apply_faults(result, iteration, observer)
+            if getattr(self.faults, "corruption_enabled", False):
+                result = self._apply_corruption(
+                    result, pages, hit_mask, iteration, observer
+                )
+        cache._admit_missed(miss_pages)
         return IoBatch(
             rows_requested=int(rows.size),
-            bytes_requested=bytes_requested,
+            bytes_requested=int(rows.size) * row_bytes,
             pages_needed=int(pages.size),
             page_cache_hits=hits,
-            pages_from_ssd=int(miss_pages.size),
+            pages_from_ssd=n_miss,
             merged_requests=n_requests,
             bytes_read=result.bytes_read,
             service_ns=result.service_ns,

@@ -12,22 +12,42 @@ arrivals into dispatch batches.
 
 Per batch, the plane:
 
-1. fetches the touched rows through the SEM hierarchy (hot rows hit
-   the row cache for free; cold rows charge page-cache / SSD simulated
-   time, and the fault plane's SSD-error / corruption /
+1. hands the batch's sorted distinct row ids to
+   ``RowEngine.run_iteration``, which checks them, probes the row
+   cache (hot rows cost no I/O; the hit count is read off the cache's
+   tally) and sends the misses to ``Safs.fetch_rows``. SAFS maps rows
+   to pages -- one integer division when the row size divides the
+   page size and the header offset, as for serve's 128 B rows --
+   probes and admits the page cache through its private cores (the
+   pages are already sorted, distinct and valid, and the misses are
+   exactly the pages to admit), and prices the merged reads on the
+   SSD model. The fault plane's SSD-error / corruption /
    cache-quarantine machinery applies verbatim, with the batch index
-   standing in for the iteration number);
-2. assigns the batch with ``nearest_centroid`` through the shared
-   workspace and prices the distance work on the simhw engine
-   (``reduction=False`` -- an assignment-only pass merges nothing).
-   That price is a pure function of the batch size -- machine,
-   scheduler, ``d`` and ``k`` are fixed, and the engine resets every
-   thread's clock and counters per run -- so the plane memoises it per
-   size: a serve run pays one engine run per distinct batch size, not
-   one per batch, with bit-identical latencies;
-3. folds any ingest arrivals into the centroids with the same
-   vectorized mini-batch update the :class:`MiniBatchMM` driver uses,
-   continuing the per-center learning-rate schedule;
+   standing in for the iteration number;
+2. gathers the batch's rows from ``x`` once and assigns them with
+   ``nearest_centroid`` through the shared workspace: a batch of up
+   to ``BLOCK_BYTES // (8 * d)`` rows (8,192 at d=16; ``max_batch``
+   defaults to 256) is one block, so the kernel runs inline -- one
+   GEMM with the batch's own row count, no dispatch, matrices
+   validated once per call. A
+   non-finite minimum distance sends the batch's suspect rows to
+   ``check_row_dist_finite``, which fails typed naming the global
+   rows that hold NaN/inf (the centroids are checked finite at
+   construction, so only such a row, or one whose squared norm
+   overflows, can give one). It then prices the distance work on the
+   simhw engine (``reduction=False`` -- an assignment-only pass merges
+   nothing). That price is a pure function of the batch size --
+   machine, scheduler, ``d`` and ``k`` are fixed, and the engine
+   resets every thread's clock and counters per run -- so the plane
+   memoises it per size: a serve run pays one engine run per distinct
+   batch size, not one per batch, with bit-identical latencies;
+3. folds any ingest arrivals, taken from the rows already gathered,
+   into the centroids with the same vectorized mini-batch update the
+   :class:`MiniBatchMM` driver uses, continuing the per-center
+   learning-rate schedule (a fold whose centers do not repeat, the
+   common case, is one pass with nothing to group), and keeps the
+   counts' running total for the ``on_ingest`` event instead of
+   summing them;
 4. completes the batch on the open-loop clock, accruing per-arrival
    latency, and emits ``on_query`` / ``on_ingest`` observer events.
 
@@ -48,6 +68,7 @@ import numpy as np
 from repro.baselines.minibatch import minibatch_update
 from repro.core.distance import nearest_centroid
 from repro.core.workspace import DistanceWorkspace
+from repro.drivers.common import check_row_dist_finite, reject_rows
 from repro.errors import ConfigError, DatasetError
 from repro.mem import use_manager
 from repro.metrics.latency import latency_percentiles
@@ -57,6 +78,35 @@ from repro.simhw.serving import (
     ArrivalTrace,
     OpenLoopBatcher,
 )
+
+
+def _check_counts(counts, k: int) -> np.ndarray:
+    """Sculley counts as a fresh int64 ``(k,)`` vector (zeros for
+    ``None``); a negative or non-integral entry, which the first fold
+    would turn into a division by zero or a silent truncation, raises
+    :class:`ConfigError` naming the entries."""
+    if counts is None:
+        return np.zeros(k, dtype=np.int64)
+    raw = np.asarray(counts)
+    if raw.shape != (k,):
+        raise ConfigError(f"counts shape {raw.shape} != ({k},)")
+    if raw.dtype.kind not in "iufb":
+        raise ConfigError(f"counts must be numeric, got dtype {raw.dtype}")
+    if raw.dtype.kind == "f":
+        bad = ~(np.isfinite(raw) & (raw == np.floor(raw)))
+        if bad.any():
+            idx = np.flatnonzero(bad)
+            raise ConfigError(
+                f"counts must be integers; entries {idx.tolist()} are "
+                f"{raw[idx].tolist()}"
+            )
+    neg = np.flatnonzero(raw < 0)
+    if neg.size:
+        raise ConfigError(
+            f"counts must be >= 0; entries {neg.tolist()} are "
+            f"{raw[neg].tolist()}"
+        )
+    return np.array(raw, dtype=np.int64, copy=True)
 
 
 @dataclass
@@ -155,6 +205,10 @@ class ServePlane:
                 f"centroids shape {centroids.shape} incompatible with "
                 f"data dimension {x.shape[1]}"
             )
+        reject_rows(
+            ~np.isfinite(centroids).all(axis=1), "centroids",
+            "rows contain NaN/inf",
+        )
         if max_batch < 1:
             raise ConfigError(
                 f"max_batch must be >= 1, got {max_batch}"
@@ -166,15 +220,7 @@ class ServePlane:
         self.d = d
         self.k = k
         self.centroids = centroids
-        self.counts = (
-            np.array(counts, dtype=np.int64, copy=True)
-            if counts is not None
-            else np.zeros(k, dtype=np.int64)
-        )
-        if self.counts.shape != (k,):
-            raise ConfigError(
-                f"counts shape {self.counts.shape} != ({k},)"
-            )
+        self.counts = _check_counts(counts, k)
         self.max_batch = max_batch
         self.batch_window_ns = float(batch_window_ns)
         #: Owning tenant in a multi-tenant deployment; stamped into
@@ -279,6 +325,9 @@ class ServePlane:
         pages_from_ssd = 0
         bytes_read = 0
         n_ingested = 0
+        # Each folded row adds one to one count: keep the total here
+        # instead of summing the counts per ingest batch.
+        counts_total = int(self.counts.sum())
 
         with use_manager(self.mem_manager):
             while (b := batcher.next_batch()) is not None:
@@ -295,10 +344,16 @@ class ServePlane:
                 pages_from_ssd += io.pages_from_ssd
                 bytes_read += io.bytes_read
 
-                assign, _ = nearest_centroid(
-                    self.x[rows], self.centroids,
-                    workspace=self.workspace,
+                xb = self.x[rows]
+                assign, dist = nearest_centroid(
+                    xb, self.centroids, workspace=self.workspace,
                 )
+                if not np.isfinite(dist).all():
+                    # Only a NaN/inf cell or an overflowing row gives
+                    # a non-finite distance (the centroids are finite).
+                    check_row_dist_finite(
+                        xb, dist, "served rows", row_ids=rows
+                    )
                 assignments[lo:hi] = assign
                 batch_compute_ns = self._price_compute(hi - lo)
                 compute_ns += batch_compute_ns
@@ -313,11 +368,12 @@ class ServePlane:
                     folded = self.centroids.copy()
                     minibatch_update(
                         folded, self.counts,
-                        self.x[rows[ingest_mask]], assign[ingest_mask],
+                        xb[ingest_mask], assign[ingest_mask],
                     )
                     self.centroids = folded
                     n_ingested += n_ing
-                    detail = {"counts_total": int(self.counts.sum())}
+                    counts_total += n_ing
+                    detail = {"counts_total": counts_total}
                     if self.tenant is not None:
                         detail["tenant"] = self.tenant
                     self.observer.on_ingest(

@@ -138,6 +138,13 @@ class SsdArray:
         asynchronous submission keeps the device queues full, so the
         batch pipelines against whichever ceiling binds.
         """
+        return self._service(n_requests, total_pages, 1)
+
+    def _service(
+        self, n_requests: int, total_pages: int, q_eff: int
+    ) -> SsdReadResult:
+        """One batch with its IOPS-limited term amortized ``q_eff``-wide
+        (``q_eff == 1`` is the sync path: dividing by 1 is exact)."""
         if n_requests < 0 or total_pages < 0:
             raise IoSubsystemError("negative read batch")
         if n_requests > total_pages:
@@ -147,7 +154,7 @@ class SsdArray:
             )
         nbytes = total_pages * self.page_bytes
         bw_ns = nbytes / self.array_bw * _NS_PER_S
-        iops_ns = n_requests / self.array_iops * _NS_PER_S
+        iops_ns = n_requests / self.array_iops * _NS_PER_S / q_eff
         return SsdReadResult(
             n_requests=n_requests,
             pages_read=total_pages,
@@ -182,15 +189,9 @@ class SsdArray:
         sync path's, and equals it when the batch is too small to fill
         the queues or when bandwidth binds.
         """
-        sync = self.read(n_requests, total_pages)
-        q_eff = self.queue_parallelism(n_requests, queue)
-        bw_ns = sync.bytes_read / self.array_bw * _NS_PER_S
-        iops_ns = n_requests / self.array_iops * _NS_PER_S / q_eff
-        return SsdReadResult(
-            n_requests=sync.n_requests,
-            pages_read=sync.pages_read,
-            bytes_read=sync.bytes_read,
-            service_ns=max(bw_ns, iops_ns),
+        return self._service(
+            n_requests, total_pages,
+            self.queue_parallelism(n_requests, queue),
         )
 
 

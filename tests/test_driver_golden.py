@@ -18,6 +18,13 @@ weights, responsibilities, log-likelihood history, iterations and
 convergence flag, which :func:`~repro.extensions.gmm_em` returns as a
 :class:`~repro.extensions.GmmResult`.
 
+Serve cases run one :class:`~repro.serve.ServePlane` over a seeded
+arrival stream and hash the whole :class:`~repro.serve.ServeResult`
+(assignments, centroids, counts, ``latency_ns``, every counter and
+percentile) as ``result``, the observer stream as ``events``, and as
+``io`` every field of each batch's
+:class:`~repro.sem.flashgraph.IoIterationStats`.
+
 Floats hash by their exact hex form, so any change in the last bit of a
 centroid or a simulated time shows. Checkpoint paths are replaced by a
 placeholder so the digests do not depend on the temporary directory.
@@ -55,6 +62,8 @@ from repro.extensions import (
 from repro.extensions.gmm import GmmMM
 from repro.faults import FaultEvent, FaultPlan, FaultSpec, parse_fault_spec
 from repro.runtime import RecordingObserver
+from repro.serve import ServePlane
+from repro.simhw import ArrivalProcess
 
 GOLDEN = Path(__file__).parent / "data" / "driver_golden.json"
 K = 6
@@ -64,11 +73,11 @@ CRIT = ConvergenceCriteria(max_iters=10)
 MANAGER_EVENTS = {"alloc", "free", "spill"}
 
 
-def dataset() -> np.ndarray:
+def dataset(d: int = 8) -> np.ndarray:
     rng = np.random.default_rng(19)
-    centers = rng.normal(scale=3.0, size=(8, 8))
+    centers = rng.normal(scale=3.0, size=(8, d))
     x = np.vstack(
-        [rng.normal(loc=c, scale=1.8, size=(250, 8)) for c in centers]
+        [rng.normal(loc=c, scale=1.8, size=(250, d)) for c in centers]
     )
     rng.shuffle(x)
     return x
@@ -238,6 +247,71 @@ def _mm_case(name, backend):
     return run
 
 
+class _IoLog(RecordingObserver):
+    """A recording observer that also keeps every batch's full
+    :class:`~repro.sem.flashgraph.IoIterationStats`."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.io: list[dict] = []
+
+    def on_io(self, iteration, io):
+        super().on_io(iteration, io)
+        self.io.append(dataclasses.asdict(io))
+
+
+#: Serve traffic: a fast stream so the window coalesces several rows
+#: per batch, a fifth of them ingest.
+SERVE_TRAFFIC = dict(n_arrivals=1200, rate_qps=200_000.0, seed=5,
+                     skew=3.0, ingest_fraction=0.2)
+SERVE_FAULTS = "ssd_error=0.1,corrupt_page=0.2,corrupt_cache=0.3"
+
+
+def _serve_case(d=8, traffic=None, faults=None, **plane_kw):
+    def run(x, path, tmp):
+        if d != x.shape[1]:
+            x = dataset(d)
+        fit = knori(x, K, seed=1, criteria=ConvergenceCriteria(max_iters=4))
+        counts = np.bincount(fit.assignment, minlength=K)
+        rec = _IoLog()
+        plan = (None if faults is None
+                else FaultPlan(parse_fault_spec(faults), seed=1))
+        plane = ServePlane(x, fit.centroids, counts=counts, faults=plan,
+                           observers=[rec], **plane_kw)
+        res = plane.serve(ArrivalProcess(**{**SERVE_TRAFFIC,
+                                            **(traffic or {})}))
+        fields = {f.name: getattr(res, f.name)
+                  for f in dataclasses.fields(res)}
+        events = [
+            [e.name, e.iteration, e.payload]
+            for e in rec.events if e.name not in MANAGER_EVENTS
+        ]
+        return [{
+            "result": _sha(_canon(fields, tmp)),
+            "events": _sha(_canon(events, tmp)),
+            "io": _sha(_canon(rec.io, tmp)),
+        }]
+    return run
+
+
+SERVE_CASES = {
+    "serve-default": _serve_case(),
+    "serve-no-row-cache": _serve_case(row_cache_bytes=0),
+    # Two 4 KB pages against a 32-page matrix: nearly every batch evicts.
+    "serve-evicting-page-cache": _serve_case(page_cache_bytes=2 * 4096),
+    "serve-faults": _serve_case(faults=SERVE_FAULTS),
+    "serve-ingest-0": _serve_case(traffic={"ingest_fraction": 0.0}),
+    "serve-ingest-0.5": _serve_case(traffic={"ingest_fraction": 0.5}),
+    "serve-max-batch-1": _serve_case(max_batch=1),
+    # A burst fast enough that batches reach the 256-row cap.
+    "serve-max-batch-256": _serve_case(
+        max_batch=256, traffic={"rate_qps": 2e8}),
+    "serve-gemm": _serve_case(kernel="gemm"),
+    # 192-byte rows: some rows span two 4 KB pages.
+    "serve-d24": _serve_case(d=24),
+}
+
+
 CASES = {
     **{
         f"knori-{pruning}-{kernel}-{mem}": _knori_case(
@@ -260,6 +334,7 @@ CASES = {
         for name in MM_KWARGS
         for backend in MM_BACKENDS
     },
+    **SERVE_CASES,
 }
 
 

@@ -230,10 +230,10 @@ class TestSafsEquivalence:
         rows=st.lists(st.integers(0, 3_000), min_size=1, max_size=300),
         order=st.sampled_from(["unique", "sorted", "unsorted"]),
         row_bytes=st.one_of(
-            st.sampled_from([8, 4095, 4096, 4097, 9000]),
+            st.sampled_from([8, 128, 192, 256, 4095, 4096, 4097, 9000]),
             st.integers(1, 20_000),
         ),
-        data_offset=st.sampled_from([0, 28, 4096]),
+        data_offset=st.sampled_from([0, 28, 256, 4096]),
         expand_cells=st.sampled_from([16, 1 << 20]),
     )
     def test_pages_of_rows_property(
@@ -290,6 +290,75 @@ class TestSafsEquivalence:
             ]
 
         assert run(LegacySafs) == run(Safs)
+
+
+class TestServeShapedFetch:
+    """Serve-sized batches (a few sorted rows) through a small page
+    cache with the async queue attached. The fetch path drives the
+    page cache through its private cores, so check it against the
+    legacy counters, the legacy LRU state after every batch, and the
+    queue price taken directly from the SSD model."""
+
+    @pytest.mark.parametrize("row_bytes,data_offset", [
+        (128, 0), (256, 0), (128, 256), (192, 0), (256, 28),
+    ])
+    def test_matches_legacy_and_queue_price(self, row_bytes, data_offset):
+        from repro.simhw.ssd import AsyncIoQueue
+
+        queue = AsyncIoQueue(queue_depth=32)
+        legacy = LegacySafs(OCZ_INTREPID_ARRAY, page_cache_bytes=40 * 4096,
+                            data_offset=data_offset)
+        new = Safs(OCZ_INTREPID_ARRAY, page_cache_bytes=40 * 4096,
+                   data_offset=data_offset, io_queue=queue)
+        rng = np.random.default_rng(row_bytes + data_offset)
+        widened = 0
+        for it in range(300):
+            # Mostly 0-8 rows; every 25th batch is wide enough for more
+            # than one request per SSD channel.
+            size = 600 if it % 25 == 0 else int(rng.integers(0, 9))
+            rows = np.unique(rng.integers(0, 60_000, size=size))
+            a = legacy.fetch_rows(rows, row_bytes, iteration=it)
+            b = new.fetch_rows(rows, row_bytes, iteration=it)
+            assert _batch_tuple(a) == _batch_tuple(b)
+            assert _cache_state(legacy.page_cache) == \
+                _cache_state(new.page_cache)
+            want = OCZ_INTREPID_ARRAY.read_async(
+                b.merged_requests, b.pages_from_ssd, queue
+            ).service_ns
+            assert b.service_async_ns == want
+            widened += b.service_async_ns < b.service_ns
+        assert widened > 0
+
+    def test_negative_rows_fail_typed(self):
+        """The fetch path skips the page cache's public validation, so
+        it checks the lowest page itself."""
+        from repro.errors import IoSubsystemError
+
+        safs = Safs(OCZ_INTREPID_ARRAY, page_cache_bytes=8 * 4096)
+        with pytest.raises(IoSubsystemError, match="page id -2 is negative"):
+            safs.fetch_rows(np.array([-40, 3]), 128)
+        assert len(safs.page_cache) == 0
+
+    @pytest.mark.parametrize("n_requests,pages", [
+        (0, 0), (1, 1), (3, 40), (24, 24), (25, 30), (500, 900),
+    ])
+    def test_async_read_is_sync_until_the_queue_widens(
+        self, n_requests, pages
+    ):
+        from repro.simhw.ssd import AsyncIoQueue
+
+        ssd, queue = OCZ_INTREPID_ARRAY, AsyncIoQueue(queue_depth=32)
+        sync = ssd.read(n_requests, pages)
+        async_ = ssd.read_async(n_requests, pages, queue)
+        assert (async_.n_requests, async_.pages_read, async_.bytes_read) \
+            == (sync.n_requests, sync.pages_read, sync.bytes_read)
+        q_eff = ssd.queue_parallelism(n_requests, queue)
+        bw = pages * ssd.page_bytes / ssd.array_bw * 1e9
+        iops = n_requests / ssd.array_iops * 1e9
+        assert sync.service_ns == max(bw, iops)
+        assert async_.service_ns == max(bw, iops / q_eff)
+        if q_eff == 1:
+            assert async_.service_ns == sync.service_ns
 
 
 class TestRowCacheEquivalence:

@@ -59,16 +59,44 @@ def served(blobs):
 class TestMinibatchUpdate:
     """Satellite: the vectorized Sculley fold vs the frozen loop."""
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_bit_identical_to_legacy(self, seed):
-        rng = np.random.default_rng(seed)
-        k = int(rng.integers(1, 9))
-        d = int(rng.integers(1, 6))
-        m = int(rng.integers(1, 400))
-        batch = rng.normal(size=(m, d))
-        assign = rng.integers(0, k, size=m).astype(np.int32)
+    @staticmethod
+    def _fold_inputs(case):
+        """``(k, d, assign, counts)`` of one fold: a seed draws a random
+        batch (whose centers almost always repeat); a named case pins
+        a shape the random draw rarely gives."""
+        if isinstance(case, int):
+            rng = np.random.default_rng(case)
+            k = int(rng.integers(1, 9))
+            d = int(rng.integers(1, 6))
+            m = int(rng.integers(1, 400))
+            assign = rng.integers(0, k, size=m)
+            counts = rng.integers(0, 7, size=k)
+            return k, d, assign, counts, rng
+        rng = np.random.default_rng(99)
+        k, d = 8, 3
+        counts = rng.integers(1, 7, size=k)
+        assign = {
+            "m1": [5],
+            "distinct": rng.permutation(k)[:6],
+            "all-distinct-m-eq-k": rng.permutation(k),
+            "zero-counts": [7, 0, 3],
+            "one-repeat": [1, 4, 6, 4, 0],
+        }[case]
+        if case == "zero-counts":
+            counts = np.zeros(k)
+        return k, d, np.asarray(assign), counts, rng
+
+    @pytest.mark.parametrize(
+        "case",
+        [*range(6), "m1", "distinct", "all-distinct-m-eq-k",
+         "zero-counts", "one-repeat"],
+    )
+    def test_bit_identical_to_legacy(self, case):
+        k, d, assign, counts, rng = self._fold_inputs(case)
+        batch = rng.normal(size=(assign.size, d))
+        assign = assign.astype(np.int32)
         centroids = rng.normal(size=(k, d))
-        counts = rng.integers(0, 7, size=k).astype(np.int64)
+        counts = counts.astype(np.int64)
         c_new, n_new = centroids.copy(), counts.copy()
         c_old, n_old = centroids.copy(), counts.copy()
         minibatch_update(c_new, n_new, batch, assign)
@@ -504,6 +532,74 @@ class TestServeValidation:
             ServePlane(x, fit.centroids, counts=np.zeros(3))
         with pytest.raises(ConfigError):
             ServePlane(x, fit.centroids, max_batch=0)
+
+    @pytest.mark.parametrize(
+        "counts,match",
+        [
+            ([-1, 2, 3, 4], r"counts must be >= 0; entries \[0\]"),
+            ([5, 2, -3, -4], r"entries \[2, 3\] are \[-3, -4\]"),
+            ([1.5, 2.0, 3.0, 4.0], r"must be integers; entries \[0\]"),
+            ([1.0, np.nan, 3.0, 4.0], r"must be integers; entries \[1\]"),
+        ],
+        ids=["negative", "two-negative", "fractional", "nan"],
+    )
+    def test_rejects_bad_counts(self, served, counts, match):
+        """A negative count makes the first fold divide by zero; a
+        fractional one would be truncated silently."""
+        x, fit, _ = served
+        with pytest.raises(ConfigError, match=match):
+            ServePlane(x, fit.centroids, counts=np.array(counts))
+
+    def test_accepts_integral_float_counts(self, served):
+        x, fit, _ = served
+        plane = ServePlane(x, fit.centroids, counts=[3.0, 0.0, 1.0, 2.0])
+        assert plane.counts.dtype == np.int64
+        assert plane.counts.tolist() == [3, 0, 1, 2]
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_centroid(self, served, bad):
+        x, fit, _ = served
+        c = fit.centroids.copy()
+        c[2, 1] = bad
+        with pytest.raises(DatasetError, match=r"centroids: 1 rows .*\[2\]"):
+            ServePlane(x, c)
+
+    @staticmethod
+    def _one_batch(rows, ingest):
+        rows = np.asarray(rows)
+        return ArrivalTrace(
+            time_ns=np.zeros(rows.size), row=rows,
+            is_ingest=np.asarray(ingest, dtype=bool),
+        )
+
+    @pytest.mark.parametrize("ingest", [False, True],
+                             ids=["query", "ingest"])
+    def test_rejects_nan_row(self, served, ingest):
+        """A NaN row once answered cluster 0, and its ingest turned
+        every centroid NaN; now the batch fails typed, naming the
+        global row, before any fold."""
+        x, fit, _ = served
+        x = x.copy()
+        x[37, 1] = np.nan
+        plane = ServePlane(x, fit.centroids, counts=np.ones(4))
+        before = plane.centroids.copy()
+        trace = self._one_batch([3, 37, 8, 37], [ingest] * 4)
+        with pytest.raises(DatasetError,
+                           match=r"served rows: 1 rows .*\[37\]"):
+            plane.serve(trace)
+        np.testing.assert_array_equal(plane.centroids, before)
+        assert plane.counts.tolist() == [1, 1, 1, 1]
+
+    def test_overflowing_finite_row_is_not_named(self, served):
+        """A huge but finite row has an infinite distance (its squared
+        norm overflows); its cells are finite, so it is served."""
+        x, fit, _ = served
+        x = x.copy()
+        x[11] = 1e200
+        plane = ServePlane(x, fit.centroids)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = plane.serve(self._one_batch([4, 11], [False, False]))
+        assert res.n_queries == 2
 
     def test_rejects_out_of_range_rows(self, served):
         x, fit, _ = served
