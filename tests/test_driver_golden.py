@@ -277,11 +277,13 @@ def _serve_case(d=8, traffic=None, faults=None, **plane_kw):
         plan = (None if faults is None
                 else FaultPlan(parse_fault_spec(faults), seed=1))
         plane = ServePlane(x, fit.centroids, counts=counts, faults=plan,
-                           observers=[rec], **plane_kw)
+                           observers=[rec],
+                           **{"row_cache_bytes": 0, **plane_kw})
         res = plane.serve(ArrivalProcess(**{**SERVE_TRAFFIC,
                                             **(traffic or {})}))
         fields = {f.name: getattr(res, f.name)
-                  for f in dataclasses.fields(res)}
+                  for f in dataclasses.fields(res)
+                  if f.name != "row_cache_hits"}
         events = [
             [e.name, e.iteration, e.payload]
             for e in rec.events if e.name not in MANAGER_EVENTS
