@@ -7,16 +7,16 @@ query latency in *simulated* time, writing ``BENCH_serve.json`` at the
 repo root:
 
 * **latency.query_only** -- the headline artifact: tail latency of a
-  pure query stream at the default cache hierarchy, with the full
-  counter rollup (row-cache hits, SSD pages, bytes). Asserted
+  pure query stream at the default page cache, with the full counter
+  rollup (rows requested, SSD pages, bytes). Asserted
   byte-identical across two fresh serve runs before being recorded --
   percentiles are a pure function of the arrival seed.
 * **latency.mixed_ingest** -- the same traffic with 20% streaming
   ingests folded into the centroids mid-serve (informational).
-* **caching.row_cache_on_vs_off** -- gated ``speedup``: total
-  simulated service time (I/O + compute) with the RowCache/PageCache
-  hierarchy disabled over the default hierarchy. The serving-cache
-  claim, wall-clock-noise-free.
+* **caching.page_cache_on_vs_off** -- gated ``speedup``: total
+  simulated service time (I/O + compute) with the SAFS page cache
+  disabled over the default page cache (serving keeps no row cache).
+  The serving-cache claim, wall-clock-noise-free.
 * **batching.batched_vs_solo** -- gated ``speedup``: per-arrival
   dispatch (max_batch=1, no window) over coalesced dispatch -- what
   sharing one DistanceWorkspace pass across concurrent queries buys.
@@ -102,25 +102,22 @@ def bench_latency(x, centroids, counts, n_arrivals, rate_qps):
 
 
 def bench_caching(x, centroids, n_arrivals, rate_qps):
-    """Gated: the cache hierarchy as a serving cache."""
+    """Gated: the page cache as a serving cache."""
     proc = ArrivalProcess(
         n_arrivals=n_arrivals, rate_qps=rate_qps,
         seed=ARRIVAL_SEED, skew=5.0,
     )
     warm = serve_once(x, centroids, proc)
-    cold = serve_once(
-        x, centroids, proc, row_cache_bytes=0, page_cache_bytes=0
-    )
+    cold = serve_once(x, centroids, proc, page_cache_bytes=0)
     assert np.array_equal(warm.assignments, cold.assignments), (
         "caches changed answers"
     )
-    assert warm.row_cache_hits > 0 and cold.row_cache_hits == 0
     warm_ns = warm.io_service_ns + warm.compute_ns
     cold_ns = cold.io_service_ns + cold.compute_ns
     return {
-        "row_cache_on_vs_off": {
+        "page_cache_on_vs_off": {
             "n_arrivals": n_arrivals,
-            "row_cache_hits": warm.row_cache_hits,
+            "warm_pages_from_ssd": warm.pages_from_ssd,
             "cold_pages_from_ssd": cold.pages_from_ssd,
             "warm_sim_service_ns": warm_ns,
             "cold_sim_service_ns": cold_ns,
@@ -195,8 +192,8 @@ def main(argv=None) -> int:
                 "open-loop arrivals through repro.serve; rollups "
                 "asserted byte-identical across two fresh runs "
                 "before recording. 'speedup' entries are "
-                "deterministic sim-service-time ratios (caches off "
-                "over on; per-arrival dispatch over coalesced), so "
+                "deterministic sim-service-time ratios (page cache "
+                "off over on; per-arrival dispatch over coalesced), so "
                 "the regression gate is wall-clock-noise-free."
             ),
         },
@@ -225,10 +222,10 @@ def main(argv=None) -> int:
         f"  mixed-ingest    {m['n_ingested']} ingests folded "
         f"mid-serve, p999={m['latency']['p999'] / 1e3:.1f}us"
     )
-    c = results["caching"]["row_cache_on_vs_off"]
+    c = results["caching"]["page_cache_on_vs_off"]
     print(
         f"  cache on/off    {c['speedup']:.2f}x sim service "
-        f"({c['row_cache_hits']} hits vs "
+        f"({c['warm_pages_from_ssd']} warm vs "
         f"{c['cold_pages_from_ssd']} cold SSD pages)"
     )
     b = results["batching"]["batched_vs_solo"]

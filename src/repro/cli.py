@@ -649,7 +649,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     plane = ServePlane(
         x, fit.centroids,
         counts=algorithm.counts,
-        row_cache_bytes=args.row_cache_bytes,
         page_cache_bytes=args.page_cache_bytes,
         max_batch=args.max_batch,
         batch_window_ns=args.batch_window_us * 1e3,
@@ -677,8 +676,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         f"p99={p['p99'] / 1e6:.3f}ms p999={p['p999'] / 1e6:.3f}ms"
     )
     print(
-        f"I/O: {result.row_cache_hits} row-cache hits, "
-        f"{result.rows_requested} rows requested, "
+        f"I/O: {result.rows_requested} rows requested, "
         f"{result.bytes_read / 1e6:.1f} MB from SSD"
     )
     if args.json is not None:
@@ -857,7 +855,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-window-us", type=float, default=50.0,
         help="batching window in simulated microseconds",
     )
-    srv.add_argument("--row-cache-bytes", type=int, default=None)
     srv.add_argument("--page-cache-bytes", type=int, default=None)
     srv.add_argument(
         "--out", type=Path, default=None,

@@ -26,7 +26,8 @@ site         injected fault
 ``corruption``  flipped bytes in a simulated SSD page, a
              DRAM-resident cached row, a checkpoint array or an
              in-flight allreduce payload -- always *detected* by the
-             CRC32 integrity layer (:mod:`repro.resilience`), then
+             integrity layer (:mod:`repro.resilience`: real CRC32 for
+             checkpoints and payloads, modelled for pages and rows), then
              quarantined and re-read/retransmitted, or aborted with
              :class:`~repro.errors.CorruptionError`
 ``straggler``  a thread or machine that keeps running but slower by

@@ -5,14 +5,14 @@ caches and network collectives -- exactly the layers where real
 deployments corrupt data silently or stall on slow components. This
 package supplies the two missing robustness primitives:
 
-* :mod:`repro.resilience.integrity` -- CRC32 checksums computed at
-  SAFS ingest time and verified on every fetch and cache admission,
-  plus the byte-flip/verify helpers used for checkpoint arrays and
-  in-flight allreduce payloads. Corruption injected by
-  :mod:`repro.faults` is always *detected* (CRC32 catches every
-  single-byte flip), then repaired by quarantine + re-read from a
-  clean source, or aborted with
-  :class:`~repro.errors.CorruptionError` -- never clustered on.
+* :mod:`repro.resilience.integrity` -- the CRC32 and byte-flip
+  helpers that checkpoint arrays and in-flight allreduce payloads are
+  checked with (real bytes), and the modelled page and cached-row
+  check SAFS and the row engine run when the fault plan corrupts one.
+  Corruption injected by :mod:`repro.faults` is always *detected*,
+  then repaired by quarantine + re-read from a clean source, or
+  aborted with :class:`~repro.errors.CorruptionError` -- never
+  clustered on.
 * :mod:`repro.resilience.degraded` -- per-worker iteration-time EWMA
   straggler detection with a configurable slowdown threshold. The
   in-memory/SEM engines surface flagged threads (the work-stealing

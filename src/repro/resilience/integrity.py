@@ -1,28 +1,20 @@
-"""CRC32 data-integrity layer.
+"""CRC32 data integrity: real checks where bytes are real, a model
+where they are not.
 
-Three storage tiers get checksummed:
-
-* **SSD pages.** SAFS conceptually stamps a CRC32 per page at
-  write/ingest time. In the simulation the page *contents* never
-  move (the numerics plane reads the memmapped matrix directly), so
-  a page is represented by a deterministic token derived from its
-  index; the stored checksum is the CRC of that token, computed
-  lazily -- equivalent to an ingest-time stamp because tokens are
-  immutable. A corrupted device read returns the token with one byte
-  flipped; verification recomputes the CRC over the returned bytes
-  and compares. CRC32 detects every single-byte flip, so detection
-  recall is 100% by construction *and* exercised with real CRC
-  arithmetic on every verify.
-* **Checkpoint arrays** (:mod:`repro.sem.checkpoint`, formats v3-v4): real
-  CRC32 over the actual array bytes and the on-disk arrays file,
+* **Checkpoint arrays** (:mod:`repro.sem.checkpoint`, formats v3-v4):
+  real CRC32 over the actual array bytes and the on-disk arrays file,
   verified on load.
 * **Allreduce payloads** (:func:`repro.faults.faulty_collective_ns`):
   real CRC32 over the reduced centroid bytes.
+* **SSD pages and cached rows** are *modelled*. The numerics read the
+  matrix directly, never through the fetch path, so there are no
+  fetched bytes to checksum. :class:`PageIntegrity` decides detection
+  from the fault plan's victim -- a single-byte flip, which CRC32
+  always catches -- and counts the pages and rows it stands for.
 
-Checksum verification runs whenever a fault plan is attached; with
-no plan attached there is nothing that could corrupt data, and the
-checks are modeled as free so fault-free runs stay bit-identical in
-both planes.
+Verification runs only when the fault plan fires a corruption; with
+nothing injected it is modelled as free, so fault-free runs stay
+bit-identical in both planes.
 """
 
 from __future__ import annotations
@@ -30,9 +22,6 @@ from __future__ import annotations
 import zlib
 
 import numpy as np
-
-#: Bytes of the deterministic token standing in for a page's content.
-_TOKEN_BYTES = 16
 
 
 def crc32_bytes(data: bytes) -> int:
@@ -54,25 +43,13 @@ def flip_byte(data: bytes, offset: int) -> bytes:
     return bytes(out)
 
 
-def page_token(page: int) -> bytes:
-    """The deterministic byte token standing in for page ``page``."""
-    return (int(page) * 0x9E3779B97F4A7C15 % (1 << 128)).to_bytes(
-        _TOKEN_BYTES, "little"
-    )
-
-
-def row_token(row: int) -> bytes:
-    """The deterministic byte token standing in for cached row ``row``."""
-    return page_token(~int(row))
-
-
 class PageIntegrity:
-    """Per-page CRC32 verification with detection counters.
+    """Modelled page and cached-row verification with detection counters.
 
-    One instance per :class:`~repro.sem.safs.Safs`; every fetched or
-    admitted page passes through :meth:`verify_pages` when faults are
-    enabled, and the counters feed the resilience metrics / the
-    100%-recall corruption matrix.
+    One instance per :class:`~repro.sem.safs.Safs`. SAFS calls
+    :meth:`verify_pages` on a batch whose page the fault plan
+    corrupted, and the row engine calls :meth:`verify_row` on a
+    corrupted cache line; a flipped page or row is always detected.
     """
 
     def __init__(self) -> None:
@@ -80,38 +57,25 @@ class PageIntegrity:
         self.rows_verified = 0
         self.corruptions_detected = 0
 
-    @staticmethod
-    def expected_page_crc(page: int) -> int:
-        return crc32_bytes(page_token(page))
-
     def verify_pages(
         self, pages: np.ndarray, corrupt_page: int | None = None
     ) -> bool:
-        """CRC-verify a batch of page reads; return True if all clean.
+        """Verify a batch of page reads; return True if all clean.
 
-        ``corrupt_page`` marks the page whose device read came back
-        with a flipped byte (injected by the fault plan); its CRC
-        mismatch is what the caller quarantines and repairs.
+        ``corrupt_page`` marks the page whose device read the fault
+        plan flipped; the caller quarantines and repairs it.
         """
-        ok = True
-        for page in np.asarray(pages).tolist():
-            data = page_token(page)
-            if corrupt_page is not None and page == corrupt_page:
-                data = flip_byte(data, page % _TOKEN_BYTES)
-            good = crc32_bytes(data) == self.expected_page_crc(page)
-            self.pages_verified += 1
-            if not good:
-                self.corruptions_detected += 1
-                ok = False
-        return ok
+        pages = np.asarray(pages)
+        self.pages_verified += pages.size
+        if corrupt_page is None:
+            return True
+        bad = int(np.count_nonzero(pages == corrupt_page))
+        self.corruptions_detected += bad
+        return bad == 0
 
     def verify_row(self, row: int, *, corrupted: bool) -> bool:
-        """CRC-verify one DRAM-cached row; return True if clean."""
-        data = row_token(row)
-        if corrupted:
-            data = flip_byte(data, row % _TOKEN_BYTES)
-        good = crc32_bytes(data) == crc32_bytes(row_token(row))
+        """Verify one DRAM-cached row; return True if clean."""
         self.rows_verified += 1
-        if not good:
+        if corrupted:
             self.corruptions_detected += 1
-        return good
+        return not corrupted

@@ -23,7 +23,7 @@ from a recoverable fault is eventually followed by an ``on_recovery``
 for the same site.
 
 The resilience layer (:mod:`repro.resilience`) extends that family:
-``on_corruption`` (a CRC32 verification failed -- corruption was
+``on_corruption`` (an integrity check failed -- corruption was
 *detected*, never silently clustered on), ``on_quarantine`` (the bad
 page/row/checkpoint was fenced off pending a clean re-read),
 ``on_straggler`` (a thread or machine's EWMA iteration time crossed
@@ -107,7 +107,7 @@ class RunObserver:
 
     def on_corruption(self, iteration: int, where: str,
                       detail: dict | None = None) -> None:
-        """A CRC32 check failed: corruption was detected at ``where``
+        """An integrity check failed: corruption was detected at ``where``
         (``ssd-page``, ``cache-line``, ``checkpoint``,
         ``net-payload``) before any numerics consumed the bytes."""
 

@@ -316,14 +316,15 @@ class Safs:
         """Detect and repair an injected page corruption.
 
         One deterministic victim page in the batch arrives with a
-        flipped byte; per-page CRC32 verification *always* catches it
-        (a single-byte flip cannot collide). The poisoned copy is
-        quarantined -- discarded from the page cache if resident,
-        withheld from admission otherwise -- and repaired by re-reading
-        the page from a clean device, charging backoff plus one-page
-        service per attempt. A repair that keeps failing past the
-        retry budget raises :class:`~repro.errors.CorruptionError`:
-        the run aborts rather than clustering on bad bytes.
+        flipped byte, which the modelled CRC32 check
+        (:class:`~repro.resilience.PageIntegrity`) always detects. The
+        poisoned copy is quarantined -- discarded from the page cache
+        if resident, withheld from admission otherwise -- and repaired
+        by re-reading the page from a clean device, charging backoff
+        plus one-page service per attempt. A repair that keeps failing
+        past the retry budget raises
+        :class:`~repro.errors.CorruptionError`: the run aborts rather
+        than clustering on bad bytes.
         """
         if not self.faults.page_corruption(iteration):
             return result
@@ -340,14 +341,7 @@ class Safs:
         bad = 0
         while True:
             bad += 1
-            all_clean = self.integrity.verify_pages(
-                pages, corrupt_page=victim
-            )
-            if all_clean:
-                raise CorruptionError(
-                    f"page {victim} corruption escaped CRC32 "
-                    f"verification at iteration {iteration}"
-                )
+            self.integrity.verify_pages(pages, corrupt_page=victim)
             observer.on_fault(
                 iteration, "corruption", "page",
                 {"page": victim, "attempt": bad, "resident": resident},

@@ -9,9 +9,9 @@ Two halves, both riding the existing runtime:
   *is* a streaming ingest path.
 * :class:`ServePlane` -- assignment queries under seeded open-loop
   user traffic (:class:`~repro.simhw.serving.ArrivalProcess`),
-  batched through a shared DistanceWorkspace, served from the
-  RowCache/PageCache hierarchy, with p50/p99/p999 simulated latency
-  as the product.
+  batched through a shared DistanceWorkspace, fetched through SAFS
+  and its page cache, with p50/p99/p999 simulated latency as the
+  product.
 """
 
 from repro.serve.ingest import MiniBatchMM

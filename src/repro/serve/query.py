@@ -3,27 +3,29 @@ in?" under simulated user traffic.
 
 A :class:`ServePlane` owns a fitted model (centroids + Sculley counts)
 and the same hardware stack the batch runners build -- a
-:class:`~repro.simhw.machine.SimMachine`, the SAFS page cache, the
-partitioned :class:`~repro.sem.rowcache.RowCache`, and one shared
-:class:`~repro.core.workspace.DistanceWorkspace`. Traffic comes from a
-seeded :class:`~repro.simhw.serving.ArrivalProcess`; the
+:class:`~repro.simhw.machine.SimMachine`, SAFS with its page cache,
+and one shared :class:`~repro.core.workspace.DistanceWorkspace`. The
+row engine has no row cache: the paper's row cache pins an
+*iterative* active set (Section 6.2.2), and a query stream has none.
+Traffic comes from a seeded
+:class:`~repro.simhw.serving.ArrivalProcess`; the
 :class:`~repro.simhw.serving.OpenLoopBatcher` coalesces concurrent
 arrivals into dispatch batches.
 
 Per batch, the plane:
 
 1. hands the batch's sorted distinct row ids to
-   ``RowEngine.run_iteration``, which checks them, probes the row
-   cache (hot rows cost no I/O; the hit count is read off the cache's
-   tally) and sends the misses to ``Safs.fetch_rows``. SAFS maps rows
-   to pages -- one integer division when the row size divides the
-   page size and the header offset, as for serve's 128 B rows --
-   probes and admits the page cache through its private cores (the
-   pages are already sorted, distinct and valid, and the misses are
-   exactly the pages to admit), and prices the merged reads on the
-   SSD model. The fault plane's SSD-error / corruption /
-   cache-quarantine machinery applies verbatim, with the batch index
-   standing in for the iteration number;
+   ``RowEngine.run_iteration``, which checks them and sends them all
+   to ``Safs.fetch_rows``. SAFS maps rows to pages -- one integer
+   division when the row size divides the page size and the header
+   offset, as for serve's 128 B rows -- probes and admits the page
+   cache through its private cores (the pages are already sorted,
+   distinct and valid, and the misses are exactly the pages to
+   admit), and prices the merged reads on the SSD model. The fault
+   plane's SSD-error and page-corruption machinery applies verbatim,
+   with the batch index standing in for the iteration number (the
+   cache-line corruption site needs a row cache, so it fires on knors
+   only);
 2. gathers the batch's rows from ``x`` once and assigns them with
    ``nearest_centroid`` through the shared workspace: a batch of up
    to ``BLOCK_BYTES // (8 * d)`` rows (8,192 at d=16; ``max_batch``
@@ -51,11 +53,11 @@ Per batch, the plane:
 4. completes the batch on the open-loop clock, accruing per-arrival
    latency, and emits ``on_query`` / ``on_ingest`` observer events.
 
-The two-plane invariant holds throughout: caches and faults shape
-*simulated time only* -- the returned assignments are bit-identical
-with caches on or off, and (with no ingest) equal to a batch
-``nearest_centroid`` over the same rows. ``tests/test_serve.py`` pins
-both.
+The two-plane invariant holds throughout: the page cache and faults
+shape *simulated time only* -- the returned assignments are
+bit-identical with the page cache on or off, and (with no ingest)
+equal to a batch ``nearest_centroid`` over the same rows.
+``tests/test_serve.py`` pins both.
 """
 
 from __future__ import annotations
@@ -126,7 +128,6 @@ class ServeResult:
     sim_seconds: float
     io_service_ns: float
     compute_ns: float
-    row_cache_hits: int
     rows_requested: int
     pages_from_ssd: int
     bytes_read: int
@@ -151,7 +152,6 @@ class ServeResult:
             "sim_seconds": self.sim_seconds,
             "io_service_ns": self.io_service_ns,
             "compute_ns": self.compute_ns,
-            "row_cache_hits": self.row_cache_hits,
             "rows_requested": self.rows_requested,
             "pages_from_ssd": self.pages_from_ssd,
             "bytes_read": self.bytes_read,
@@ -173,9 +173,7 @@ class ServePlane:
         n_threads: int | None = None,
         bind_policy: Any = None,
         scheduler: str = "numa_aware",
-        row_cache_bytes: int | None = None,
         page_cache_bytes: int | None = None,
-        cache_update_interval: int = 5,
         io_queue_depth: int = 32,
         max_batch: int = 256,
         batch_window_ns: float = 50_000.0,
@@ -213,6 +211,11 @@ class ServePlane:
             raise ConfigError(
                 f"max_batch must be >= 1, got {max_batch}"
             )
+        if not (np.isfinite(batch_window_ns) and batch_window_ns >= 0):
+            raise ConfigError(
+                f"batch_window_ns must be finite and >= 0, got "
+                f"{batch_window_ns}"
+            )
         n, d = x.shape
         k = centroids.shape[0]
         self.x = x
@@ -242,22 +245,21 @@ class ServePlane:
             mem, mem_budget_bytes, observers
         )
         with use_manager(self.mem_manager):
-            self.io, row_cache_bytes, page_cache_bytes = build_row_engine(
+            # No row cache: it pins an iterative active set (Section
+            # 6.2.2), and a query stream has none.
+            self.io, _, page_cache_bytes = build_row_engine(
                 ssd, n, d, self.machine.n_threads,
-                row_cache_bytes=row_cache_bytes,
+                row_cache_bytes=0,
                 page_cache_bytes=page_cache_bytes,
-                cache_update_interval=cache_update_interval,
                 io_queue_depth=io_queue_depth,
                 faults=faults,
                 retry_policy=retry_policy,
             )
-            self.row_cache = self.io.row_cache
             register_mm_memory(
                 self.machine, n, d,
                 state_bytes_per_row=4,
                 model_slots=k,
                 resident_rows=False,
-                row_cache_bytes=row_cache_bytes,
                 page_cache_bytes=page_cache_bytes,
             )
             self.workspace = DistanceWorkspace(k, d, kernel=kernel)
@@ -320,7 +322,6 @@ class ServePlane:
         assignments = np.full(n_arr, -1, dtype=np.int32)
         io_service_ns = 0.0
         compute_ns = 0.0
-        row_cache_hits = 0
         rows_requested = 0
         pages_from_ssd = 0
         bytes_read = 0
@@ -339,7 +340,6 @@ class ServePlane:
                 )
                 self.observer.on_io(self.batch_index, io)
                 io_service_ns += io.service_ns
-                row_cache_hits += io.row_cache_hits
                 rows_requested += io.rows_requested
                 pages_from_ssd += io.pages_from_ssd
                 bytes_read += io.bytes_read
@@ -407,7 +407,6 @@ class ServePlane:
             sim_seconds=batcher.sim_end_ns / 1e9,
             io_service_ns=io_service_ns,
             compute_ns=compute_ns,
-            row_cache_hits=row_cache_hits,
             rows_requested=rows_requested,
             pages_from_ssd=pages_from_ssd,
             bytes_read=bytes_read,

@@ -172,9 +172,9 @@ class OpenLoopBatcher:
             raise ConfigError(
                 f"max_batch must be >= 1, got {max_batch}"
             )
-        if window_ns < 0:
+        if not (np.isfinite(window_ns) and window_ns >= 0):
             raise ConfigError(
-                f"window_ns must be >= 0, got {window_ns}"
+                f"window_ns must be finite and >= 0, got {window_ns}"
             )
         self.time_ns = time_ns
         self.max_batch = max_batch

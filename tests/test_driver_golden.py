@@ -277,13 +277,11 @@ def _serve_case(d=8, traffic=None, faults=None, **plane_kw):
         plan = (None if faults is None
                 else FaultPlan(parse_fault_spec(faults), seed=1))
         plane = ServePlane(x, fit.centroids, counts=counts, faults=plan,
-                           observers=[rec],
-                           **{"row_cache_bytes": 0, **plane_kw})
+                           observers=[rec], **plane_kw)
         res = plane.serve(ArrivalProcess(**{**SERVE_TRAFFIC,
                                             **(traffic or {})}))
         fields = {f.name: getattr(res, f.name)
-                  for f in dataclasses.fields(res)
-                  if f.name != "row_cache_hits"}
+                  for f in dataclasses.fields(res)}
         events = [
             [e.name, e.iteration, e.payload]
             for e in rec.events if e.name not in MANAGER_EVENTS
@@ -298,7 +296,6 @@ def _serve_case(d=8, traffic=None, faults=None, **plane_kw):
 
 SERVE_CASES = {
     "serve-default": _serve_case(),
-    "serve-no-row-cache": _serve_case(row_cache_bytes=0),
     # Two 4 KB pages against a 32-page matrix: nearly every batch evicts.
     "serve-evicting-page-cache": _serve_case(page_cache_bytes=2 * 4096),
     "serve-faults": _serve_case(faults=SERVE_FAULTS),

@@ -4,7 +4,8 @@ Every full-data pass in ``repro.core`` walks the rows in blocks of at
 most ``BLOCK_BYTES`` of float64 row data: the assignment passes, the
 streamed centroid sums and the widening of float32 rows. So a knors run
 peaks well below the size of the matrix it clusters, and a float32 file
-peaks no higher than the same matrix stored as float64.
+peaks at most one widened block above the same matrix stored as
+float64.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro import knors
-from repro.core import ConvergenceCriteria
+from repro.core import ConvergenceCriteria, distance
 from repro.data.matrixfile import write_matrix
 
 
@@ -59,7 +60,9 @@ def test_knors_mti_peak_is_a_fraction_of_the_matrix(tmp_path):
 def test_float32_file_is_not_widened_whole(tmp_path, pruning):
     """Unpruned and Elkan knors widen float32 rows block by block: the
     results equal those on the same matrix stored as float64, bit for
-    bit, and the traced peak is no larger."""
+    bit, and the traced peak exceeds the float64 run's by at most the
+    one widened block a float32 pass holds (``BLOCK_BYTES``, 1 MiB).
+    Widening the whole matrix would cost n*d*8 = 10.24 MB."""
     x, c0 = blobs(160_000, 8, 8, seed=5)
     x32 = x.astype(np.float32)
     write_matrix(tmp_path / "x32.knor", x32)
@@ -70,4 +73,4 @@ def test_float32_file_is_not_widened_whole(tmp_path, pruning):
     assert np.array_equal(r32.centroids, r64.centroids)
     assert r32.inertia == r64.inertia
     assert r32.iterations == r64.iterations
-    assert peak32 <= peak64
+    assert peak32 <= peak64 + distance.BLOCK_BYTES

@@ -25,7 +25,6 @@ from repro.resilience import (
     crc32_bytes,
     flip_byte,
 )
-from repro.resilience.integrity import page_token, row_token
 from repro.runtime import RecordingObserver
 from repro.sem.checkpoint import (
     CheckpointState,
@@ -121,13 +120,11 @@ class TestCrcPrimitives:
             np.asfortranarray(a)
         )
 
-    def test_tokens_are_distinct(self):
-        toks = {page_token(p) for p in range(256)}
-        toks |= {row_token(r) for r in range(256)}
-        assert len(toks) == 512
-
 
 class TestPageIntegrity:
+    """Modelled verification: detection follows the plan's victim,
+    and the counters are arithmetic over the batches seen."""
+
     def test_clean_batch_verifies(self):
         pi = PageIntegrity()
         assert pi.verify_pages(np.arange(10)) is True
@@ -140,6 +137,14 @@ class TestPageIntegrity:
         for victim in pages.tolist():
             assert pi.verify_pages(pages, corrupt_page=victim) is False
         assert pi.corruptions_detected == 20
+        assert pi.pages_verified == 20 * 20
+
+    def test_victim_outside_batch_is_clean(self):
+        pi = PageIntegrity()
+        assert pi.verify_pages(np.array([3, 5, 9]), corrupt_page=4) is True
+        assert pi.verify_pages([], corrupt_page=4) is True
+        assert pi.pages_verified == 3
+        assert pi.corruptions_detected == 0
 
     def test_corrupt_row_always_detected(self):
         pi = PageIntegrity()

@@ -13,10 +13,9 @@ Four pinned properties:
 * **Latency is a pure function of the arrival seed.** Same seed =>
   byte-identical JSON rollup (p50/p99/p999 included); the percentile
   estimator is nearest-rank, no interpolation.
-* **Caches shape time, never answers.** Hot rows hit the RowCache
-  (visible via ``repro.metrics.row_cache_occupancy``), cold queries
-  charge SSD simulated time, and cache-on vs cache-off results are
-  identical.
+* **Caches shape time, never answers.** With the page cache off, cold
+  queries charge SSD simulated time, and cache-on vs cache-off results
+  are identical.
 """
 
 from __future__ import annotations
@@ -28,11 +27,7 @@ from repro import ConvergenceCriteria
 from repro.baselines.minibatch import minibatch_update
 from repro.core.distance import nearest_centroid
 from repro.errors import ConfigError, DatasetError
-from repro.metrics import (
-    latency_percentiles,
-    latency_summary,
-    row_cache_occupancy,
-)
+from repro.metrics import latency_percentiles, latency_summary
 from repro.perf import legacy
 from repro.runtime import (
     RecordingObserver,
@@ -327,6 +322,9 @@ class TestOpenLoopBatcher:
             OpenLoopBatcher(np.array([0.0]), max_batch=0)
         with pytest.raises(ConfigError, match="finite"):
             OpenLoopBatcher(np.array([0.0, np.nan, 2.0]))
+        for window in (np.nan, np.inf, -1.0):
+            with pytest.raises(ConfigError, match="window_ns"):
+                OpenLoopBatcher(np.array([0.0]), window_ns=window)
 
 
 class TestLatencyPercentiles:
@@ -488,23 +486,10 @@ class TestCacheBehavior:
             n_arrivals=2000, rate_qps=300_000.0, seed=seed, skew=6.0,
         )
 
-    def test_hot_rows_hit_row_cache(self, served):
-        x, fit, _ = served
-        plane = ServePlane(
-            x, fit.centroids, row_cache_bytes=len(x) * x.shape[1],
-        )
-        res = plane.serve(self._hot_proc())
-        assert res.row_cache_hits > 0
-        occ = row_cache_occupancy(plane.row_cache)
-        assert sum(occ["occupancy"]) > 0
-
     def test_cold_queries_charge_ssd_time(self, served):
         x, fit, _ = served
-        cold = ServePlane(
-            x, fit.centroids, row_cache_bytes=0, page_cache_bytes=0,
-        )
+        cold = ServePlane(x, fit.centroids, page_cache_bytes=0)
         res = cold.serve(self._hot_proc())
-        assert res.row_cache_hits == 0
         assert res.pages_from_ssd > 0
         assert res.io_service_ns > 0
 
@@ -512,9 +497,7 @@ class TestCacheBehavior:
         x, fit, _ = served
         proc = self._hot_proc()
         warm = ServePlane(x, fit.centroids).serve(proc)
-        cold = ServePlane(
-            x, fit.centroids, row_cache_bytes=0, page_cache_bytes=0,
-        ).serve(proc)
+        cold = ServePlane(x, fit.centroids, page_cache_bytes=0).serve(proc)
         np.testing.assert_array_equal(
             warm.assignments, cold.assignments
         )
@@ -532,6 +515,12 @@ class TestServeValidation:
             ServePlane(x, fit.centroids, counts=np.zeros(3))
         with pytest.raises(ConfigError):
             ServePlane(x, fit.centroids, max_batch=0)
+
+    @pytest.mark.parametrize("window", [np.nan, np.inf, -np.inf, -1.0])
+    def test_rejects_bad_batch_window(self, served, window):
+        x, fit, _ = served
+        with pytest.raises(ConfigError, match="batch_window_ns"):
+            ServePlane(x, fit.centroids, batch_window_ns=window)
 
     @pytest.mark.parametrize(
         "counts,match",
