@@ -25,6 +25,11 @@ percentile) as ``result``, the observer stream as ``events``, and as
 ``io`` every field of each batch's
 :class:`~repro.sem.flashgraph.IoIterationStats`.
 
+Trace cases hash the text a :class:`~repro.runtime.PrintObserver`
+writes -- the CLI's ``--trace`` output -- as ``trace``, for a faulted
+knors run with checkpoints, a faulted knord run and a faulted serve
+run.
+
 Floats hash by their exact hex form, so any change in the last bit of a
 centroid or a simulated time shows. Checkpoint paths are replaced by a
 placeholder so the digests do not depend on the temporary directory.
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -48,7 +54,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro import ConvergenceCriteria, knori, knors
+from repro import ConvergenceCriteria, knord, knori, knors
 from repro.data import write_matrix
 from repro.baselines import minibatch_kmeans
 from repro.extensions import (
@@ -61,7 +67,7 @@ from repro.extensions import (
 )
 from repro.extensions.gmm import GmmMM
 from repro.faults import FaultEvent, FaultPlan, FaultSpec, parse_fault_spec
-from repro.runtime import RecordingObserver
+from repro.runtime import PrintObserver, RecordingObserver
 from repro.serve import ServePlane
 from repro.simhw import ArrivalProcess
 
@@ -267,19 +273,24 @@ SERVE_TRAFFIC = dict(n_arrivals=1200, rate_qps=200_000.0, seed=5,
 SERVE_FAULTS = "ssd_error=0.1,corrupt_page=0.2,corrupt_cache=0.3"
 
 
-def _serve_case(d=8, traffic=None, faults=None, **plane_kw):
+def _serve(x, observer, traffic=None, faults=None, **plane_kw):
+    """Fit a model on ``x`` and serve the golden traffic against it."""
+    fit = knori(x, K, seed=1, criteria=ConvergenceCriteria(max_iters=4))
+    counts = np.bincount(fit.assignment, minlength=K)
+    plan = (None if faults is None
+            else FaultPlan(parse_fault_spec(faults), seed=1))
+    plane = ServePlane(x, fit.centroids, counts=counts, faults=plan,
+                       observers=[observer], **plane_kw)
+    return plane.serve(ArrivalProcess(**{**SERVE_TRAFFIC,
+                                         **(traffic or {})}))
+
+
+def _serve_case(d=8, **serve_kw):
     def run(x, path, tmp):
         if d != x.shape[1]:
             x = dataset(d)
-        fit = knori(x, K, seed=1, criteria=ConvergenceCriteria(max_iters=4))
-        counts = np.bincount(fit.assignment, minlength=K)
         rec = _IoLog()
-        plan = (None if faults is None
-                else FaultPlan(parse_fault_spec(faults), seed=1))
-        plane = ServePlane(x, fit.centroids, counts=counts, faults=plan,
-                           observers=[rec], **plane_kw)
-        res = plane.serve(ArrivalProcess(**{**SERVE_TRAFFIC,
-                                            **(traffic or {})}))
+        res = _serve(x, rec, **serve_kw)
         fields = {f.name: getattr(res, f.name)
                   for f in dataclasses.fields(res)}
         events = [
@@ -311,6 +322,43 @@ SERVE_CASES = {
 }
 
 
+def _trace_case(run):
+    """Hash the ``--trace`` text of one run, checkpoint paths replaced."""
+    def case(x, path, tmp):
+        out = io.StringIO()
+        run(x, path, tmp, PrintObserver(out))
+        text = out.getvalue().replace(tmp, "<tmp>")
+        return [{"trace": hashlib.sha256(text.encode()).hexdigest()}]
+    return case
+
+
+def _trace_knors(x, path, tmp, observer):
+    # No page cache, so every iteration reads the SSD and can fail.
+    plan = FaultPlan(parse_fault_spec(
+        "ssd_error=0.3,corrupt_page=0.2,corrupt_cache=0.5,max_corruptions=4"
+    ), seed=1)
+    knors(path, K, seed=1, criteria=CRIT, faults=plan, observers=[observer],
+          page_cache_bytes=0, checkpoint_dir=Path(tmp) / "ckpt-trace",
+          checkpoint_interval=2)
+
+
+def _trace_knord(x, path, tmp, observer):
+    plan = FaultPlan(parse_fault_spec(
+        "node_fail=0.3,msg_drop=0.2,corrupt_msg=0.2"), seed=1)
+    knord(x, K, seed=1, criteria=CRIT, faults=plan, observers=[observer])
+
+
+def _trace_serve(x, path, tmp, observer):
+    _serve(x, observer, faults=SERVE_FAULTS)
+
+
+TRACE_CASES = {
+    "trace-knors-faults-checkpoint": _trace_case(_trace_knors),
+    "trace-knord-faults": _trace_case(_trace_knord),
+    "trace-serve-faults": _trace_case(_trace_serve),
+}
+
+
 CASES = {
     **{
         f"knori-{pruning}-{kernel}-{mem}": _knori_case(
@@ -334,6 +382,7 @@ CASES = {
         for backend in MM_BACKENDS
     },
     **SERVE_CASES,
+    **TRACE_CASES,
 }
 
 
