@@ -1,34 +1,64 @@
-"""Run observability: trace-event hooks threaded through the runtime.
+"""Run observability: one declared event stream threaded through the runtime.
 
-Every execution backend reports the same event stream while an
-:class:`~repro.runtime.loop.IterationLoop` drives it:
+:class:`RunObserver` is the one declaration of every event: each
+``on_*`` method names an event, its arguments and their meaning, and
+does nothing. :class:`ObserverChain` (the fan-out) and
+:class:`RecordingObserver` (the in-memory recorder) derive every hook
+from that list, so neither can drift from it. :class:`PrintObserver`
+formats the events that earn a line of the CLI's ``--trace`` output.
 
-``on_run_start`` → (``on_iteration_start`` → [``on_io_issue`` →
-``on_io``] → ``on_task_trace``\\* → [``on_io_complete``] →
-[``on_collective``] → ``on_iteration_end`` → [``on_checkpoint``])\\* →
-``on_run_end``
+Every execution backend reports the same stream while an
+:class:`~repro.runtime.loop.IterationLoop` drives it::
 
-The bracketed I/O triple is the SEM backend's: ``on_io_issue`` marks
-the iteration's reads entering the request queue (before compute),
+    on_run_start(n_rows, max_iters)
+      on_iteration_start(iteration)
+        on_io_issue(iteration, rows, pages, prefetched)      # SEM only
+        on_io(iteration, io)                                 # SEM only
+        on_task_trace(iteration, trace, machine_index)       # per machine
+        on_io_complete(iteration, service_ns, hidden_ns,
+                       blocked_ns)                           # SEM only
+        on_collective(iteration, payload_bytes, wire_bytes,
+                      sim_ns)                                # distributed
+      on_iteration_end(iteration, record)
+      on_checkpoint(iteration, path)                 # when one commits
+    on_run_end(iterations, converged)
+
+The I/O triple is the SEM backend's: ``on_io_issue`` marks the
+iteration's reads entering the request queue (before compute),
 ``on_io`` carries the planned accounting, and ``on_io_complete`` lands
 after the compute trace with the overlap split (how much service time
 the prefetcher hid vs how long compute blocked).
 
-Fault injection (:mod:`repro.faults`) adds a second family that can
-appear anywhere inside an iteration: ``on_fault`` (a fault fired),
-``on_retry`` (one recovery attempt, charged simulated time) and
-``on_recovery`` (the fault was answered -- retries succeeded, a
-checkpoint was restored, shards were reassigned). Every ``on_fault``
-from a recoverable fault is eventually followed by an ``on_recovery``
-for the same site.
+The other families:
 
-The resilience layer (:mod:`repro.resilience`) extends that family:
-``on_corruption`` (an integrity check failed -- corruption was
-*detected*, never silently clustered on), ``on_quarantine`` (the bad
-page/row/checkpoint was fenced off pending a clean re-read),
-``on_straggler`` (a thread or machine's EWMA iteration time crossed
-the slowdown threshold) and ``on_rebalance`` (work was re-partitioned
-onto healthy workers).
+* Faults and resilience (:mod:`repro.faults`, :mod:`repro.resilience`),
+  anywhere inside an iteration: ``on_fault(iteration, site, kind,
+  detail)``, ``on_retry(iteration, site, attempt, delay_ns)``,
+  ``on_recovery(iteration, site, action, detail)``,
+  ``on_corruption(iteration, where, detail)``,
+  ``on_quarantine(iteration, where, what, detail)``,
+  ``on_straggler(iteration, scope, worker, detail)`` and
+  ``on_rebalance(iteration, scope, detail)``. Every ``on_fault`` from
+  a recoverable fault is eventually followed by an ``on_recovery`` for
+  the same site; corruption is always *detected*, never silently
+  clustered on.
+* Elastic membership (:mod:`repro.elastic`):
+  ``on_preempt_notice(iteration, machine, deadline, detail)``,
+  ``on_scale_up(iteration, machine, detail)`` and
+  ``on_scale_down(iteration, machine, detail)``.
+* Serving (:mod:`repro.serve`), per batch and keyed by the batch
+  index: the fault family on the query path, then ``on_io(batch,
+  io)``, ``on_ingest(batch, rows, detail)`` and ``on_query(batch,
+  queries, latency_ns, detail)``.
+* Memory (:mod:`repro.mem`), outside the iteration structure:
+  ``on_alloc(tag, nbytes, reused)``, ``on_free(tag, nbytes)`` and
+  ``on_spill(tag, nbytes, ns, direction)``.
+
+A new event is one method on :class:`RunObserver`; add a
+:class:`PrintObserver` method if it should print under ``--trace``,
+and an entry in ``_RECORDED`` if an argument is not a plain value the
+recorder can store as passed. A leading ``iteration`` or ``batch``
+argument becomes :attr:`TraceEvent.iteration`.
 
 Benchmarks, the CLI's ``--trace`` flag, and future profilers all ride
 this one mechanism instead of scraping ``IterationRecord`` lists after
@@ -39,19 +69,21 @@ invariant (see ``docs/architecture.md``).
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass, field
 from typing import Any, Sequence, TextIO
 
 
 class RunObserver:
-    """Base observer: every hook is a no-op; override what you need.
+    """Base observer and the declaration of every event: each hook is a
+    no-op; override what you need.
 
     Subclassing (rather than a Protocol) keeps observers forward
     compatible: new events default to no-ops for existing observers.
     """
 
-    def on_run_start(self, n_rows: int, max_iters: int,
-                     meta: dict | None = None) -> None:
+    def on_run_start(self, n_rows: int, max_iters: int) -> None:
         """The loop is about to run ``max_iters`` iterations max."""
 
     def on_iteration_start(self, iteration: int) -> None:
@@ -174,111 +206,35 @@ class RunObserver:
         """The loop finished (converged or hit the iteration cap)."""
 
 
+#: Every event hook, in declaration order: the ``on_*`` methods of
+#: :class:`RunObserver`, the one place an event is declared.
+_HOOKS = tuple(name for name in vars(RunObserver) if name.startswith("on_"))
+
+
+def _hooks_from(make):
+    """Class decorator: define every hook in ``_HOOKS`` as ``make(name)``,
+    carrying the declared hook's name, docstring and signature."""
+    def define(cls):
+        for name in _HOOKS:
+            declared = getattr(RunObserver, name)
+            setattr(cls, name, functools.wraps(declared)(make(name)))
+        return cls
+    return define
+
+
+def _fan_out(name: str):
+    def hook(self, *args, **kwargs):
+        for o in self.observers:
+            getattr(o, name)(*args, **kwargs)
+    return hook
+
+
+@_hooks_from(_fan_out)
 class ObserverChain(RunObserver):
     """Fans every event out to a sequence of observers, in order."""
 
     def __init__(self, observers: Sequence[RunObserver]) -> None:
         self.observers = list(observers)
-
-    def on_run_start(self, n_rows, max_iters, meta=None):
-        for o in self.observers:
-            o.on_run_start(n_rows, max_iters, meta)
-
-    def on_iteration_start(self, iteration):
-        for o in self.observers:
-            o.on_iteration_start(iteration)
-
-    def on_io_issue(self, iteration, rows, pages, prefetched):
-        for o in self.observers:
-            o.on_io_issue(iteration, rows, pages, prefetched)
-
-    def on_io(self, iteration, io):
-        for o in self.observers:
-            o.on_io(iteration, io)
-
-    def on_io_complete(self, iteration, service_ns, hidden_ns, blocked_ns):
-        for o in self.observers:
-            o.on_io_complete(iteration, service_ns, hidden_ns, blocked_ns)
-
-    def on_task_trace(self, iteration, trace, machine_index=0):
-        for o in self.observers:
-            o.on_task_trace(iteration, trace, machine_index)
-
-    def on_collective(self, iteration, payload_bytes, wire_bytes, sim_ns):
-        for o in self.observers:
-            o.on_collective(iteration, payload_bytes, wire_bytes, sim_ns)
-
-    def on_iteration_end(self, iteration, record):
-        for o in self.observers:
-            o.on_iteration_end(iteration, record)
-
-    def on_checkpoint(self, iteration, path):
-        for o in self.observers:
-            o.on_checkpoint(iteration, path)
-
-    def on_fault(self, iteration, site, kind, detail=None):
-        for o in self.observers:
-            o.on_fault(iteration, site, kind, detail)
-
-    def on_retry(self, iteration, site, attempt, delay_ns):
-        for o in self.observers:
-            o.on_retry(iteration, site, attempt, delay_ns)
-
-    def on_recovery(self, iteration, site, action, detail=None):
-        for o in self.observers:
-            o.on_recovery(iteration, site, action, detail)
-
-    def on_corruption(self, iteration, where, detail=None):
-        for o in self.observers:
-            o.on_corruption(iteration, where, detail)
-
-    def on_quarantine(self, iteration, where, what, detail=None):
-        for o in self.observers:
-            o.on_quarantine(iteration, where, what, detail)
-
-    def on_straggler(self, iteration, scope, worker, detail=None):
-        for o in self.observers:
-            o.on_straggler(iteration, scope, worker, detail)
-
-    def on_rebalance(self, iteration, scope, detail=None):
-        for o in self.observers:
-            o.on_rebalance(iteration, scope, detail)
-
-    def on_preempt_notice(self, iteration, machine, deadline, detail=None):
-        for o in self.observers:
-            o.on_preempt_notice(iteration, machine, deadline, detail)
-
-    def on_scale_up(self, iteration, machine, detail=None):
-        for o in self.observers:
-            o.on_scale_up(iteration, machine, detail)
-
-    def on_scale_down(self, iteration, machine, detail=None):
-        for o in self.observers:
-            o.on_scale_down(iteration, machine, detail)
-
-    def on_query(self, batch, queries, latency_ns, detail=None):
-        for o in self.observers:
-            o.on_query(batch, queries, latency_ns, detail)
-
-    def on_ingest(self, batch, rows, detail=None):
-        for o in self.observers:
-            o.on_ingest(batch, rows, detail)
-
-    def on_alloc(self, tag, nbytes, reused):
-        for o in self.observers:
-            o.on_alloc(tag, nbytes, reused)
-
-    def on_free(self, tag, nbytes):
-        for o in self.observers:
-            o.on_free(tag, nbytes)
-
-    def on_spill(self, tag, nbytes, ns, direction):
-        for o in self.observers:
-            o.on_spill(tag, nbytes, ns, direction)
-
-    def on_run_end(self, iterations, converged):
-        for o in self.observers:
-            o.on_run_end(iterations, converged)
 
 
 def chain_observers(observers: Sequence[RunObserver]) -> RunObserver:
@@ -299,108 +255,52 @@ class TraceEvent:
     payload: dict = field(default_factory=dict)
 
 
+#: How :class:`RecordingObserver` stores the hook arguments that are
+#: not plain values: each maps the argument to its payload entries.
+#: Every other argument is recorded as it was passed.
+_RECORDED = {
+    "io": lambda io: {"bytes_read": io.bytes_read,
+                      "service_ns": io.service_ns},
+    "trace": lambda trace: {"total_ns": trace.total_ns,
+                            "steals": trace.total_steals},
+    "record": lambda record: {"sim_ns": record.sim_ns},
+    "path": lambda path: {"path": str(path)},
+    "detail": lambda detail: {"detail": detail or {}},
+}
+
+
+def _record(name: str):
+    """A hook that records event ``name`` from its declared signature:
+    a leading ``iteration``/``batch`` argument is the event's
+    iteration, the other arguments (defaults applied) its payload."""
+    signature = inspect.signature(getattr(RunObserver, name))
+    first = list(signature.parameters)[1]
+    keyed = first in ("iteration", "batch")
+    event = name[len("on_"):]
+
+    def hook(self, *args, **kwargs):
+        bound = signature.bind(self, *args, **kwargs)
+        bound.apply_defaults()
+        values = dict(bound.arguments)
+        del values["self"]
+        iteration = values.pop(first) if keyed else None
+        payload: dict = {}
+        for arg, value in values.items():
+            if arg in _RECORDED:
+                payload.update(_RECORDED[arg](value))
+            else:
+                payload[arg] = value
+        self.events.append(TraceEvent(event, iteration, payload))
+    return hook
+
+
+@_hooks_from(_record)
 class RecordingObserver(RunObserver):
     """Appends every event to ``self.events`` -- the test fixture for
     event-ordering guarantees, and a cheap in-memory profiler."""
 
     def __init__(self) -> None:
         self.events: list[TraceEvent] = []
-
-    def _rec(self, name: str, iteration: int | None, **payload) -> None:
-        self.events.append(TraceEvent(name, iteration, payload))
-
-    def on_run_start(self, n_rows, max_iters, meta=None):
-        self._rec("run_start", None, n_rows=n_rows, max_iters=max_iters)
-
-    def on_iteration_start(self, iteration):
-        self._rec("iteration_start", iteration)
-
-    def on_io_issue(self, iteration, rows, pages, prefetched):
-        self._rec("io_issue", iteration, rows=rows, pages=pages,
-                  prefetched=prefetched)
-
-    def on_io(self, iteration, io):
-        self._rec("io", iteration, bytes_read=io.bytes_read,
-                  service_ns=io.service_ns)
-
-    def on_io_complete(self, iteration, service_ns, hidden_ns, blocked_ns):
-        self._rec("io_complete", iteration, service_ns=service_ns,
-                  hidden_ns=hidden_ns, blocked_ns=blocked_ns)
-
-    def on_task_trace(self, iteration, trace, machine_index=0):
-        self._rec("task_trace", iteration, machine_index=machine_index,
-                  total_ns=trace.total_ns, steals=trace.total_steals)
-
-    def on_collective(self, iteration, payload_bytes, wire_bytes, sim_ns):
-        self._rec("collective", iteration, payload_bytes=payload_bytes,
-                  wire_bytes=wire_bytes, sim_ns=sim_ns)
-
-    def on_iteration_end(self, iteration, record):
-        self._rec("iteration_end", iteration, sim_ns=record.sim_ns)
-
-    def on_checkpoint(self, iteration, path):
-        self._rec("checkpoint", iteration, path=str(path))
-
-    def on_fault(self, iteration, site, kind, detail=None):
-        self._rec("fault", iteration, site=site, kind=kind,
-                  detail=detail or {})
-
-    def on_retry(self, iteration, site, attempt, delay_ns):
-        self._rec("retry", iteration, site=site, attempt=attempt,
-                  delay_ns=delay_ns)
-
-    def on_recovery(self, iteration, site, action, detail=None):
-        self._rec("recovery", iteration, site=site, action=action,
-                  detail=detail or {})
-
-    def on_corruption(self, iteration, where, detail=None):
-        self._rec("corruption", iteration, where=where,
-                  detail=detail or {})
-
-    def on_quarantine(self, iteration, where, what, detail=None):
-        self._rec("quarantine", iteration, where=where, what=what,
-                  detail=detail or {})
-
-    def on_straggler(self, iteration, scope, worker, detail=None):
-        self._rec("straggler", iteration, scope=scope, worker=worker,
-                  detail=detail or {})
-
-    def on_rebalance(self, iteration, scope, detail=None):
-        self._rec("rebalance", iteration, scope=scope,
-                  detail=detail or {})
-
-    def on_preempt_notice(self, iteration, machine, deadline, detail=None):
-        self._rec("preempt_notice", iteration, machine=machine,
-                  deadline=deadline, detail=detail or {})
-
-    def on_scale_up(self, iteration, machine, detail=None):
-        self._rec("scale_up", iteration, machine=machine,
-                  detail=detail or {})
-
-    def on_scale_down(self, iteration, machine, detail=None):
-        self._rec("scale_down", iteration, machine=machine,
-                  detail=detail or {})
-
-    def on_query(self, batch, queries, latency_ns, detail=None):
-        self._rec("query", batch, queries=queries,
-                  latency_ns=latency_ns, detail=detail or {})
-
-    def on_ingest(self, batch, rows, detail=None):
-        self._rec("ingest", batch, rows=rows, detail=detail or {})
-
-    def on_alloc(self, tag, nbytes, reused):
-        self._rec("alloc", None, tag=tag, nbytes=nbytes, reused=reused)
-
-    def on_free(self, tag, nbytes):
-        self._rec("free", None, tag=tag, nbytes=nbytes)
-
-    def on_spill(self, tag, nbytes, ns, direction):
-        self._rec("spill", None, tag=tag, nbytes=nbytes, ns=ns,
-                  direction=direction)
-
-    def on_run_end(self, iterations, converged):
-        self._rec("run_end", None, iterations=iterations,
-                  converged=converged)
 
     def names(self) -> list[str]:
         """Event names in arrival order (ordering assertions)."""
@@ -442,7 +342,7 @@ class PrintObserver(RunObserver):
     def _emit(self, line: str) -> None:
         print(line, file=self.stream)
 
-    def on_run_start(self, n_rows, max_iters, meta=None):
+    def on_run_start(self, n_rows, max_iters):
         self._emit(f"[trace] run start: n={n_rows} max_iters={max_iters}")
 
     def on_io_issue(self, iteration, rows, pages, prefetched):

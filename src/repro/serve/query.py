@@ -79,6 +79,7 @@ from repro.simhw.serving import (
     ArrivalProcess,
     ArrivalTrace,
     OpenLoopBatcher,
+    _check_max_batch,
 )
 
 
@@ -207,10 +208,7 @@ class ServePlane:
             ~np.isfinite(centroids).all(axis=1), "centroids",
             "rows contain NaN/inf",
         )
-        if max_batch < 1:
-            raise ConfigError(
-                f"max_batch must be >= 1, got {max_batch}"
-            )
+        max_batch = _check_max_batch(max_batch)
         if not (np.isfinite(batch_window_ns) and batch_window_ns >= 0):
             raise ConfigError(
                 f"batch_window_ns must be finite and >= 0, got "

@@ -27,6 +27,7 @@ Both are pure simulation-side objects: no numerics, only time.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,6 +138,17 @@ class ArrivalTrace:
         return int(self.time_ns.shape[0])
 
 
+def _check_max_batch(max_batch) -> int:
+    """``max_batch`` as an ``int``, or a :class:`ConfigError` naming it:
+    a NaN cap would compare as no cap, and a fraction cannot bound a
+    slice of arrivals."""
+    if not isinstance(max_batch, numbers.Integral) or max_batch < 1:
+        raise ConfigError(
+            f"max_batch must be an integer >= 1, got {max_batch!r}"
+        )
+    return int(max_batch)
+
+
 class OpenLoopBatcher:
     """Groups open-loop arrivals into dispatch batches on a shared
     simulated clock (see module docstring).
@@ -168,10 +180,7 @@ class OpenLoopBatcher:
             raise ConfigError("arrival times must be finite")
         if np.any(np.diff(time_ns) < 0):
             raise ConfigError("arrival times must be non-decreasing")
-        if max_batch < 1:
-            raise ConfigError(
-                f"max_batch must be >= 1, got {max_batch}"
-            )
+        max_batch = _check_max_batch(max_batch)
         if not (np.isfinite(window_ns) and window_ns >= 0):
             raise ConfigError(
                 f"window_ns must be finite and >= 0, got {window_ns}"

@@ -4,6 +4,9 @@ the IterationLoop's configuration contract."""
 
 from __future__ import annotations
 
+import inspect
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -20,8 +23,10 @@ from repro.runtime import (
     KmeansMM,
     MMSource,
     NumericsSource,
+    ObserverChain,
     PureMpiBackend,
     RecordingObserver,
+    RunObserver,
     SemBackend,
     chain_observers,
     run_mm_sem,
@@ -210,6 +215,36 @@ def test_chain_observers_fans_out(small):
           observers=[a, b])
     assert a.names() == b.names()
     assert a.names()[0] == "run_start"
+
+
+#: Every event hook the observer protocol declares.
+HOOKS = [name for name in vars(RunObserver) if name.startswith("on_")]
+
+
+def test_chain_fans_out_every_declared_hook():
+    a, b = RecordingObserver(), RecordingObserver()
+    chain = ObserverChain([a, b])
+    # Stands in for the IoIterationStats, IterationTrace and
+    # IterationRecord arguments.
+    stub = SimpleNamespace(bytes_read=1, service_ns=2.0, total_ns=3.0,
+                           total_steals=4, sim_ns=5.0)
+    for name in HOOKS:
+        params = list(
+            inspect.signature(getattr(RunObserver, name)).parameters)[1:]
+        getattr(chain, name)(*[
+            stub if p in ("io", "trace", "record") else i + 1
+            for i, p in enumerate(params)
+        ])
+    assert a.names() == [name[len("on_"):] for name in HOOKS]
+    assert a.events == b.events
+
+
+@pytest.mark.parametrize("observer", [
+    RunObserver(), RecordingObserver(), ObserverChain([RecordingObserver()]),
+])
+def test_undeclared_hook_raises(observer):
+    with pytest.raises(AttributeError):
+        observer.on_iteration_begin(0)
 
 
 def test_chain_observers_collapse():

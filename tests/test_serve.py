@@ -318,8 +318,11 @@ class TestOpenLoopBatcher:
             OpenLoopBatcher(np.array([2.0, 1.0]))
         with pytest.raises(ConfigError):
             OpenLoopBatcher(np.empty(0))
-        with pytest.raises(ConfigError):
-            OpenLoopBatcher(np.array([0.0]), max_batch=0)
+        for cap in (0, -1, np.nan, np.inf, 2.5, np.float64(3.5)):
+            with pytest.raises(ConfigError, match="max_batch"):
+                OpenLoopBatcher(np.array([0.0]), max_batch=cap)
+        assert OpenLoopBatcher(
+            np.array([0.0]), max_batch=np.int64(3)).max_batch == 3
         with pytest.raises(ConfigError, match="finite"):
             OpenLoopBatcher(np.array([0.0, np.nan, 2.0]))
         for window in (np.nan, np.inf, -1.0):
@@ -513,8 +516,11 @@ class TestServeValidation:
             ServePlane(x, fit.centroids[:, :2])
         with pytest.raises(ConfigError):
             ServePlane(x, fit.centroids, counts=np.zeros(3))
-        with pytest.raises(ConfigError):
-            ServePlane(x, fit.centroids, max_batch=0)
+        for cap in (0, -1, np.nan, np.inf, 2.5, np.float64(3.5)):
+            with pytest.raises(ConfigError, match="max_batch"):
+                ServePlane(x, fit.centroids, max_batch=cap)
+        assert ServePlane(
+            x, fit.centroids, max_batch=np.int32(40)).max_batch == 40
 
     @pytest.mark.parametrize("window", [np.nan, np.inf, -np.inf, -1.0])
     def test_rejects_bad_batch_window(self, served, window):
