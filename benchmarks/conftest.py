@@ -2,9 +2,12 @@
 
 Every bench regenerates one of the paper's tables or figures at
 reproduction scale, prints it (visible with ``pytest -s`` and in the
-captured output), and appends it to ``results/benchmark_report.txt`` so
-a full ``pytest benchmarks/ --benchmark-only`` run leaves a complete
-report on disk. EXPERIMENTS.md records paper-vs-measured per figure.
+captured output), and writes it to ``results/latest_report.txt``. That
+file is untracked and rewritten by each pytest session (its first
+report truncates it), so a full ``pytest benchmarks/ --benchmark-only``
+run leaves a complete report on disk without touching the tree. The
+tracked ``results/benchmark_report.txt`` is a committed copy of one
+full run. EXPERIMENTS.md records paper-vs-measured per figure.
 
 Scale note: datasets run at ~1/1000 of the paper's n (Table 2 registry
 defaults). Simulated times are labelled sim; Table 3 rows are real
@@ -20,15 +23,19 @@ import pytest
 from repro.data import friendster_like, load_dataset
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
+REPORT = RESULTS / "latest_report.txt"
+_session_reports = 0
 
 
 def report(title: str, body: str) -> None:
-    """Print a figure/table and append it to the on-disk report."""
+    """Print a figure/table and add it to this session's report."""
+    global _session_reports
     text = f"\n{'#' * 70}\n# {title}\n{'#' * 70}\n{body}\n"
     print(text)
     RESULTS.mkdir(exist_ok=True)
-    with open(RESULTS / "benchmark_report.txt", "a") as fh:
+    with open(REPORT, "a" if _session_reports else "w") as fh:
         fh.write(text)
+    _session_reports += 1
 
 
 @pytest.fixture(scope="session")

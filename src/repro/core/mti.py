@@ -91,11 +91,12 @@ runs a block, never what it computes:
   split above keeps holding);
 * blocks own disjoint rows of ``ub``, ``assign`` and ``dist_per_row``,
   and each row's arithmetic is its own;
-* each block's loose and tight candidate totals land in the block's
-  own slot and are summed after the join;
+* each block's loose and tight candidate totals and its reassigned
+  rows land in the block's own slot and are read after the join;
 * every :mod:`repro.mem`-owned buffer is taken on the calling thread
-  before dispatch: in an iteration each worker gets a disjoint row
-  range of the workspace's distance buffer, kept across iterations
+  before dispatch: in an iteration each running block holds a row
+  range of the workspace's distance buffer that no other running
+  block holds, one range per worker, kept across iterations
   (the iteration-0 pass's pooled blocks take plain per-block
   temporaries instead, so that buffer is first sized by iteration 1);
 * if a block raises, the workers stop claiming blocks, every worker
@@ -103,8 +104,21 @@ runs a block, never what it computes:
   lowest failed block raised, so crash recovery never races a worker
   still writing state.
 
-The threads live below ``NumericsLoop.step``: whatever times or
-attributes a step sees one call, as before.
+An iteration is three calls. :func:`mti_prologue` runs on the calling
+thread: it loosens the bounds, applies clause 1, builds the block pass
+and takes its buffers. The block pass runs on the threads. Then
+:func:`mti_epilogue`, again on the calling thread, sums the clause
+totals and moves the changed rows. :func:`mti_iteration` is the three
+in a row, the one path of knori, knors and serve. A distributed fleet
+(:class:`~repro.runtime.backends.ShardedKmeans`) instead runs every
+shard's prologue in shard order, then :func:`run_shared_pass`, one
+dispatch over all the shards' blocks, then every epilogue in shard
+order: one join per iteration rather than one per shard, and no
+shard's idle tail leaves threads waiting while another shard has
+blocks left. Each shard's blocks and buffers are the ones its own
+pass would use, so the results are the same bits either way. The
+threads never run a prologue or an epilogue, so every
+:mod:`repro.mem` call stays on the calling thread, in shard order.
 
 Centroid updates are *incremental*: only points that changed membership
 move between the persistent per-cluster sums, so clause-1-skipped rows
@@ -114,7 +128,9 @@ elision in the semi-external module.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -311,8 +327,9 @@ class _BlockPass:
     function of ``(m, d)`` only. :meth:`run` computes one block and
     writes its bounds, assignments and distance counts into the state's
     arrays; blocks own disjoint rows, so they may run on any thread in
-    any order. Each block's loose and tight candidate totals go to its
-    own slot, summed by the caller once every block has run.
+    any order. Each block's loose and tight candidate totals, and its
+    reassigned rows with their old clusters (``moved``), go to its own
+    slot, read by :func:`mti_epilogue` once every block has run.
     """
 
     def __init__(
@@ -343,6 +360,13 @@ class _BlockPass:
         )
         self.loose = np.zeros(self.n_blocks, dtype=np.int64)
         self.tight = np.zeros(self.n_blocks, dtype=np.int64)
+        #: One distance buffer per thread that may run these blocks
+        #: (``None`` entries: allocate per block), taken by
+        #: :func:`mti_prologue`.
+        self.bufs: list = []
+        #: Per block: ``(rows, old clusters)`` of its reassigned rows,
+        #: ``None`` when none moved.
+        self.moved: list = [None] * self.n_blocks
 
     def run(self, blk: int, dist_buf: np.ndarray | None) -> None:
         """Compute block ``blk``; ``dist_buf`` is the running thread's
@@ -402,6 +426,11 @@ class _BlockPass:
                            np.inf)
                 sub[np.arange(redo.size), bc[redo]] = uc[redo]
                 best[redo] = np.argmin(sub, axis=1)
+            moved = np.flatnonzero(best != bc)
+            if moved.size:
+                # The block's reassigned rows, ascending, with their
+                # old clusters, for the epilogue's centroid update.
+                self.moved[blk] = (idx[c_idx[moved]], bc[moved])
             bb[c_idx] = best
             # Every winner is now the own column (holding ut) or a
             # candidate, whose unmasked distance is the one it won by.
@@ -417,20 +446,40 @@ class _BlockPass:
         run_blocks(self.n_blocks, self.run, bufs)
 
 
-def mti_iteration(
+@dataclass
+class MtiStep:
+    """One :func:`mti_iteration` stopped before its block pass.
+
+    :func:`mti_prologue` fills it on the calling thread; ``blocks`` is
+    the block pass, ``None`` when clause 1 skips every row. The pass
+    runs alone (:meth:`_BlockPass.dispatch`) or with other shards'
+    (:func:`run_shared_pass`), and :func:`mti_epilogue` finishes the
+    iteration, again on the calling thread.
+    """
+
+    x: np.ndarray
+    centroids: np.ndarray
+    state: MtiState
+    workspace: "DistanceWorkspace | None"
+    motion: np.ndarray
+    dist_per_row: np.ndarray
+    needs_data: np.ndarray
+    blocks: _BlockPass | None
+
+
+def mti_prologue(
     x: np.ndarray,
     centroids: np.ndarray,
     prev_centroids: np.ndarray,
     state: MtiState,
     *,
     workspace: "DistanceWorkspace | None" = None,
-) -> MtiIterationResult:
-    """One MTI-pruned super-phase; mutates ``state`` in place.
+) -> MtiStep:
+    """Everything of :func:`mti_iteration` before its block pass.
 
-    With a ``workspace``, the centroid norms, pairwise matrix, clause-1
-    thresholds and row norms are computed once and each thread's
-    candidate distance block reuses a preallocated buffer; outputs are
-    bit-identical.
+    Loosens the bounds, applies clause 1, builds the block pass and
+    takes its per-thread distance buffers: every :mod:`repro.mem` call
+    of the iteration's blocks happens here, on the calling thread.
     """
     x = as_rows(x)
     n = x.shape[0]
@@ -442,8 +491,11 @@ def mti_iteration(
 
     # f(c): how far each centroid moved since last iteration.
     motion = rows_to_centroids(centroids, prev_centroids, np.arange(k))
+    # Both per-row gathers below index by the assignment: widen it
+    # once, not once per gather.
+    assign = state.assignment.astype(np.intp)
     # Loosen every upper bound by its centroid's motion.
-    state.ub += motion[state.assignment]
+    state.ub += motion.take(assign)
 
     c_sq = None
     x_sq = None
@@ -459,11 +511,9 @@ def mti_iteration(
         cc = pairwise_centroid_distances(centroids)
         s = half_min_inter_centroid(cc)
 
-    assign = state.assignment
-    old_assign = assign.copy()
-
-    # Clause 1: the whole row is skipped (no compute, no I/O).
-    clause1 = state.ub <= s[assign]
+    # Clause 1: the whole row is skipped (no compute, no I/O). Written
+    # as ~(ub <= s): a NaN bound is not skipped.
+    clause1 = state.ub <= s.take(assign)
     active_idx = np.flatnonzero(~clause1)
     m = active_idx.size
 
@@ -475,10 +525,7 @@ def mti_iteration(
     # clauses are evaluated).
     needs_data[active_idx] = True
 
-    clause2_pruned = 0
-    clause3_pruned = 0
-    computed = 0
-
+    blocks = None
     if m:
         blocks = _BlockPass(
             x, centroids, c_sq, x_sq, ClauseThresholds(cc), active_idx,
@@ -487,35 +534,87 @@ def mti_iteration(
         n_workers = min(WORKERS, blocks.n_blocks)
         rows = -(-m // blocks.n_blocks)  # the largest block
         if workspace is None:
-            bufs = [None] * n_workers
+            blocks.bufs = [None] * n_workers
         else:
             # The manager-owned buffer is taken here, on the calling
             # thread, before any block runs; each worker gets its own
             # row range of it. It is the one the iteration-0 pass
             # sized, so it seldom grows.
             buf = workspace.dist_buffer(n_workers * rows)
-            bufs = [buf[w * rows:(w + 1) * rows] for w in range(n_workers)]
-        blocks.dispatch(bufs)
-        loose_total = int(blocks.loose.sum())
-        tight_total = int(blocks.tight.sum())
+            blocks.bufs = [
+                buf[w * rows:(w + 1) * rows] for w in range(n_workers)
+            ]
+    return MtiStep(
+        x, centroids, state, workspace, motion, dist_per_row, needs_data,
+        blocks,
+    )
+
+
+def run_shared_pass(steps: list[MtiStep]) -> None:
+    """Run the block passes of several prologues (a fleet's shards) in
+    one host-pool dispatch.
+
+    The blocks are numbered shard after shard and claimed in that
+    order, so a failure raises the lowest failing shard's lowest
+    failing block, once every thread has stopped. A block runs on its
+    own shard's arrays with one of that shard's per-thread buffers:
+    a shard holds one per thread that can be inside it at once
+    (``min(WORKERS, n_blocks)``), and a thread takes a free one for
+    the block it runs, so the buffers are the ones each shard's own
+    dispatch would use.
+    """
+    passes = [st.blocks for st in steps if st.blocks is not None]
+    first = list(accumulate((p.n_blocks for p in passes), initial=0))
+    free = [list(p.bufs) for p in passes]
+
+    def run(blk: int, _thread) -> None:
+        i = bisect_right(first, blk) - 1
+        buf = free[i].pop()
+        try:
+            passes[i].run(blk - first[i], buf)
+        finally:
+            free[i].append(buf)
+
+    if first[-1]:
+        run_blocks(first[-1], run, [None] * min(WORKERS, first[-1]))
+
+
+def mti_epilogue(step: MtiStep) -> MtiIterationResult:
+    """Everything of :func:`mti_iteration` after its block pass: sum
+    the clause totals, move the changed rows between the per-cluster
+    sums and derive the new centroids, on the calling thread."""
+    x, state, workspace = step.x, step.state, step.workspace
+    n = x.shape[0]
+    k = step.centroids.shape[0]
+    m = 0
+    clause2_pruned = clause3_pruned = computed = 0
+    if step.blocks is not None:
+        m = step.blocks.active_idx.size
+        loose_total = int(step.blocks.loose.sum())
+        tight_total = int(step.blocks.tight.sum())
         clause2_pruned = m * (k - 1) - loose_total
         clause3_pruned = loose_total - tight_total
         computed = m + tight_total
 
-    # Incremental centroid update: move only the rows that changed.
-    changed = np.nonzero(assign != old_assign)[0]
-    n_changed = int(changed.size)
+    # Incremental centroid update: move only the rows that changed,
+    # in ascending row order (blocks are ascending runs of rows).
+    moves = [] if step.blocks is None else [
+        mv for mv in step.blocks.moved if mv is not None
+    ]
+    n_changed = sum(rows.size for rows, _ in moves)
     if n_changed:
+        changed = np.concatenate([rows for rows, _ in moves])
         # Widened once here: a float32 gather would be widened again
         # by each of move_rows' two bincounts.
         move_rows(
             state.sums, state.counts,
             np.asarray(x[changed], dtype=np.float64),
-            old_assign[changed], assign[changed],
+            np.concatenate([old for _, old in moves]),
+            state.assignment[changed],
             scratch=None if workspace is None else workspace.accum,
         )
 
-    new_centroids = centroids.copy()
+    new_centroids = step.centroids.copy()
     nonzero = state.counts > 0
     new_centroids[nonzero] = (
         state.sums[nonzero] / state.counts[nonzero, None]
@@ -524,12 +623,36 @@ def mti_iteration(
     return MtiIterationResult(
         new_centroids=new_centroids,
         n_changed=n_changed,
-        dist_per_row=dist_per_row,
-        needs_data=needs_data,
-        motion=motion,
+        dist_per_row=step.dist_per_row,
+        needs_data=step.needs_data,
+        motion=step.motion,
         clause1_rows=n - m,
         clause2_pruned=clause2_pruned,
         clause3_pruned=clause3_pruned,
         tightened_rows=m,
         computed=computed,
     )
+
+
+def mti_iteration(
+    x: np.ndarray,
+    centroids: np.ndarray,
+    prev_centroids: np.ndarray,
+    state: MtiState,
+    *,
+    workspace: "DistanceWorkspace | None" = None,
+) -> MtiIterationResult:
+    """One MTI-pruned super-phase; mutates ``state`` in place.
+
+    :func:`mti_prologue`, the block pass on its own dispatch, then
+    :func:`mti_epilogue`. With a ``workspace``, the centroid norms,
+    pairwise matrix, clause-1 thresholds and row norms are computed
+    once and each thread's candidate distance block reuses a
+    preallocated buffer; outputs are bit-identical.
+    """
+    step = mti_prologue(
+        x, centroids, prev_centroids, state, workspace=workspace
+    )
+    if step.blocks is not None:
+        step.blocks.dispatch(step.blocks.bufs)
+    return mti_epilogue(step)

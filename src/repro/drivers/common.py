@@ -14,8 +14,9 @@ from repro.core import (
     mti_init,
     mti_iteration,
 )
-from repro.core.distance import BLOCK_BYTES, rows_to_centroids
+from repro.core.distance import BLOCK_BYTES, row_norms, rows_to_centroids
 from repro.core.empty import check_empty_cluster_policy
+from repro.core.mti import MtiStep, mti_epilogue, mti_prologue
 from repro.core.workspace import DistanceWorkspace
 from repro.errors import (
     ConfigError,
@@ -85,6 +86,22 @@ def check_x_k(x: np.ndarray, k) -> int:
     return k
 
 
+def _rows_phrase(bad: np.ndarray, what: str, *, first_row: int = 0,
+                 row_ids: np.ndarray | None = None) -> str | None:
+    """``"3 <what> (rows [...])"`` naming the first eight rows the mask
+    ``bad`` flags, or ``None`` when it flags none (see
+    :func:`reject_rows` for ``first_row`` and ``row_ids``)."""
+    rows = np.flatnonzero(bad)
+    if rows.size == 0:
+        return None
+    if row_ids is not None:
+        rows = np.unique(np.asarray(row_ids)[rows])
+    else:
+        rows += first_row
+    more = f" (+{rows.size - 8} more)" if rows.size > 8 else ""
+    return f"{rows.size} {what} (rows {rows[:8].tolist()}{more})"
+
+
 def reject_rows(bad: np.ndarray, name: str, what: str,
                 hint: str = "", *, first_row: int = 0,
                 row_ids: np.ndarray | None = None) -> None:
@@ -93,18 +110,9 @@ def reject_rows(bad: np.ndarray, name: str, what: str,
     ``bad`` covers rows ``first_row`` on (a shard of the dataset), or
     the rows ``row_ids`` (a gathered batch; each distinct id is named
     once)."""
-    rows = np.flatnonzero(bad)
-    if rows.size == 0:
-        return
-    if row_ids is not None:
-        rows = np.unique(np.asarray(row_ids)[rows])
-    else:
-        rows += first_row
-    more = f" (+{rows.size - 8} more)" if rows.size > 8 else ""
-    raise DatasetError(
-        f"{name}: {rows.size} {what} (rows {rows[:8].tolist()}{more})"
-        f"{hint}"
-    )
+    phrase = _rows_phrase(bad, what, first_row=first_row, row_ids=row_ids)
+    if phrase is not None:
+        raise DatasetError(f"{name}: {phrase}{hint}")
 
 
 def check_rows_finite(x: np.ndarray, name: str) -> None:
@@ -120,30 +128,49 @@ def check_row_dist_finite(
     x: np.ndarray, row_dist: np.ndarray, name: str, *, first_row: int = 0,
     row_ids: np.ndarray | None = None,
 ) -> None:
-    """:func:`check_rows_finite` without a pass over ``x``.
+    """:func:`check_rows_finite` without a pass over ``x``, plus rows
+    whose squared norm overflows.
 
     ``row_dist`` is each row's distance to its nearest centroid from a
     full assignment pass. A NaN/inf cell makes every distance of its
-    row non-finite, so only rows with a non-finite distance can be bad;
-    just those are read back (in blocks, so a memmapped ``x`` is never
-    copied whole) and checked cell by cell. A row that only looks bad
-    -- a non-finite centroid makes every distance NaN -- is not named.
-    When ``x`` is a shard starting at global row ``first_row``, or rows
-    gathered from the global ids ``row_ids``, the error names global
-    row ids.
+    row non-finite, and so does a row of finite cells whose squared
+    norm ``|x|^2`` overflows float64 (the distance kernels expand
+    ``|x - c|^2`` through it). So only rows with a non-finite distance
+    can be bad; just those are read back (in blocks, so a memmapped
+    ``x`` is never copied whole), checked cell by cell and then for an
+    overflowing norm, and one error names both kinds. A row that only
+    looks bad -- a non-finite centroid makes every distance NaN -- is
+    not named. When ``x`` is a shard starting at global row
+    ``first_row``, or rows gathered from the global ids ``row_ids``,
+    the error names global row ids.
     """
     suspect = np.flatnonzero(~np.isfinite(row_dist))
     if suspect.size == 0:
         return
-    bad = np.zeros(x.shape[0], dtype=bool)
+    cells = np.zeros(x.shape[0], dtype=bool)
+    norms = np.zeros(x.shape[0], dtype=bool)
     rows = max(1, BLOCK_BYTES // (8 * x.shape[1]))
     for lo in range(0, suspect.size, rows):
         idx = suspect[lo:lo + rows]
-        bad[idx] = ~np.isfinite(x[idx]).all(axis=1)
-    reject_rows(
-        bad, name, "rows contain NaN/inf", "; clean the data before fitting",
-        first_row=first_row, row_ids=row_ids,
-    )
+        xb = np.asarray(x[idx], dtype=np.float64)
+        finite = np.isfinite(xb).all(axis=1)
+        cells[idx] = ~finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms[idx] = finite & ~np.isfinite(row_norms(xb))
+    where = {"first_row": first_row, "row_ids": row_ids}
+    phrases = [
+        phrase for phrase in (
+            _rows_phrase(cells, "rows contain NaN/inf", **where),
+            _rows_phrase(
+                norms, "rows have a squared norm that overflows float64",
+                **where,
+            ),
+        ) if phrase is not None
+    ]
+    if phrases:
+        raise DatasetError(
+            f"{name}: {'; '.join(phrases)}; clean the data before fitting"
+        )
 
 
 def resolve_memory_manager(
@@ -260,10 +287,28 @@ class NumericsLoop:
         assert self._state is not None
         return self._state.assignment
 
-    def step(self) -> IterationNumerics:
-        """Advance one iteration and return its exact outputs."""
-        k = self.centroids.shape[0]
-        n = self.x.shape[0]
+    def begin(self) -> MtiStep | None:
+        """The calling-thread prologue of the next step, when that
+        step is an MTI iteration (:func:`~repro.core.mti.mti_prologue`);
+        ``None`` for any other step. Hand its block pass to
+        :func:`~repro.core.mti.run_shared_pass`, then the prologue to
+        :meth:`step`."""
+        if self.pruning != "mti" or self.iteration == 0:
+            return None
+        return mti_prologue(
+            self.x, self.centroids, self.prev_centroids, self._state,
+            workspace=self._workspace,
+        )
+
+    def step(self, begun: MtiStep | None = None) -> IterationNumerics:
+        """Advance one iteration and return its exact outputs.
+
+        ``begun`` is this step's :meth:`begin`, its block pass already
+        run: the step then only finishes the iteration.
+        """
+        # Only a pruned iteration after the first skips rows: the
+        # other steps measure every row and report no clauses.
+        clauses, motion = (0, 0, 0), None
         if self.pruning is None:
             res = full_iteration(
                 self.x,
@@ -274,59 +319,47 @@ class NumericsLoop:
                 empty_cluster=self.empty_cluster,
             )
             self._assignment = res.assignment
-            out = IterationNumerics(
-                new_centroids=res.new_centroids,
-                n_changed=res.n_changed,
-                dist_per_row=res.dist_per_row,
-                needs_data=res.needs_data,
-                clause1_rows=0,
-                clause2_pruned=0,
-                clause3_pruned=0,
-                motion=None,
-                sums=res.sums,
-                counts=res.counts,
-                row_dist=res.mindist,
-            )
-        elif self.iteration == 0:
-            init_fn = mti_init if self.pruning == "mti" else elkan_init
-            self._state, res = init_fn(
-                self.x, self.centroids, workspace=self._workspace
-            )
-            out = IterationNumerics(
-                new_centroids=res.new_centroids,
-                n_changed=res.n_changed,
-                dist_per_row=res.dist_per_row,
-                needs_data=res.needs_data,
-                clause1_rows=0,
-                clause2_pruned=0,
-                clause3_pruned=0,
-                motion=None,
-                sums=self._state.sums,
-                counts=self._state.counts,
-                row_dist=self._state.ub,
-            )
+            sums, counts, row_dist = res.sums, res.counts, res.mindist
         else:
-            iter_fn = (
-                mti_iteration if self.pruning == "mti" else elkan_iteration
-            )
-            res = iter_fn(
-                self.x, self.centroids, self.prev_centroids, self._state,
-                workspace=self._workspace,
-            )
-            # MtiIterationResult and ElkanIterationResult share the
-            # normalized clause field names; no per-type fallbacks.
-            out = IterationNumerics(
-                new_centroids=res.new_centroids,
-                n_changed=res.n_changed,
-                dist_per_row=res.dist_per_row,
-                needs_data=res.needs_data,
-                clause1_rows=res.clause1_rows,
-                clause2_pruned=res.clause2_pruned,
-                clause3_pruned=res.clause3_pruned,
-                motion=res.motion,
-                sums=self._state.sums,
-                counts=self._state.counts,
-            )
+            if self.iteration == 0:
+                init_fn = mti_init if self.pruning == "mti" else elkan_init
+                self._state, res = init_fn(
+                    self.x, self.centroids, workspace=self._workspace
+                )
+                row_dist = self._state.ub
+            else:
+                if begun is not None:
+                    res = mti_epilogue(begun)
+                else:
+                    iter_fn = (
+                        mti_iteration if self.pruning == "mti"
+                        else elkan_iteration
+                    )
+                    res = iter_fn(
+                        self.x, self.centroids, self.prev_centroids,
+                        self._state, workspace=self._workspace,
+                    )
+                # MtiIterationResult and ElkanIterationResult share the
+                # normalized clause field names.
+                clauses = (
+                    res.clause1_rows, res.clause2_pruned,
+                    res.clause3_pruned,
+                )
+                motion, row_dist = res.motion, None
+            sums, counts = self._state.sums, self._state.counts
+        out = IterationNumerics(
+            new_centroids=res.new_centroids,
+            n_changed=res.n_changed,
+            dist_per_row=res.dist_per_row,
+            needs_data=res.needs_data,
+            clause1_rows=clauses[0],
+            clause2_pruned=clauses[1],
+            clause3_pruned=clauses[2],
+            motion=motion,
+            sums=sums,
+            counts=counts,
+            row_dist=row_dist,
+        )
         if self.pruning is not None and self.empty_cluster == "error":
             counts = self._state.counts
             if not (counts > 0).all():

@@ -573,7 +573,8 @@ class ShardedProgram:
 
     * ``n_rows`` / ``n_shards`` / ``shard_rows()`` -- row geometry;
     * ``step(si)`` -- shard ``si``'s :class:`StepStats` for this
-      iteration;
+      iteration; the backends call :meth:`step_all`, which steps every
+      shard in shard order unless a subclass shares work between them;
     * ``payload(si)`` -- shard ``si``'s additive accumulator
       contribution, a ``dict[str, ndarray]`` with identical keys and
       shapes across shards;
@@ -594,6 +595,11 @@ class ShardedProgram:
 
     #: Collective schedule; subclasses/instances may override.
     allreduce = "tree"
+
+    def step_all(self) -> list[StepStats]:
+        """Every shard's :class:`StepStats` for this iteration, in
+        shard order."""
+        return [self.step(si) for si in range(self.n_shards)]
 
     def reduce_and_broadcast(
         self,
@@ -634,7 +640,8 @@ class ShardedKmeans(ShardedProgram):
     Each shard's loop owns that shard's persistent pruning state; after
     every collective the reduced global centroids are pushed back into
     all loops, so each loop's next step sees exactly what a
-    decentralized driver on that machine would.
+    decentralized driver on that machine would. :meth:`step_all` runs
+    the fleet's MTI block passes as one host-pool pass.
     """
 
     def __init__(
@@ -696,12 +703,29 @@ class ShardedKmeans(ShardedProgram):
     def shard_rows(self) -> list[int]:
         return [s.shape[0] for s in self.shards]
 
-    def step(self, mi: int) -> StepStats:
+    def step_all(self) -> list[StepStats]:
+        """Step every shard with one host-pool pass: each shard's MTI
+        prologue in shard order, one dispatch over every shard's blocks
+        (:func:`~repro.core.mti.run_shared_pass`), then each shard's
+        epilogue in shard order. Steps with no block pass (iteration
+        0, unpruned) run whole, one shard after another."""
+        from repro.core.mti import run_shared_pass
+
+        begun = [loop.begin() for loop in self.loops]
+        steps = [b for b in begun if b is not None]
+        if steps:
+            run_shared_pass(steps)
+        return [self.step(si, b) for si, b in enumerate(begun)]
+
+    def step(self, mi: int, begun: Any = None) -> StepStats:
+        """Shard ``mi``'s step; ``begun`` is its loop's
+        :meth:`~repro.drivers.common.NumericsLoop.begin` with the block
+        pass run."""
         from repro.drivers.common import check_row_dist_finite
 
         loop = self.loops[mi]
         first = loop.iteration == 0
-        num = loop.step()
+        num = loop.step(begun)
         if first:
             # As in KmeansMM: iteration 0 measures every shard row, so
             # a NaN/inf row shows in its distance with no extra pass.
@@ -758,7 +782,72 @@ class ShardedKmeans(ShardedProgram):
         return np.concatenate([lp.assignment for lp in self.loops])
 
 
-class DistributedBackend:
+class _ShardedBackend:
+    """What knord's backend and the pure-MPI baseline share: one
+    :meth:`ShardedProgram.step_all` per iteration, the collective tail
+    and the from-scratch recovery. Each prices the shards' steps its
+    own way between the two."""
+
+    def __init__(
+        self, sharded: ShardedProgram, faults: Any, retry_policy: Any
+    ) -> None:
+        self.sharded = sharded
+        self.n_rows = sharded.n_rows
+        self.faults = faults
+        if retry_policy is None:
+            from repro.faults import DEFAULT_RETRY_POLICY
+
+            retry_policy = DEFAULT_RETRY_POLICY
+        self.retry_policy = retry_policy
+
+    def _step_shards(
+        self,
+    ) -> tuple[list[StepStats], list[dict[str, np.ndarray]],
+               np.ndarray | None]:
+        """Step every shard; return their stats and payloads, in shard
+        order, and the last shard motion reported."""
+        stats = self.sharded.step_all()
+        payloads = [self.sharded.payload(si) for si in range(len(stats))]
+        motions = [st.motion for st in stats if st.motion is not None]
+        return stats, payloads, motions[-1] if motions else None
+
+    def _collective(
+        self,
+        iteration: int,
+        comm: Any,
+        payloads: list[dict[str, np.ndarray]],
+        observer: RunObserver,
+        timing_comm: Any = None,
+    ) -> tuple[int, float]:
+        """Reduce the payloads into the model, charge the plan's
+        collective faults and report the collective. Returns
+        ``(wire_bytes, allreduce_ns)``."""
+        payload, wire, allreduce_ns = self.sharded.reduce_and_broadcast(
+            comm, payloads, timing_comm=timing_comm,
+        )
+        if self.faults is not None:
+            from repro.faults import faulty_collective_ns
+
+            allreduce_ns = faulty_collective_ns(
+                self.faults, self.retry_policy, iteration,
+                allreduce_ns, observer,
+                payload=self.sharded.model_array,
+            )
+        observer.on_collective(iteration, payload, wire, allreduce_ns)
+        return wire, allreduce_ns
+
+    def after_record(self, iteration, outcome, observer) -> None:
+        """Sharded runs have no post-record side effects."""
+
+    def recover(self, iteration: int, observer: RunObserver) -> int:
+        """Crash recovery is a from-scratch rerun over the same
+        sharding: neither knord (Section 7) nor MPI ranks keep
+        checkpoints."""
+        self.sharded.reset()
+        return 0
+
+
+class DistributedBackend(_ShardedBackend):
     """Section 7 substrate: one knori-style machine per shard plus the
     cluster allreduce; an iteration takes as long as its slowest
     machine plus the collective.
@@ -799,20 +888,13 @@ class DistributedBackend:
         membership: Any = None,
         autoscaler: Any = None,
     ) -> None:
+        super().__init__(sharded, faults, retry_policy)
         self.cluster = cluster
         self.schedulers = schedulers
-        self.sharded = sharded
-        self.n_rows = sharded.n_rows
         self.d = d
         self.k = k
         self.task_rows = task_rows
         self.state_bytes = state_bytes
-        self.faults = faults
-        if retry_policy is None:
-            from repro.faults import DEFAULT_RETRY_POLICY
-
-            retry_policy = DEFAULT_RETRY_POLICY
-        self.retry_policy = retry_policy
         #: Which machine executes each shard (reassigned on failure).
         self.shard_owner = list(range(sharded.n_shards))
         self.failed: set[int] = set()
@@ -1185,22 +1267,16 @@ class DistributedBackend:
             self._maybe_fail_node(iteration, observer)
             if self._machine_detector is not None:
                 self._maybe_straggle_node(iteration, observer)
-        payloads: list[dict[str, np.ndarray]] = []
+        stats_all, payloads, motion = self._step_shards()
         n_changed = 0
         machine_ns: dict[int, float] = {}
         dist_total = 0
         clause1 = clause2 = clause3 = 0
         steals = 0
         busy: list[float] = []
-        motion: np.ndarray | None = None
         shard_rows = self.sharded.shard_rows()
 
-        for si in range(self.sharded.n_shards):
-            stats = self.sharded.step(si)
-            if stats.motion is not None:
-                motion = stats.motion
-            payloads.append(self.sharded.payload(si))
-
+        for si, stats in enumerate(stats_all):
             mi = self.shard_owner[si]
             machine = self.cluster.machines[mi]
             sn = shard_rows[si]
@@ -1235,21 +1311,10 @@ class DistributedBackend:
         if self._machine_detector is not None:
             self._observe_machines(iteration, machine_ns, observer)
 
-        payload, wire, allreduce_ns = (
-            self.sharded.reduce_and_broadcast(
-                self.cluster.comm, payloads,
-                timing_comm=self._timing_comm,
-            )
+        wire, allreduce_ns = self._collective(
+            iteration, self.cluster.comm, payloads, observer,
+            timing_comm=self._timing_comm,
         )
-        if self.faults is not None:
-            from repro.faults import faulty_collective_ns
-
-            allreduce_ns = faulty_collective_ns(
-                self.faults, self.retry_policy, iteration,
-                allreduce_ns, observer,
-                payload=self.sharded.model_array,
-            )
-        observer.on_collective(iteration, payload, wire, allreduce_ns)
 
         boundary_ns, self._boundary_ns = self._boundary_ns, 0.0
         sim_ns = max(machine_ns.values()) + allreduce_ns + boundary_ns
@@ -1271,17 +1336,8 @@ class DistributedBackend:
             self._observe_autoscaler(iteration, sim_ns)
         return IterationOutcome(record, n_changed, motion)
 
-    def after_record(self, iteration, outcome, observer) -> None:
-        """Distributed runs have no post-record side effects."""
 
-    def recover(self, iteration: int, observer: RunObserver) -> int:
-        """Distributed crash recovery is a from-scratch rerun on the
-        surviving fleet (knord keeps no checkpoints; Section 7)."""
-        self.sharded.reset()
-        return 0
-
-
-class PureMpiBackend:
+class PureMpiBackend(_ShardedBackend):
     """Section 8.9 baseline: identical sharded numerics, but one
     single-threaded unpinned rank per core -- per-rank compute pays the
     NUMA penalty and the allreduce spans every rank, not one per
@@ -1317,34 +1373,22 @@ class PureMpiBackend:
                 "elastic membership plans and autoscaling are not "
                 "supported (use the knord backend)"
             )
+        super().__init__(sharded, faults, retry_policy)
         self.comm = comm
-        self.sharded = sharded
-        self.n_rows = sharded.n_rows
         self.dist_col_ns = dist_col_ns
         self.row_overhead_ns = row_overhead_ns
         self.numa_penalty = numa_penalty
-        self.faults = faults
-        if retry_policy is None:
-            from repro.faults import DEFAULT_RETRY_POLICY
-
-            retry_policy = DEFAULT_RETRY_POLICY
-        self.retry_policy = retry_policy
 
     def run_iteration(
         self, iteration: int, observer: RunObserver
     ) -> IterationOutcome:
-        payloads: list[dict[str, np.ndarray]] = []
+        stats_all, payloads, motion = self._step_shards()
         n_changed = 0
         rank_ns: list[float] = []
         dist_total = 0
-        motion: np.ndarray | None = None
         shard_rows = self.sharded.shard_rows()
 
-        for ri in range(self.sharded.n_shards):
-            stats = self.sharded.step(ri)
-            if stats.motion is not None:
-                motion = stats.motion
-            payloads.append(self.sharded.payload(ri))
+        for ri, stats in enumerate(stats_all):
             sn = shard_rows[ri]
             n_dist = int(stats.dist_per_row.sum())
             # Single-threaded rank, unpinned: NUMA penalty, no SMT.
@@ -1355,18 +1399,9 @@ class PureMpiBackend:
             dist_total += n_dist
             n_changed += stats.n_changed
 
-        payload, wire, allreduce_ns = (
-            self.sharded.reduce_and_broadcast(self.comm, payloads)
+        wire, allreduce_ns = self._collective(
+            iteration, self.comm, payloads, observer
         )
-        if self.faults is not None:
-            from repro.faults import faulty_collective_ns
-
-            allreduce_ns = faulty_collective_ns(
-                self.faults, self.retry_policy, iteration,
-                allreduce_ns, observer,
-                payload=self.sharded.model_array,
-            )
-        observer.on_collective(iteration, payload, wire, allreduce_ns)
 
         record = IterationRecord(
             iteration=iteration,
@@ -1377,12 +1412,3 @@ class PureMpiBackend:
             allreduce_ns=allreduce_ns,
         )
         return IterationOutcome(record, n_changed, motion)
-
-    def after_record(self, iteration, outcome, observer) -> None:
-        """Rank-based runs have no post-record side effects."""
-
-    def recover(self, iteration: int, observer: RunObserver) -> int:
-        """MPI ranks keep no checkpoints: recovery is a from-scratch
-        rerun over the same sharding."""
-        self.sharded.reset()
-        return 0

@@ -34,9 +34,9 @@ Per batch, the plane:
    validated once per call. A
    non-finite minimum distance sends the batch's suspect rows to
    ``check_row_dist_finite``, which fails typed naming the global
-   rows that hold NaN/inf (the centroids are checked finite at
-   construction, so only such a row, or one whose squared norm
-   overflows, can give one). It then prices the distance work on the
+   rows that hold NaN/inf and those whose squared norm overflows
+   float64 (the centroids are checked finite at construction, so only
+   such rows can give one). It then prices the distance work on the
    simhw engine (``reduction=False`` -- an assignment-only pass merges
    nothing). That price is a pure function of the batch size --
    machine, scheduler, ``d`` and ``k`` are fixed, and the engine

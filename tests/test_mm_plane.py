@@ -393,15 +393,47 @@ class TestKmeansNonFiniteRows:
         with pytest.raises(DatasetError, match=r"2 rows .* \(rows \[5, 11\]\)"):
             knori(x, K, criteria=CRIT, init=init)
 
-    def test_overflowing_finite_row_is_not_named(self):
-        """A finite row whose squared norm overflows has an infinite
-        distance, but no NaN/inf cell: the re-read clears it."""
+    @pytest.mark.parametrize("entry,pruning", [
+        ("knori", "mti"), ("knori", "elkan"), ("knori", None),
+        ("knors", "mti"), ("knors", None),
+        ("knord", "mti"), ("knord", None),
+    ])
+    def test_overflowing_rows_named(self, mmdata, tmp_path, entry,
+                                    pruning):
+        """A row of finite cells whose squared norm overflows float64
+        has an infinite distance, and once gave a NaN inertia with
+        only RuntimeWarnings. It is named in the same error as a NaN
+        row, by its global id (for knord, in the second shard)."""
+        x = mmdata.copy()
+        nan, big = x.shape[0] - 9, x.shape[0] - 5
+        x[nan, 2] = np.nan
+        x[big] = 1e200
+        want = (rf"1 rows contain NaN/inf \(rows \[{nan}\]\); 1 rows have "
+                rf"a squared norm that overflows float64 \(rows \[{big}\]\)")
+        with pytest.raises(DatasetError, match=want):
+            if entry == "knord":
+                knord(x, K, n_machines=2, criteria=CRIT, pruning=pruning)
+            else:
+                self.run(entry, x, tmp_path, pruning=pruning)
+
+    def test_overflowing_finite_row_is_named(self):
+        """The re-read names a finite row whose squared norm overflows
+        apart from a NaN/inf row, and clears a row that only looks bad
+        (finite cells, finite norm)."""
         from repro.drivers.common import check_row_dist_finite
 
         x = np.array([[1.0, 2.0], [1e200, 0.0], [np.nan, 0.0]])
-        with pytest.raises(DatasetError, match=r"\(rows \[2\]\)"):
+        with pytest.raises(DatasetError, match=(
+            r"^t: 1 rows contain NaN/inf \(rows \[2\]\); 1 rows have a "
+            r"squared norm that overflows float64 \(rows \[1\]\); clean"
+        )):
             check_row_dist_finite(x, np.array([1.0, np.inf, np.nan]), "t")
-        check_row_dist_finite(x[:2], np.array([1.0, np.inf]), "t")
+        with pytest.raises(DatasetError, match=(
+            r"^t: 1 rows have a squared norm that overflows float64 "
+            r"\(rows \[1\]\); clean the data before fitting$"
+        )):
+            check_row_dist_finite(x[:2], np.array([1.0, np.inf]), "t")
+        check_row_dist_finite(x[:1], np.array([np.inf]), "t")
 
 
 class TestGmmPort:

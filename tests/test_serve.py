@@ -585,16 +585,24 @@ class TestServeValidation:
         np.testing.assert_array_equal(plane.centroids, before)
         assert plane.counts.tolist() == [1, 1, 1, 1]
 
-    def test_overflowing_finite_row_is_not_named(self, served):
+    @pytest.mark.parametrize("ingest", [False, True],
+                             ids=["query", "ingest"])
+    def test_overflowing_finite_row_is_named(self, served, ingest):
         """A huge but finite row has an infinite distance (its squared
-        norm overflows); its cells are finite, so it is served."""
+        norm overflows): the batch fails typed, naming the global row
+        and why, before any fold."""
         x, fit, _ = served
         x = x.copy()
         x[11] = 1e200
-        plane = ServePlane(x, fit.centroids)
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = plane.serve(self._one_batch([4, 11], [False, False]))
-        assert res.n_queries == 2
+        plane = ServePlane(x, fit.centroids, counts=np.ones(4))
+        before = plane.centroids.copy()
+        with pytest.raises(DatasetError, match=(
+            r"served rows: 1 rows have a squared norm that overflows "
+            r"float64 \(rows \[11\]\)"
+        )), np.errstate(over="ignore", invalid="ignore"):
+            plane.serve(self._one_batch([4, 11, 11], [ingest] * 3))
+        np.testing.assert_array_equal(plane.centroids, before)
+        assert plane.counts.tolist() == [1, 1, 1, 1]
 
     def test_rejects_out_of_range_rows(self, served):
         x, fit, _ = served
