@@ -35,22 +35,16 @@ comes from a full run. Gate: ``check_bench_regression.py`` against
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
-import sys
 import tempfile
-from pathlib import Path
 
 import numpy as np
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+import harness
 
-from repro.core import ConvergenceCriteria  # noqa: E402
-from repro.drivers.knord import knord, knord_loop  # noqa: E402
-from repro.drivers.knors import knors  # noqa: E402
-from repro.elastic import (  # noqa: E402
+from repro.core import ConvergenceCriteria
+from repro.drivers.knord import knord, knord_loop
+from repro.drivers.knors import knors
+from repro.elastic import (
     Autoscaler,
     AutoscalerPolicy,
     FairShareScheduler,
@@ -59,10 +53,10 @@ from repro.elastic import (  # noqa: E402
     TenantJob,
     TenantSpec,
 )
-from repro.runtime import RunObserver  # noqa: E402
-from repro.simhw import run_cost_usd  # noqa: E402
+from repro.runtime import RunObserver
+from repro.simhw import run_cost_usd
 
-OUT_PATH = REPO_ROOT / "BENCH_elastic.json"
+OUT_PATH = harness.REPO_ROOT / "BENCH_elastic.json"
 
 
 class ExecutedWork(RunObserver):
@@ -251,16 +245,7 @@ def bench_fair_share(n, d, k, n_machines, max_iters):
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument(
-        "--quick", action="store_true",
-        help="small sizes (CI smoke test)",
-    )
-    ap.add_argument(
-        "--out", type=Path, default=OUT_PATH,
-        help=f"output JSON path (default: {OUT_PATH})",
-    )
-    args = ap.parse_args(argv)
+    args = harness.parse_args(__doc__, OUT_PATH, argv)
 
     # The autoscale workload must be compute-dominated: with tiny
     # shards the allreduce latency dwarfs per-machine compute and
@@ -279,25 +264,19 @@ def main(argv=None) -> int:
         fair = dict(n=8000, d=16, k=8, n_machines=6, max_iters=15)
 
     results = {
-        "meta": {
-            "quick": args.quick,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "note": (
-                "All sections are deterministic simulated time; every "
-                "elastic run is asserted bit-identical to its "
-                "event-free twin first. preemption/autoscale carry "
-                "gated speedups; fair_share is informational."
-            ),
-        },
+        "meta": harness.meta(
+            args.quick,
+            "All sections are deterministic simulated time; every "
+            "elastic run is asserted bit-identical to its "
+            "event-free twin first. preemption/autoscale carry "
+            "gated speedups; fair_share is informational.",
+        ),
         "preemption": bench_preemption(**preempt),
         "autoscale": bench_autoscale(**autoscale),
         "fair_share": bench_fair_share(**fair),
     }
 
-    args.out.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"wrote {args.out}")
+    harness.write(results, args.out)
     p = results["preemption"]
     print(f"  preemption: notice saves "
           f"{p['zero_notice_boundaries'] - p['noticed_boundaries']} "

@@ -32,27 +32,20 @@ seconds; the committed JSON comes from a full run.
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
-import sys
-from pathlib import Path
-
 import numpy as np
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+import harness
 
-from repro import ConvergenceCriteria  # noqa: E402
-from repro.extensions import MM_ALGORITHMS, make_mm_algorithm  # noqa: E402
-from repro.runtime import (  # noqa: E402
+from repro import ConvergenceCriteria
+from repro.extensions import MM_ALGORITHMS, make_mm_algorithm
+from repro.runtime import (
     KmeansMM,
     run_mm_distributed,
     run_mm_inmemory,
     run_mm_sem,
 )
 
-OUT_PATH = REPO_ROOT / "BENCH_extensions.json"
+OUT_PATH = harness.REPO_ROOT / "BENCH_extensions.json"
 N_MACHINES = 4
 SEED = 3
 
@@ -159,16 +152,7 @@ def bench_pruning(x, k, max_iters):
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument(
-        "--quick", action="store_true",
-        help="small sizes (CI smoke test)",
-    )
-    ap.add_argument(
-        "--out", type=Path, default=OUT_PATH,
-        help=f"output JSON path (default: {OUT_PATH})",
-    )
-    args = ap.parse_args(argv)
+    args = harness.parse_args(__doc__, OUT_PATH, argv)
 
     if args.quick:
         n, d, k, max_iters = 3_000, 8, 8, 12
@@ -184,22 +168,17 @@ def main(argv=None) -> int:
     px, _ = make_data(pn, d, pk, seed=9)
 
     results = {
-        "meta": {
-            "quick": args.quick,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "note": (
-                "simulated seconds per backend for every MM-plane "
-                "algorithm; bit-identity across InMemory/Sem/"
-                "Distributed asserted before timing. 'speedup' "
-                "entries are deterministic sim-time ratios "
-                "(distributed 1-machine over 4-machine for the "
-                "scaling entry; unpruned Lloyd's over yinyang for "
-                "the pruning entry), so the regression gate is "
-                "wall-clock-noise-free."
-            ),
-        },
+        "meta": harness.meta(
+            args.quick,
+            "simulated seconds per backend for every MM-plane "
+            "algorithm; bit-identity across InMemory/Sem/"
+            "Distributed asserted before timing. 'speedup' "
+            "entries are deterministic sim-time ratios "
+            "(distributed 1-machine over 4-machine for the "
+            "scaling entry; unpruned Lloyd's over yinyang for "
+            "the pruning entry), so the regression gate is "
+            "wall-clock-noise-free.",
+        ),
         "algorithms": {
             name: bench_algorithm(name, x, labels, k, max_iters)
             for name in sorted(MM_ALGORITHMS)
@@ -212,8 +191,7 @@ def main(argv=None) -> int:
         },
     }
 
-    args.out.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"wrote {args.out}")
+    harness.write(results, args.out)
     for name, r in results["algorithms"].items():
         print(
             f"  {name:16s} {r['iterations']:3d} iters  "

@@ -25,51 +25,26 @@ JSON comes from a full run.
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
-import sys
-from pathlib import Path
-
 import numpy as np
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+import harness
 
-from repro.core.distance import (  # noqa: E402
+from repro.core.distance import (
     GEMM_ULP_BOUND,
     nearest_centroid,
     row_norms,
 )
-from repro.core.workspace import DistanceWorkspace  # noqa: E402
-from repro.dist import SimComm, TEN_GBE, rect_grid  # noqa: E402
-from repro.perf import before_after, time_callable  # noqa: E402
+from repro.core.workspace import DistanceWorkspace
+from repro.dist import SimComm, TEN_GBE, rect_grid
 
-OUT_PATH = REPO_ROOT / "BENCH_gemm.json"
-
-
-def _ba(before_fn, after_fn, repeats):
-    """Time both sides and produce the before/after JSON fragment."""
-    return before_after(
-        time_callable(before_fn, label="before", repeats=repeats),
-        time_callable(after_fn, label="after", repeats=repeats),
-    )
-
-
-def make_data(n: int, d: int, k: int, seed: int = 0):
-    """Blobby data with real cluster structure."""
-    rng = np.random.default_rng(seed)
-    centers = rng.normal(scale=8.0, size=(k, d))
-    x = centers[rng.integers(k, size=n)] + rng.normal(size=(n, d))
-    c = x[rng.choice(n, size=k, replace=False)].copy()
-    return np.ascontiguousarray(x), c
+OUT_PATH = harness.REPO_ROOT / "BENCH_gemm.json"
 
 
 # -- kernel strategies ------------------------------------------------
 
 
 def bench_kernel(n, d, k, repeats):
-    x, c = make_data(n, d, k, seed=k)
+    x, c = harness.blobs(n, d, k, seed=k)
     ws_blocked = DistanceWorkspace(k, d, kernel="blocked")
     ws_gemm = DistanceWorkspace(k, d, kernel="gemm")
 
@@ -88,7 +63,7 @@ def bench_kernel(n, d, k, repeats):
         db**2
     )
     assert np.all(np.abs(db**2 - dg**2) <= tol), "ULP bound violated"
-    return _ba(before, after, repeats) | {"n": n, "d": d, "k": k}
+    return harness.ba(before, after, repeats) | {"n": n, "d": d, "k": k}
 
 
 # -- allreduce schedules ----------------------------------------------
@@ -141,17 +116,7 @@ def bench_allreduce(p, k, d, sweep_exponents):
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument(
-        "--quick", action="store_true",
-        help="small sizes / few repeats (CI smoke test)",
-    )
-    ap.add_argument(
-        "--out", type=Path, default=OUT_PATH,
-        help=f"output JSON path (default: {OUT_PATH})",
-    )
-    args = ap.parse_args(argv)
-
+    args = harness.parse_args(__doc__, OUT_PATH, argv)
     if args.quick:
         repeats = 2
         sizes = [dict(n=20_000, d=16, k=10),
@@ -164,21 +129,16 @@ def main(argv=None) -> int:
                  dict(n=100_000, d=32, k=256)]
 
     results = {
-        "meta": {
-            "quick": args.quick,
-            "repeats": repeats,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "note": (
-                "kernels: wall-clock seconds, best-of-N; 'before' is "
-                "kernel='blocked' (bit-exact reference), 'after' is "
-                "kernel='gemm'; assignments asserted identical and "
-                "distances ULP-checked before timing. allreduce: "
-                "deterministic simulated ns from the 10 GbE network "
-                "model, no wall clock involved."
-            ),
-        },
+        "meta": harness.meta(
+            args.quick,
+            "kernels: wall-clock seconds, best-of-N; 'before' is "
+            "kernel='blocked' (bit-exact reference), 'after' is "
+            "kernel='gemm'; assignments asserted identical and "
+            "distances ULP-checked before timing. allreduce: "
+            "deterministic simulated ns from the 10 GbE network "
+            "model, no wall clock involved.",
+            repeats=repeats,
+        ),
         "kernels": {
             f"nearest_centroid_k{s['k']}": bench_kernel(
                 repeats=repeats, **s
@@ -190,8 +150,7 @@ def main(argv=None) -> int:
         ),
     }
 
-    args.out.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"wrote {args.out}")
+    harness.write(results, args.out)
     for name, r in results["kernels"].items():
         print(f"  {name:24s} {r['speedup']:.2f}x "
               f"({r['before_s']:.4f}s -> {r['after_s']:.4f}s)")

@@ -27,35 +27,21 @@ JSON comes from a full run.
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+import harness
 
-from repro.core import ConvergenceCriteria  # noqa: E402
-from repro.drivers.knori import knori  # noqa: E402
-from repro.mem import (  # noqa: E402
+from repro.core import ConvergenceCriteria
+from repro.drivers.knori import knori
+from repro.mem import (
     ArenaManager,
     BudgetedManager,
     NumpyManager,
 )
-from repro.perf import before_after, time_callable  # noqa: E402
 
-OUT_PATH = REPO_ROOT / "BENCH_mem.json"
-
-
-def _ba(before_fn, after_fn, repeats):
-    return before_after(
-        time_callable(before_fn, label="before", repeats=repeats),
-        time_callable(after_fn, label="after", repeats=repeats),
-    )
+OUT_PATH = harness.REPO_ROOT / "BENCH_mem.json"
 
 
 # -- allocation churn -------------------------------------------------
@@ -86,7 +72,7 @@ def bench_partials(k, d, n_threads, cycles, repeats):
         _churn_cycle(arena_m, shapes, cycles)
 
     after()  # prime the pool: steady state is what iterations 2+ see
-    out = _ba(before, after, repeats)
+    out = harness.ba(before, after, repeats)
     out |= {"k": k, "d": d, "n_threads": n_threads, "cycles": cycles,
             "arena_backing_allocs": arena_m.counters().backing_allocs}
     return out
@@ -125,7 +111,7 @@ def bench_staging(k, d, p, cycles, repeats):
         ladder(arena_m)
 
     after()
-    return _ba(before, after, repeats) | {
+    return harness.ba(before, after, repeats) | {
         "k": k, "d": d, "p": p, "cycles": cycles,
     }
 
@@ -150,7 +136,7 @@ def bench_varying_batches(k, batches, repeats):
             buf[:m].fill(1.0)
 
     after()
-    return _ba(before, after, repeats) | {
+    return harness.ba(before, after, repeats) | {
         "k": k, "n_batches": len(batches),
         "max_rows": int(max(batches)),
     }
@@ -159,17 +145,10 @@ def bench_varying_batches(k, batches, repeats):
 # -- budget curve -----------------------------------------------------
 
 
-def make_data(n, d, k, seed=0):
-    rng = np.random.default_rng(seed)
-    centers = rng.normal(scale=8.0, size=(k, d))
-    x = centers[rng.integers(k, size=n)] + rng.normal(size=(n, d))
-    return np.ascontiguousarray(x)
-
-
 def bench_budget_curve(n, d, k, iters, fractions):
     """Peak resident bytes and simulated spill time vs byte cap, with
     bit-identity asserted against the numpy-manager reference."""
-    x = make_data(n, d, k)
+    x, _ = harness.blobs(n, d, k)
     crit = ConvergenceCriteria(max_iters=iters)
     ref = knori(x, k, seed=1, criteria=crit)
 
@@ -213,7 +192,7 @@ def bench_budget_curve(n, d, k, iters, fractions):
 
 def bench_tracemalloc(n, d, k, iters):
     """Peak interpreter bytes of one knori run (CI smoke gate)."""
-    x = make_data(n, d, k)
+    x, _ = harness.blobs(n, d, k)
     tracemalloc.start()
     knori(x, k, seed=1,
           criteria=ConvergenceCriteria(max_iters=iters))
@@ -227,16 +206,7 @@ def bench_tracemalloc(n, d, k, iters):
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument(
-        "--quick", action="store_true",
-        help="small sizes / few repeats (CI smoke test)",
-    )
-    ap.add_argument(
-        "--out", type=Path, default=OUT_PATH,
-        help=f"output JSON path (default: {OUT_PATH})",
-    )
-    args = ap.parse_args(argv)
+    args = harness.parse_args(__doc__, OUT_PATH, argv)
 
     # Block sizes sit above the allocator's mmap threshold (~128 KiB):
     # that is the regime where fresh allocation pays page faults every
@@ -262,23 +232,18 @@ def main(argv=None) -> int:
         tm = dict(n=50_000, d=32, k=16, iters=6)
 
     results = {
-        "meta": {
-            "quick": args.quick,
-            "repeats": repeats,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "note": (
-                "churn: wall-clock seconds, best-of-N; 'before' is "
-                "the numpy manager (fresh allocation every cycle), "
-                "'after' is the arena manager (size-class pools). "
-                "Every cycle writes the full buffer on both sides. "
-                "budget: deterministic simulated spill charges; "
-                "results asserted bit-identical at every cap. "
-                "tracemalloc: peak interpreter bytes, gated by "
-                "check_mem_peak.py at +20%."
-            ),
-        },
+        "meta": harness.meta(
+            args.quick,
+            "churn: wall-clock seconds, best-of-N; 'before' is "
+            "the numpy manager (fresh allocation every cycle), "
+            "'after' is the arena manager (size-class pools). "
+            "Every cycle writes the full buffer on both sides. "
+            "budget: deterministic simulated spill charges; "
+            "results asserted bit-identical at every cap. "
+            "tracemalloc: peak interpreter bytes, gated by "
+            "check_mem_peak.py at +20%.",
+            repeats=repeats,
+        ),
         "churn": {
             "partials": bench_partials(repeats=repeats, **partials),
             "allreduce_staging": bench_staging(
@@ -292,8 +257,7 @@ def main(argv=None) -> int:
         "tracemalloc": bench_tracemalloc(**tm),
     }
 
-    args.out.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"wrote {args.out}")
+    harness.write(results, args.out)
     for name, r in results["churn"].items():
         print(f"  churn/{name:20s} {r['speedup']:.2f}x "
               f"({r['before_s']:.4f}s -> {r['after_s']:.4f}s)")

@@ -1,7 +1,7 @@
 """Wall-clock + simulated-time benchmark for the SEM I/O rework (PR 4).
 
 Times the vectorized SEM cache hierarchy against its frozen pre-change
-counterparts (:mod:`repro.perf.legacy`) and compares knors' sync vs
+counterparts (``tests/oracles.py``) and compares knors' sync vs
 async simulated I/O accounting, writing ``BENCH_sem.json`` at the repo
 root:
 
@@ -29,48 +29,23 @@ the harness in seconds; the committed JSON comes from a full run.
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
-import sys
-from pathlib import Path
-
 import numpy as np
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+import harness
 
-from repro import knori, knors  # noqa: E402
-from repro.core import ConvergenceCriteria  # noqa: E402
-from repro.perf import before_after, time_callable  # noqa: E402
-from repro.perf.legacy import (  # noqa: E402
+from repro import knori, knors
+from repro.core import ConvergenceCriteria
+from repro.sem.pagecache import PageCache
+from repro.sem.rowcache import RowCache
+from repro.sem.safs import Safs
+from repro.simhw.ssd import OCZ_INTREPID_ARRAY
+from tests.oracles import (
     LegacyPageCache,
     LegacyRowCache,
     LegacySafs,
 )
-from repro.sem.pagecache import PageCache  # noqa: E402
-from repro.sem.rowcache import RowCache  # noqa: E402
-from repro.sem.safs import Safs  # noqa: E402
-from repro.simhw.ssd import OCZ_INTREPID_ARRAY  # noqa: E402
 
-OUT_PATH = REPO_ROOT / "BENCH_sem.json"
-
-
-def _ba(before_fn, after_fn, repeats):
-    """Time both sides and produce the before/after JSON fragment."""
-    return before_after(
-        time_callable(before_fn, label="before", repeats=repeats),
-        time_callable(after_fn, label="after", repeats=repeats),
-    )
-
-
-def make_data(n: int, d: int, k: int, seed: int = 4):
-    """Blobby data so MTI actually prunes and iterations do real work."""
-    rng = np.random.default_rng(seed)
-    centers = rng.normal(scale=8.0, size=(k, d))
-    x = centers[rng.integers(k, size=n)] + rng.normal(size=(n, d))
-    c0 = x[rng.choice(n, size=k, replace=False)].copy()
-    return np.ascontiguousarray(x), c0
+OUT_PATH = harness.REPO_ROOT / "BENCH_sem.json"
 
 
 # -- page cache ------------------------------------------------------
@@ -115,7 +90,7 @@ def bench_page_cache(n_pages, n_batches, batch, capacity_pages, repeats):
     cb, ca = before(), after()
     assert (cb.hits, cb.misses, len(cb)) == (ca.hits, ca.misses, len(ca))
     assert cb.pages_lru_order() == ca.pages_lru_order()
-    return _ba(before, after, repeats) | {
+    return harness.ba(before, after, repeats) | {
         "n_pages": n_pages, "batches": n_batches,
         "batch_size": batch, "capacity_pages": capacity_pages,
         "semantics_identical": True,
@@ -157,7 +132,7 @@ def bench_row_cache(n_rows, n_parts, refreshes, active, repeats):
     (cb, ab), (ca, aa) = before(), after()
     assert ab == aa
     assert np.array_equal(cb._cached, ca._cached)
-    return _ba(before, after, repeats) | {
+    return harness.ba(before, after, repeats) | {
         "n_rows": n_rows, "partitions": n_parts,
         "refreshes": refreshes, "active_rows": active,
         "semantics_identical": True,
@@ -197,7 +172,7 @@ def bench_fetch_rows(n_rows, row_bytes, iters, rows_per_iter,
         return run(Safs)
 
     assert before() == after(), "fetch_rows counters diverged"
-    return _ba(before, after, repeats) | {
+    return harness.ba(before, after, repeats) | {
         "n_rows": n_rows, "row_bytes": row_bytes,
         "iterations": iters, "rows_per_iter": rows_per_iter,
         "page_cache_mb": cache_mb,
@@ -218,7 +193,7 @@ def _io_digest(res):
 
 
 def bench_end_to_end(n, d, k, max_iters, repeats):
-    x, c0 = make_data(n, d, k)
+    x, c0 = harness.blobs(n, d, k, seed=4)
     crit = ConvergenceCriteria(max_iters=max_iters)
 
     def run_sync():
@@ -243,7 +218,7 @@ def bench_end_to_end(n, d, k, max_iters, repeats):
     )
     ri = knori(x, k, pruning="mti", init=c0, criteria=crit)
 
-    wall = _ba(run_sync, run_async, repeats)
+    wall = harness.ba(run_sync, run_async, repeats)
     return wall | {
         "n": n, "d": d, "k": k, "max_iters": max_iters,
         "outputs_bit_identical": identical,
@@ -261,17 +236,7 @@ def bench_end_to_end(n, d, k, max_iters, repeats):
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument(
-        "--quick", action="store_true",
-        help="small sizes / few repeats (CI smoke test)",
-    )
-    ap.add_argument(
-        "--out", type=Path, default=OUT_PATH,
-        help=f"output JSON path (default: {OUT_PATH})",
-    )
-    args = ap.parse_args(argv)
-
+    args = harness.parse_args(__doc__, OUT_PATH, argv)
     if args.quick:
         repeats = 2
         pc = dict(n_pages=4_000, n_batches=20, batch=1_500,
@@ -292,22 +257,17 @@ def main(argv=None) -> int:
         e2e = dict(n=40_000, d=16, k=16, max_iters=30)
 
     results = {
-        "meta": {
-            "quick": args.quick,
-            "repeats": repeats,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "note": (
-                "wall-clock seconds, best-of-N; 'before' is the frozen "
-                "pre-rework SEM cache stack (repro.perf.legacy), "
-                "'after' is the shipped batch-LRU/vectorized path; "
-                "counters asserted identical before timing. End-to-end "
-                "also compares simulated seconds across --sync-io / "
-                "--async-io (identical numerics, async strictly "
-                "faster in simulated time)."
-            ),
-        },
+        "meta": harness.meta(
+            args.quick,
+            "wall-clock seconds, best-of-N; 'before' is the frozen "
+            "pre-rework SEM cache stack (tests/oracles.py), "
+            "'after' is the shipped batch-LRU/vectorized path; "
+            "counters asserted identical before timing. End-to-end "
+            "also compares simulated seconds across --sync-io / "
+            "--async-io (identical numerics, async strictly "
+            "faster in simulated time).",
+            repeats=repeats,
+        ),
         "kernels": {
             "page_cache": bench_page_cache(repeats=repeats, **pc),
             "row_cache_refresh": bench_row_cache(repeats=repeats, **rc),
@@ -320,8 +280,7 @@ def main(argv=None) -> int:
         },
     }
 
-    args.out.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"wrote {args.out}")
+    harness.write(results, args.out)
     for name, r in results["kernels"].items():
         print(f"  {name:24s} {r['speedup']:.2f}x "
               f"({r['before_s']:.4f}s -> {r['after_s']:.4f}s)")

@@ -31,31 +31,17 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
-import sys
-from pathlib import Path
-
 import numpy as np
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+import harness
 
-from repro.runtime import run_mm_inmemory  # noqa: E402
-from repro.serve import MiniBatchMM, ServePlane  # noqa: E402
-from repro.simhw import ArrivalProcess  # noqa: E402
+from repro.runtime import run_mm_inmemory
+from repro.serve import MiniBatchMM, ServePlane
+from repro.simhw import ArrivalProcess
 
-OUT_PATH = REPO_ROOT / "BENCH_serve.json"
+OUT_PATH = harness.REPO_ROOT / "BENCH_serve.json"
 SEED = 3
 ARRIVAL_SEED = 17
-
-
-def make_data(n: int, d: int, k: int, seed: int = 4):
-    rng = np.random.default_rng(seed)
-    centers = rng.normal(scale=6.0, size=(k, d))
-    x = centers[rng.integers(k, size=n)] + rng.normal(size=(n, d))
-    return np.ascontiguousarray(x)
 
 
 def fit_model(x, k, steps):
@@ -156,16 +142,7 @@ def bench_batching(x, centroids, n_arrivals, rate_qps):
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument(
-        "--quick", action="store_true",
-        help="small sizes (CI smoke test)",
-    )
-    ap.add_argument(
-        "--out", type=Path, default=OUT_PATH,
-        help=f"output JSON path (default: {OUT_PATH})",
-    )
-    args = ap.parse_args(argv)
+    args = harness.parse_args(__doc__, OUT_PATH, argv)
 
     if args.quick:
         n, d, k, steps = 4_000, 8, 8, 20
@@ -176,27 +153,21 @@ def main(argv=None) -> int:
         n_arrivals, side = 100_000, 20_000
         rate_qps = 200_000.0
 
-    x = make_data(n, d, k)
+    x, _ = harness.blobs(n, d, k, seed=4, scale=6.0)
     fit, algo = fit_model(x, k, steps)
 
     results = {
-        "meta": {
-            "quick": args.quick,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "n": n, "d": d, "k": k,
-            "arrival_seed": ARRIVAL_SEED,
-            "note": (
-                "simulated-time latency percentiles for seeded "
-                "open-loop arrivals through repro.serve; rollups "
-                "asserted byte-identical across two fresh runs "
-                "before recording. 'speedup' entries are "
-                "deterministic sim-service-time ratios (page cache "
-                "off over on; per-arrival dispatch over coalesced), so "
-                "the regression gate is wall-clock-noise-free."
-            ),
-        },
+        "meta": harness.meta(
+            args.quick,
+            "simulated-time latency percentiles for seeded "
+            "open-loop arrivals through repro.serve; rollups "
+            "asserted byte-identical across two fresh runs "
+            "before recording. 'speedup' entries are "
+            "deterministic sim-service-time ratios (page cache "
+            "off over on; per-arrival dispatch over coalesced), so "
+            "the regression gate is wall-clock-noise-free.",
+            n=n, d=d, k=k, arrival_seed=ARRIVAL_SEED,
+        ),
         "latency": bench_latency(
             x, fit.centroids, algo.counts, n_arrivals, rate_qps
         ),
@@ -208,8 +179,7 @@ def main(argv=None) -> int:
         ),
     }
 
-    args.out.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"wrote {args.out}")
+    harness.write(results, args.out)
     q = results["latency"]["query_only"]
     lat = q["latency"]
     print(

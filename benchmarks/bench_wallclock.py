@@ -1,7 +1,7 @@
 """Wall-clock before/after benchmark for the PR 3 kernel rework.
 
 Times the interpreter-side hot paths against their frozen pre-change
-counterparts (:mod:`repro.perf.legacy`) and writes the results to
+counterparts (``tests/oracles.py``) and writes the results to
 ``BENCH_kernels.json`` at the repo root:
 
 * **Kernel layer** -- accumulation (flat-index bincount vs per-dim
@@ -31,16 +31,9 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-import argparse  # noqa: E402
-import json  # noqa: E402
-import platform  # noqa: E402
-import sys  # noqa: E402
-from pathlib import Path  # noqa: E402
-
 import numpy as np  # noqa: E402
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+import harness  # noqa: E402
 
 from repro import knord, knori, knors  # noqa: E402
 from repro.core import ConvergenceCriteria  # noqa: E402
@@ -48,8 +41,6 @@ from repro.core.centroids import AccumScratch, add_block  # noqa: E402
 from repro.core.distance import nearest_centroid  # noqa: E402
 from repro.core.mti import mti_init, mti_iteration  # noqa: E402
 from repro.core.workspace import DistanceWorkspace  # noqa: E402
-from repro.perf import before_after, time_callable  # noqa: E402
-from repro.perf import legacy  # noqa: E402
 from repro.sched import NumaAwareScheduler  # noqa: E402
 from repro.simhw import (  # noqa: E402
     BindPolicy,
@@ -59,49 +50,16 @@ from repro.simhw import (  # noqa: E402
 )
 from repro.simhw.engine import IterationTrace  # noqa: E402
 from repro.simhw.thread import spawn_threads  # noqa: E402
+from tests import oracles as legacy  # noqa: E402
 
-OUT_PATH = REPO_ROOT / "BENCH_kernels.json"
-
-
-def _ba(before_fn, after_fn, repeats, loops=1):
-    """Time both sides and produce the before/after JSON fragment.
-
-    Each sample times ``loops`` back-to-back calls (the fragment reports
-    seconds per call), so a sub-millisecond call is sampled over long
-    enough that the sample measures the code rather than the host.
-    """
-
-    def looped(fn):
-        def run():
-            for _ in range(loops):
-                fn()
-        return run
-
-    out = before_after(
-        time_callable(looped(before_fn), label="before", repeats=repeats),
-        time_callable(looped(after_fn), label="after", repeats=repeats),
-    )
-    if loops > 1:
-        for key in ("before_s", "after_s", "before_mean_s", "after_mean_s"):
-            out[key] /= loops
-        out["loops"] = loops
-    return out
-
-
-def make_data(n: int, d: int, k: int, seed: int = 0):
-    """Blobby data so MTI actually prunes and iterations do real work."""
-    rng = np.random.default_rng(seed)
-    centers = rng.normal(scale=8.0, size=(k, d))
-    x = centers[rng.integers(k, size=n)] + rng.normal(size=(n, d))
-    c0 = x[rng.choice(n, size=k, replace=False)].copy()
-    return np.ascontiguousarray(x), c0
+OUT_PATH = harness.REPO_ROOT / "BENCH_kernels.json"
 
 
 # -- kernel microbenchmarks -----------------------------------------
 
 
 def bench_accumulation(n, d, k, repeats):
-    x, _ = make_data(n, d, k)
+    x, _ = harness.blobs(n, d, k)
     rng = np.random.default_rng(1)
     assign = rng.integers(k, size=n).astype(np.int32)
     scratch = AccumScratch()
@@ -121,11 +79,11 @@ def bench_accumulation(n, d, k, repeats):
     sb, cb = before()
     sa, ca = after()
     assert np.array_equal(sb, sa) and np.array_equal(cb, ca)
-    return _ba(before, after, repeats) | {"n": n, "d": d, "k": k}
+    return harness.ba(before, after, repeats) | {"n": n, "d": d, "k": k}
 
 
 def bench_nearest_centroid(n, d, k, repeats, loops=1):
-    x, c = make_data(n, d, k)
+    x, c = harness.blobs(n, d, k)
     ws = DistanceWorkspace(k, d, block_rows=legacy.BLOCK_ROWS)
 
     def before():
@@ -137,13 +95,13 @@ def bench_nearest_centroid(n, d, k, repeats, loops=1):
     ab, mb = before()
     aa, ma = after()
     assert np.array_equal(ab, aa) and np.array_equal(mb, ma)
-    return _ba(before, after, repeats, loops) | {
+    return harness.ba(before, after, repeats, loops) | {
         "n": n, "d": d, "k": k
     }
 
 
 def bench_half_min(k, d, calls, repeats):
-    _, c = make_data(4 * k, d, k, seed=2)
+    _, c = harness.blobs(4 * k, d, k, seed=2)
     cc = legacy.pairwise_centroid_distances(c)
     ws = DistanceWorkspace(k, d)
     ws.ensure(c)
@@ -159,13 +117,13 @@ def bench_half_min(k, d, calls, repeats):
     assert np.array_equal(
         legacy.half_min_inter_centroid(cc), ws.half_min()
     )
-    return _ba(before, after, repeats) | {
+    return harness.ba(before, after, repeats) | {
         "k": k, "d": d, "calls_per_repeat": calls
     }
 
 
 def bench_mti_pipeline(n, d, k, iters, repeats):
-    x, c0 = make_data(n, d, k, seed=3)
+    x, c0 = harness.blobs(n, d, k, seed=3)
 
     def run_legacy():
         centroids = c0.copy()
@@ -189,7 +147,7 @@ def bench_mti_pipeline(n, d, k, iters, repeats):
     assert np.array_equal(st_b.assignment, st_a.assignment)
     assert np.array_equal(res_b.new_centroids, res_a.new_centroids)
     assert res_b.clause2_pruned == res_a.clause2_pruned
-    return _ba(run_legacy, run_new, repeats) | {
+    return harness.ba(run_legacy, run_new, repeats) | {
         "n": n, "d": d, "k": k, "iterations": 1 + iters
     }
 
@@ -215,8 +173,8 @@ def bench_engine_replay(n_tasks, n_threads, repeats, loops=1):
     def before() -> IterationTrace:
         threads = spawn_threads(cm.topology, n_threads,
                                 BindPolicy.NUMA_BIND)
-        return engine.run_reference(
-            NumaAwareScheduler(), tasks, threads, d=8, k=10
+        return legacy.run_reference(
+            engine, NumaAwareScheduler(), tasks, threads, d=8, k=10
         )
 
     def after() -> IterationTrace:
@@ -229,44 +187,12 @@ def bench_engine_replay(n_tasks, n_threads, repeats, loops=1):
     t_b, t_a = before(), after()
     assert t_b.thread_clocks_ns == t_a.thread_clocks_ns
     assert t_b.total_ns == t_a.total_ns
-    return _ba(before, after, repeats, loops) | {
+    return harness.ba(before, after, repeats, loops) | {
         "n_tasks": n_tasks, "n_threads": n_threads
     }
 
 
 # -- end-to-end ------------------------------------------------------
-
-
-class _LegacyKernels:
-    """Context manager swapping the drivers onto the pre-change path.
-
-    ``repro.drivers.common`` binds the kernel functions at import, so
-    rebinding its module globals (plus the engine's ``run``) replays a
-    run exactly as it executed before this PR.
-    """
-
-    def __enter__(self):
-        import repro.drivers.common as common
-
-        self._common = common
-        self._saved = (common.mti_init, common.mti_iteration)
-        self._saved_run = IterationEngine.run
-
-        def legacy_mti_init(x, centroids, *, workspace=None):
-            return legacy.mti_init(x, centroids)
-
-        def legacy_mti_iteration(x, c, prev, state, *, workspace=None):
-            return legacy.mti_iteration(x, c, prev, state)
-
-        common.mti_init = legacy_mti_init
-        common.mti_iteration = legacy_mti_iteration
-        IterationEngine.run = IterationEngine.run_reference
-        return self
-
-    def __exit__(self, *exc):
-        self._common.mti_init, self._common.mti_iteration = self._saved
-        IterationEngine.run = self._saved_run
-        return False
 
 
 def _run_digest(res):
@@ -284,45 +210,29 @@ def _run_digest(res):
     }
 
 
-def _identical(a, b) -> bool:
-    return (
-        np.array_equal(a.assignment, b.assignment)
-        and np.array_equal(a.centroids, b.centroids)
-        and a.inertia == b.inertia
-        and a.iterations == b.iterations
-        and [r.sim_ns for r in a.records] == [r.sim_ns for r in b.records]
-        and [r.clause1_rows for r in a.records]
-        == [r.clause1_rows for r in b.records]
-        and [r.clause2_pruned for r in a.records]
-        == [r.clause2_pruned for r in b.records]
-        and [r.clause3_pruned for r in a.records]
-        == [r.clause3_pruned for r in b.records]
-    )
-
-
 def bench_end_to_end(n, d, k, max_iters, repeats):
-    x, c0 = make_data(n, d, k, seed=4)
+    x, c0 = harness.blobs(n, d, k, seed=4)
     crit = ConvergenceCriteria(max_iters=max_iters)
 
     def run_knori():
         return knori(x, k, pruning="mti", init=c0, criteria=crit)
 
     def run_knori_before():
-        with _LegacyKernels():
+        with legacy.frozen_pipeline():
             return knori(x, k, pruning="mti", init=c0, criteria=crit)
 
     res_after = run_knori()
     res_before = run_knori_before()
-    identical = _identical(res_before, res_after)
+    identical = legacy.same_run(res_before, res_after)
     assert identical, "legacy and optimized knori runs diverged"
 
-    knori_times = _ba(run_knori_before, run_knori, repeats)
+    knori_times = harness.ba(run_knori_before, run_knori, repeats)
 
-    knors_t = time_callable(
+    knors_t = harness.time_callable(
         lambda: knors(x, k, pruning="mti", init=c0, criteria=crit),
         label="knors", repeats=max(1, repeats - 1),
     )
-    knord_t = time_callable(
+    knord_t = harness.time_callable(
         lambda: knord(x, k, n_machines=2, pruning="mti", init=c0,
                       criteria=crit),
         label="knord", repeats=max(1, repeats - 1),
@@ -333,8 +243,8 @@ def bench_end_to_end(n, d, k, max_iters, repeats):
             "outputs_bit_identical": identical,
             "digest": _run_digest(res_after),
         },
-        "knors": knors_t.as_dict(),
-        "knord": knord_t.as_dict(),
+        "knors": knors_t,
+        "knord": knord_t,
     }
 
 
@@ -342,17 +252,7 @@ def bench_end_to_end(n, d, k, max_iters, repeats):
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument(
-        "--quick", action="store_true",
-        help="small sizes / few repeats (CI smoke test)",
-    )
-    ap.add_argument(
-        "--out", type=Path, default=OUT_PATH,
-        help=f"output JSON path (default: {OUT_PATH})",
-    )
-    args = ap.parse_args(argv)
-
+    args = harness.parse_args(__doc__, OUT_PATH, argv)
     if args.quick:
         repeats = 2
         acc = dict(n=20_000, d=16, k=32)
@@ -375,19 +275,14 @@ def main(argv=None) -> int:
         e2e = dict(n=40_000, d=16, k=16, max_iters=10)
 
     results = {
-        "meta": {
-            "quick": args.quick,
-            "repeats": repeats,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "note": (
-                "wall-clock seconds, best-of-N; 'before' is the frozen "
-                "pre-rework kernel (repro.perf.legacy) or the engine's "
-                "reference loop, 'after' is the shipped code; outputs "
-                "asserted bit-identical before timing"
-            ),
-        },
+        "meta": harness.meta(
+            args.quick,
+            "wall-clock seconds, best-of-N; 'before' is the frozen "
+            "pre-rework kernel (tests/oracles.py) or the engine's "
+            "reference loop, 'after' is the shipped code; outputs "
+            "asserted bit-identical before timing",
+            repeats=repeats,
+        ),
         "kernels": {
             "accumulation": bench_accumulation(repeats=repeats, **acc),
             "nearest_centroid": bench_nearest_centroid(**nc),
@@ -402,8 +297,7 @@ def main(argv=None) -> int:
         "end_to_end": bench_end_to_end(repeats=repeats, **e2e),
     }
 
-    args.out.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"wrote {args.out}")
+    harness.write(results, args.out)
     for name, r in results["kernels"].items():
         print(f"  {name:28s} {r['speedup']:.2f}x "
               f"({r['before_s']:.4f}s -> {r['after_s']:.4f}s)")

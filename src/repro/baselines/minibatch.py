@@ -27,7 +27,7 @@ def minibatch_update(
     Sculley's per-center learning rates (``eta = 1 / count_seen``).
 
     Bit-identical to the reference per-row loop (frozen as
-    :func:`repro.perf.legacy.minibatch_update`): the recurrence is
+    ``minibatch_update`` in ``tests/oracles.py``): the recurrence is
     order-dependent *within* a center but centers never interact, so
     pass ``r`` applies every center's ``r``-th batch member
     simultaneously. A stable argsort keeps each center's members in

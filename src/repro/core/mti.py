@@ -108,12 +108,13 @@ An iteration is three calls. :func:`mti_prologue` runs on the calling
 thread: it loosens the bounds, applies clause 1, builds the block pass
 and takes its buffers. The block pass runs on the threads. Then
 :func:`mti_epilogue`, again on the calling thread, sums the clause
-totals and moves the changed rows. :func:`mti_iteration` is the three
-in a row, the one path of knori, knors and serve. A distributed fleet
+totals and moves the changed rows. Every block pass runs in
+:func:`run_shared_pass`. :func:`mti_iteration` is the three in a row,
+the one path of knori, knors and serve. A distributed fleet
 (:class:`~repro.runtime.backends.ShardedKmeans`) instead runs every
-shard's prologue in shard order, then :func:`run_shared_pass`, one
-dispatch over all the shards' blocks, then every epilogue in shard
-order: one join per iteration rather than one per shard, and no
+shard's prologue in shard order, then one :func:`run_shared_pass`
+over all the shards' blocks, then every epilogue in shard order:
+one join per iteration rather than one per shard, and no
 shard's idle tail leaves threads waiting while another shard has
 blocks left. Each shard's blocks and buffers are the ones its own
 pass would use, so the results are the same bits either way. The
@@ -440,11 +441,6 @@ class _BlockPass:
         ub[idx] = ut
         assign[idx] = bb
 
-    def dispatch(self, bufs: list) -> None:
-        """Run every block on ``len(bufs)`` threads, each with its own
-        distance buffer (:func:`repro.core.hostpool.run_blocks`)."""
-        run_blocks(self.n_blocks, self.run, bufs)
-
 
 @dataclass
 class MtiStep:
@@ -452,9 +448,9 @@ class MtiStep:
 
     :func:`mti_prologue` fills it on the calling thread; ``blocks`` is
     the block pass, ``None`` when clause 1 skips every row. The pass
-    runs alone (:meth:`_BlockPass.dispatch`) or with other shards'
-    (:func:`run_shared_pass`), and :func:`mti_epilogue` finishes the
-    iteration, again on the calling thread.
+    runs in :func:`run_shared_pass`, alone or with other shards', and
+    :func:`mti_epilogue` finishes the iteration, again on the calling
+    thread.
     """
 
     x: np.ndarray
@@ -551,8 +547,8 @@ def mti_prologue(
 
 
 def run_shared_pass(steps: list[MtiStep]) -> None:
-    """Run the block passes of several prologues (a fleet's shards) in
-    one host-pool dispatch.
+    """Run the block passes of one or several prologues (a fleet's
+    shards) in one host-pool dispatch.
 
     The blocks are numbered shard after shard and claimed in that
     order, so a failure raises the lowest failing shard's lowest
@@ -560,8 +556,7 @@ def run_shared_pass(steps: list[MtiStep]) -> None:
     own shard's arrays with one of that shard's per-thread buffers:
     a shard holds one per thread that can be inside it at once
     (``min(WORKERS, n_blocks)``), and a thread takes a free one for
-    the block it runs, so the buffers are the ones each shard's own
-    dispatch would use.
+    the block it runs.
     """
     passes = [st.blocks for st in steps if st.blocks is not None]
     first = list(accumulate((p.n_blocks for p in passes), initial=0))
@@ -644,8 +639,8 @@ def mti_iteration(
 ) -> MtiIterationResult:
     """One MTI-pruned super-phase; mutates ``state`` in place.
 
-    :func:`mti_prologue`, the block pass on its own dispatch, then
-    :func:`mti_epilogue`. With a ``workspace``, the centroid norms,
+    :func:`mti_prologue`, its block pass (:func:`run_shared_pass`),
+    then :func:`mti_epilogue`. With a ``workspace``, the centroid norms,
     pairwise matrix, clause-1 thresholds and row norms are computed
     once and each thread's candidate distance block reuses a
     preallocated buffer; outputs are bit-identical.
@@ -653,6 +648,5 @@ def mti_iteration(
     step = mti_prologue(
         x, centroids, prev_centroids, state, workspace=workspace
     )
-    if step.blocks is not None:
-        step.blocks.dispatch(step.blocks.bufs)
+    run_shared_pass([step])
     return mti_epilogue(step)

@@ -86,31 +86,28 @@ def check_x_k(x: np.ndarray, k) -> int:
     return k
 
 
-def _rows_phrase(bad: np.ndarray, what: str, *, first_row: int = 0,
+def _rows_phrase(bad: np.ndarray, what: str, *,
                  row_ids: np.ndarray | None = None) -> str | None:
     """``"3 <what> (rows [...])"`` naming the first eight rows the mask
     ``bad`` flags, or ``None`` when it flags none (see
-    :func:`reject_rows` for ``first_row`` and ``row_ids``)."""
+    :func:`reject_rows` for ``row_ids``)."""
     rows = np.flatnonzero(bad)
     if rows.size == 0:
         return None
     if row_ids is not None:
         rows = np.unique(np.asarray(row_ids)[rows])
-    else:
-        rows += first_row
     more = f" (+{rows.size - 8} more)" if rows.size > 8 else ""
     return f"{rows.size} {what} (rows {rows[:8].tolist()}{more})"
 
 
 def reject_rows(bad: np.ndarray, name: str, what: str,
-                hint: str = "", *, first_row: int = 0,
+                hint: str = "", *,
                 row_ids: np.ndarray | None = None) -> None:
     """Raise :class:`DatasetError` when the row mask ``bad`` flags any
     row, naming the first eight: ``"<name>: 3 <what> (rows [...])"``.
-    ``bad`` covers rows ``first_row`` on (a shard of the dataset), or
-    the rows ``row_ids`` (a gathered batch; each distinct id is named
-    once)."""
-    phrase = _rows_phrase(bad, what, first_row=first_row, row_ids=row_ids)
+    ``bad`` covers every row, or the rows ``row_ids`` (a gathered
+    batch; each distinct id is named once)."""
+    phrase = _rows_phrase(bad, what, row_ids=row_ids)
     if phrase is not None:
         raise DatasetError(f"{name}: {phrase}{hint}")
 
@@ -125,7 +122,7 @@ def check_rows_finite(x: np.ndarray, name: str) -> None:
 
 
 def check_row_dist_finite(
-    x: np.ndarray, row_dist: np.ndarray, name: str, *, first_row: int = 0,
+    x: np.ndarray, row_dist: np.ndarray, name: str, *,
     row_ids: np.ndarray | None = None,
 ) -> None:
     """:func:`check_rows_finite` without a pass over ``x``, plus rows
@@ -140,9 +137,8 @@ def check_row_dist_finite(
     ``x`` is never copied whole), checked cell by cell and then for an
     overflowing norm, and one error names both kinds. A row that only
     looks bad -- a non-finite centroid makes every distance NaN -- is
-    not named. When ``x`` is a shard starting at global row
-    ``first_row``, or rows gathered from the global ids ``row_ids``,
-    the error names global row ids.
+    not named. When ``x`` holds rows gathered from the global ids
+    ``row_ids``, the error names global row ids.
     """
     suspect = np.flatnonzero(~np.isfinite(row_dist))
     if suspect.size == 0:
@@ -157,13 +153,12 @@ def check_row_dist_finite(
         cells[idx] = ~finite
         with np.errstate(over="ignore", invalid="ignore"):
             norms[idx] = finite & ~np.isfinite(row_norms(xb))
-    where = {"first_row": first_row, "row_ids": row_ids}
     phrases = [
         phrase for phrase in (
-            _rows_phrase(cells, "rows contain NaN/inf", **where),
+            _rows_phrase(cells, "rows contain NaN/inf", row_ids=row_ids),
             _rows_phrase(
                 norms, "rows have a squared norm that overflows float64",
-                **where,
+                row_ids=row_ids,
             ),
         ) if phrase is not None
     ]

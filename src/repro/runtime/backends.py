@@ -708,31 +708,34 @@ class ShardedKmeans(ShardedProgram):
         prologue in shard order, one dispatch over every shard's blocks
         (:func:`~repro.core.mti.run_shared_pass`), then each shard's
         epilogue in shard order. Steps with no block pass (iteration
-        0, unpruned) run whole, one shard after another."""
-        from repro.core.mti import run_shared_pass
+        0, unpruned) run whole, one shard after another.
 
+        As in KmeansMM, iteration 0 measures every row, so a NaN/inf
+        row shows in its distance with no extra pass. The check runs
+        once every shard has stepped, so the error names the bad rows
+        of every shard, as knori's does."""
+        from repro.core.mti import run_shared_pass
+        from repro.drivers.common import check_row_dist_finite
+
+        first = self.loops[0].iteration == 0
         begun = [loop.begin() for loop in self.loops]
         steps = [b for b in begun if b is not None]
         if steps:
             run_shared_pass(steps)
-        return [self.step(si, b) for si, b in enumerate(begun)]
+        stats = [self.step(si, b) for si, b in enumerate(begun)]
+        if first and not all(np.isfinite(st.row_dist).all()
+                             for st in stats):
+            check_row_dist_finite(
+                self.x, np.concatenate([st.row_dist for st in stats]),
+                "kmeans",
+            )
+        return stats
 
     def step(self, mi: int, begun: Any = None) -> StepStats:
         """Shard ``mi``'s step; ``begun`` is its loop's
         :meth:`~repro.drivers.common.NumericsLoop.begin` with the block
         pass run."""
-        from repro.drivers.common import check_row_dist_finite
-
-        loop = self.loops[mi]
-        first = loop.iteration == 0
-        num = loop.step(begun)
-        if first:
-            # As in KmeansMM: iteration 0 measures every shard row, so
-            # a NaN/inf row shows in its distance with no extra pass.
-            check_row_dist_finite(
-                self.shards[mi], num.row_dist, "kmeans",
-                first_row=int(self.bounds[mi]),
-            )
+        num = self.loops[mi].step(begun)
         return StepStats(
             dist_per_row=num.dist_per_row,
             needs_data=num.needs_data,
@@ -741,6 +744,7 @@ class ShardedKmeans(ShardedProgram):
             clause1_rows=num.clause1_rows,
             clause2_pruned=num.clause2_pruned,
             clause3_pruned=num.clause3_pruned,
+            row_dist=num.row_dist,
         )
 
     def payload(self, mi: int) -> dict[str, np.ndarray]:

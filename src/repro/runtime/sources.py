@@ -44,6 +44,9 @@ class StepStats:
     clause3_pruned: int = 0
     #: Bytes of algorithm state touched per active row.
     state_bytes: int = 8
+    #: Each row's distance to its assigned centroid, where the step
+    #: measured every row against every centroid; ``None`` otherwise.
+    row_dist: np.ndarray | None = None
 
 
 @runtime_checkable

@@ -18,7 +18,7 @@ When the tail hits the end of the buffer the live entries move to the
 front, in a buffer kept at 1.5-2x what is needed: O(1) per stamp.
 
 Tallies, contents and eviction order match the OrderedDict LRU
-(``repro.perf.legacy.LegacyPageCache``) element-for-element. The table
+(``LegacyPageCache`` in ``tests/oracles.py``) element-for-element. The table
 (8 B per file page: 1/512 of the data at 4 KB pages) and the log come
 from a :class:`~repro.mem.MemoryManager`; steady state allocates nothing.
 """

@@ -19,7 +19,7 @@ expansion over int64 arrays, cache probes and admissions are single
 batch calls into the array-based LRU, and request merging is one
 ``diff`` over the (already sorted) miss vector. Counters are
 bit-identical to the pre-vectorization path frozen in
-``repro.perf.legacy.LegacySafs``.
+``LegacySafs`` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations

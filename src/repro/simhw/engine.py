@@ -328,7 +328,8 @@ class IterationEngine:
         per-iteration constants and per-node bandwidth tables, prices
         each distinct lock-probe pattern once, and bypasses the heap
         while only one thread remains runnable. Event order and every
-        simulated charge are bit-identical to :meth:`run_reference`
+        simulated charge are bit-identical to the straight-line
+        reference event loop kept in ``tests/oracles.py``
         (conformance-tested on recorded and generated task sets).
         """
         if not threads:
@@ -683,167 +684,6 @@ class IterationEngine:
         return sum(done), [
             list(islice(rest, q - n)) for q, n in zip(queue_len, done)
         ]
-
-    # -- reference loop ----------------------------------------------
-
-    def run_reference(
-        self,
-        scheduler: TaskScheduler,
-        tasks: TaskBlocks | Sequence[TaskWork],
-        threads: list[SimThread],
-        *,
-        d: int,
-        k: int,
-        reduction: bool = True,
-    ) -> IterationTrace:
-        """The original, straight-line event loop, kept verbatim.
-
-        Calls the cost model per task, runs every event through the
-        heap and counts bank streams with its own per-task scan.
-        :meth:`run` must produce bit-identical traces; the conformance
-        tests and the wall-clock benchmark both replay through this
-        method as the "before" baseline.
-        """
-        if not threads:
-            raise SchedulerError("engine needs at least one thread")
-        tasks = list(tasks)
-        for th in threads:
-            th.clock_ns = 0.0
-            th.counters = ThreadCounters()
-        scheduler.assign(tasks, threads)
-        banks = {task.home_node for task in tasks}
-        bank_streams: dict[int, tuple[int, int]] = {}
-        for bank in banks:
-            if len(banks) <= 1:
-                remote = sum(1 for th in threads if th.node != bank)
-                bank_streams[bank] = (max(1, len(threads)), remote)
-            else:
-                local = sum(1 for th in threads if th.node == bank)
-                bank_streams[bank] = (max(1, local), 0)
-        n_threads = len(threads)
-        overlap = self.bind_policy is not BindPolicy.OBLIVIOUS
-        smt_mult = self.cost.smt_compute_mult(n_threads)
-        migration_mult = (
-            self.cost.migration_compute_mult(n_threads)
-            if self.bind_policy is BindPolicy.OBLIVIOUS
-            else 1.0
-        )
-
-        executions: list[TaskExecution] = []
-        seen_tasks: set[int] = set()
-        heap: list[tuple[float, int]] = [
-            (th.clock_ns, th.thread_id) for th in threads
-        ]
-        heapq.heapify(heap)
-        done: set[int] = set()
-
-        while heap:
-            clock, tid = heapq.heappop(heap)
-            if tid in done:
-                continue
-            thread = threads[tid]
-            decision = scheduler.next_task(thread)
-            if decision is None:
-                done.add(tid)
-                continue
-            task = decision.task
-            if task.task_id in seen_tasks:
-                raise SchedulerError(
-                    f"task {task.task_id} dispatched twice"
-                )
-            seen_tasks.add(task.task_id)
-
-            lock_ns = sum(
-                self.cost.lock_wait_ns(c) for c in decision.probe_contenders
-            )
-            thread.counters.queue_probes += len(decision.probe_contenders)
-            thread.counters.lock_wait_ns += lock_ns
-            if decision.was_steal:
-                if decision.stolen_from_node == thread.node:
-                    thread.counters.steals_local_node += 1
-                else:
-                    thread.counters.steals_remote_node += 1
-
-            compute_ns = (
-                self.cost.dist_comp_ns(d, task.n_dist)
-                + self.cost.rows_overhead_ns(task.n_rows)
-            ) * smt_mult * migration_mult
-            remote = task.home_node != thread.node
-            total_streams, remote_streams = bank_streams.get(
-                task.home_node, (1, 0)
-            )
-            nbytes = task.data_bytes + task.state_bytes
-            mem_ns = self.cost.mem_stream_ns(
-                nbytes,
-                remote=remote,
-                streams_on_bank=total_streams,
-                remote_streams_on_bank=remote_streams,
-            )
-            # A remote block cannot ride the local-bank prefetch
-            # pipeline: remote accesses serialize against compute, so
-            # stolen-remote tasks (and everything under the oblivious
-            # policy) lose the overlap.
-            task_ns = self.cost.task_time_ns(
-                compute_ns, mem_ns, overlap=overlap and not remote
-            )
-            start = thread.clock_ns
-            # Same straggler stretch as the fast path (conformance).
-            if thread.slow_factor != 1.0:
-                thread.advance((lock_ns + task_ns) * thread.slow_factor)
-            else:
-                thread.advance(lock_ns + task_ns)
-
-            c = thread.counters
-            c.tasks_run += 1
-            c.rows_processed += task.n_rows
-            c.dist_computations += task.n_dist
-            if remote:
-                c.bytes_remote += nbytes
-            else:
-                c.bytes_local += nbytes
-
-            if self.record_executions:
-                executions.append(
-                    TaskExecution(
-                        task_id=task.task_id,
-                        thread_id=tid,
-                        start_ns=start,
-                        end_ns=thread.clock_ns,
-                        compute_ns=compute_ns,
-                        mem_ns=mem_ns,
-                        lock_ns=lock_ns,
-                        remote=remote,
-                    )
-                )
-            heapq.heappush(heap, (thread.clock_ns, tid))
-
-        if len(seen_tasks) != len(tasks):
-            raise SchedulerError(
-                f"scheduler drained with {len(seen_tasks)}/{len(tasks)} "
-                "tasks dispatched"
-            )
-
-        span = max(th.clock_ns for th in threads)
-        barrier = self.cost.barrier_ns(n_threads)
-        red = (
-            self.cost.reduction_ns(k, d, n_threads) if reduction else 0.0
-        )
-        totals = [th.counters for th in threads]
-        return IterationTrace(
-            thread_clocks_ns=[th.clock_ns for th in threads],
-            span_ns=span,
-            barrier_ns=barrier,
-            reduction_ns=red,
-            total_ns=span + barrier + red,
-            executions=executions,
-            total_rows=sum(c.rows_processed for c in totals),
-            total_dist=sum(c.dist_computations for c in totals),
-            total_bytes_local=sum(c.bytes_local for c in totals),
-            total_bytes_remote=sum(c.bytes_remote for c in totals),
-            total_steals=sum(
-                c.steals_local_node + c.steals_remote_node for c in totals
-            ),
-        )
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from repro.core.distance import (
 from repro.core.workspace import X_SQ_CACHE_SLOTS, DistanceWorkspace
 from repro.drivers import knors
 from repro.errors import ConfigError
-from repro.perf import legacy
+from tests import oracles as legacy
 from repro.runtime.mm import (
     KmeansMM,
     run_mm_distributed,

@@ -383,6 +383,26 @@ class TestKmeansNonFiniteRows:
         with pytest.raises(DatasetError, match=rf"1 rows .*\(rows \[{bad}\]\)"):
             knord(x, K, n_machines=2, criteria=CRIT, pruning=pruning)
 
+    @pytest.mark.parametrize("pruning", ["mti", None])
+    @pytest.mark.parametrize("entry", ["knord", "mpi_lloyd"])
+    def test_distributed_names_every_shards_rows(self, entry, pruning):
+        """A NaN row in the first shard and an overflowing row in the
+        second: the iteration-0 check runs once every shard has
+        stepped, so both are named, in knori's words."""
+        from repro.baselines import mpi_lloyd
+
+        x = np.random.default_rng(0).normal(size=(400, 4))
+        x[3, 1] = np.nan
+        x[390] = 1e200
+        with pytest.raises(DatasetError) as want:
+            knori(x, K, criteria=CRIT, pruning=pruning)
+        assert "(rows [3])" in str(want.value)
+        assert "(rows [390])" in str(want.value)
+        driver = knord if entry == "knord" else mpi_lloyd
+        with pytest.raises(DatasetError) as got:
+            driver(x, K, n_machines=2, criteria=CRIT, pruning=pruning)
+        assert str(got.value) == str(want.value)
+
     @pytest.mark.parametrize("init", ["kmeans++", "kmeans||"])
     def test_seeding_names_rows(self, mmdata, init):
         """Both seedings fail typed on a NaN/inf row, before the D^2

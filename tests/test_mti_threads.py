@@ -81,13 +81,13 @@ def assert_same_runs(a, b):
 def record_dispatch(monkeypatch):
     """Record the worker count of every dispatched block pass."""
     counts = []
-    real = mti._BlockPass.dispatch
+    real = mti.run_blocks
 
-    def recording(self, bufs):
+    def recording(n_blocks, run, bufs):
         counts.append(len(bufs))
-        return real(self, bufs)
+        return real(n_blocks, run, bufs)
 
-    monkeypatch.setattr(mti._BlockPass, "dispatch", recording)
+    monkeypatch.setattr(mti, "run_blocks", recording)
     return counts
 
 

@@ -3,7 +3,7 @@
 The PR 3 perf rework (workspace layer, flat-index accumulation, engine
 hot-loop) promises **bit-identical** results -- not merely allclose.
 Every test here compares the shipped kernels against the verbatim
-pre-change copies in :mod:`repro.perf.legacy` with ``np.array_equal``,
+pre-change copies in ``tests/oracles.py`` with ``np.array_equal``,
 across seeds, dtypes, ragged block boundaries and the degenerate
 ``d=1`` / ``k=1`` shapes.
 """
@@ -11,6 +11,7 @@ across seeds, dtypes, ragged block boundaries and the degenerate
 import numpy as np
 import pytest
 
+from repro import ConvergenceCriteria, knori
 from repro.core.centroids import (
     AccumScratch,
     PartialCentroids,
@@ -26,7 +27,8 @@ from repro.core.distance import (
 )
 from repro.core.mti import mti_init, mti_iteration
 from repro.core.workspace import DistanceWorkspace
-from repro.perf import legacy
+from repro.simhw import IterationEngine
+from tests import oracles as legacy
 
 
 def blobs(n, d, k, seed, dtype=np.float64):
@@ -263,6 +265,25 @@ def test_mti_multi_iteration_state_matches_legacy(n, d, k, seed):
         prev_n, cen_n = cen_n, res_n.new_centroids
         res_l = legacy.mti_iteration(x, cen_l, prev_l, state_l)
         res_n = mti_iteration(x, cen_n, prev_n, state_n, workspace=ws)
+
+
+def test_frozen_pipeline_matches_knori():
+    """knori on the frozen MTI kernels and the reference engine loop
+    (``bench_wallclock.py``'s end-to-end "before" run, at its
+    ``--quick`` size) equals shipped knori bit for bit: assignment,
+    centroids, inertia, iterations, per-iteration simulated time and
+    clause counts."""
+    x, c0 = blobs(6000, 8, 8, seed=4)
+    crit = ConvergenceCriteria(max_iters=6)
+    after = knori(x, 8, pruning="mti", init=c0, criteria=crit)
+    run = IterationEngine.run
+    with legacy.frozen_pipeline():
+        assert IterationEngine.run is legacy.run_reference
+        before = knori(x, 8, pruning="mti", init=c0, criteria=crit)
+    assert IterationEngine.run is run
+    assert before.iterations > 1
+    assert sum(r.clause1_rows for r in before.records) > 0
+    assert legacy.same_run(before, after)
 
 
 def test_workspace_reuse_across_centroid_updates():

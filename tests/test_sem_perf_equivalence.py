@@ -1,7 +1,7 @@
 """The SEM perf rework must be a pure speedup: the batch-LRU page
 cache, vectorized SAFS fetch path and vectorized row-cache refresh are
 compared against the frozen pre-change implementations in
-``repro.perf.legacy``, and the async I/O pipeline against ``--sync-io``
+``tests/oracles.py``, and the async I/O pipeline against ``--sync-io``
 accounting -- every counter bit-identical, only simulated time moves."""
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import repro.sem.safs as safs_mod
 from repro import knors
 from repro.core import ConvergenceCriteria
 from repro.faults import FaultPlan, FaultSpec
-from repro.perf.legacy import (
+from tests.oracles import (
     LegacyPageCache,
     LegacyRowCache,
     LegacySafs,

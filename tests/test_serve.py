@@ -28,7 +28,7 @@ from repro.baselines.minibatch import minibatch_update
 from repro.core.distance import nearest_centroid
 from repro.errors import ConfigError, DatasetError
 from repro.metrics import latency_percentiles, latency_summary
-from repro.perf import legacy
+from tests import oracles as legacy
 from repro.runtime import (
     RecordingObserver,
     run_mm_distributed,

@@ -308,7 +308,9 @@ def test_stress_buffers_never_shared(monkeypatch):
             if key in held:
                 shared.append(blk)
             held.add(key)
-            claims.append((id(self), blk))
+            # The pass itself, not its id: the list keeps every pass
+            # alive, so a later pass cannot reuse a freed one's key.
+            claims.append((self, blk))
         try:
             real(self, blk, buf)
         finally:

@@ -1,5 +1,7 @@
 """Event-driven iteration engine: dispatch, accounting, and invariants."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from repro.simhw import (
     TaskWork,
 )
 from repro.simhw.thread import spawn_threads
+from tests.oracles import run_reference
 
 
 def make_tasks(n_tasks, n_dist=100, home_nodes=None):
@@ -229,7 +232,7 @@ def test_run_matches_reference(policy, sched_cls, n_threads):
     threads = spawn_threads(cm.topology, n_threads, policy)
     t_new = engine.run(sched_cls(), tasks, threads, d=8, k=10)
     threads = spawn_threads(cm.topology, n_threads, policy)
-    t_ref = engine.run_reference(sched_cls(), tasks, threads, d=8, k=10)
+    t_ref = run_reference(engine, sched_cls(), tasks, threads, d=8, k=10)
     assert _trace_key(t_new) == _trace_key(t_ref)
 
 
@@ -244,8 +247,8 @@ def test_run_matches_reference_fifo_shared_queue():
     threads = spawn_threads(cm.topology, 6, BindPolicy.NUMA_BIND)
     t_new = engine.run(FifoScheduler(), tasks, threads, d=12, k=7)
     threads = spawn_threads(cm.topology, 6, BindPolicy.NUMA_BIND)
-    t_ref = engine.run_reference(
-        FifoScheduler(), tasks, threads, d=12, k=7
+    t_ref = run_reference(
+        engine, FifoScheduler(), tasks, threads, d=12, k=7
     )
     assert _trace_key(t_new) == _trace_key(t_ref)
 
@@ -261,8 +264,8 @@ def test_run_matches_reference_single_bank():
     threads = spawn_threads(cm.topology, 8, BindPolicy.OBLIVIOUS)
     t_new = engine.run(StaticScheduler(), tasks, threads, d=8, k=10)
     threads = spawn_threads(cm.topology, 8, BindPolicy.OBLIVIOUS)
-    t_ref = engine.run_reference(
-        StaticScheduler(), tasks, threads, d=8, k=10
+    t_ref = run_reference(
+        engine, StaticScheduler(), tasks, threads, d=8, k=10
     )
     assert _trace_key(t_new) == _trace_key(t_ref)
 
@@ -317,7 +320,7 @@ def test_run_matches_reference_generated(
         cm, bind_policy=policy, record_executions=record
     )
     sides = []
-    for replay in (engine.run, engine.run_reference):
+    for replay in (engine.run, partial(run_reference, engine)):
         threads = spawn_threads(cm.topology, n_threads, policy)
         for th, sf in zip(threads, slow):
             th.slow_factor = sf
@@ -345,8 +348,9 @@ def test_owner_phase_leaves_the_scheduler_only_the_tail():
     trace = IterationEngine(cm).run(sched, tasks, threads, d=8, k=10)
     assert calls == list(range(1, n_threads))
     ref_threads = spawn_threads(cm.topology, n_threads, BindPolicy.NUMA_BIND)
-    ref = IterationEngine(cm).run_reference(
-        NumaAwareScheduler(), tasks, ref_threads, d=8, k=10
+    ref = run_reference(
+        IterationEngine(cm), NumaAwareScheduler(), tasks, ref_threads,
+        d=8, k=10,
     )
     assert _trace_key(trace) == _trace_key(ref)
     assert [th.counters for th in threads] == [
@@ -370,6 +374,6 @@ def test_run_reference_rejects_double_dispatch():
     with pytest.raises(SchedulerError):
         engine.run(DoubleScheduler(), make_tasks(3), threads, d=8, k=10)
     with pytest.raises(SchedulerError):
-        engine.run_reference(
-            DoubleScheduler(), make_tasks(3), threads, d=8, k=10
+        run_reference(
+            engine, DoubleScheduler(), make_tasks(3), threads, d=8, k=10
         )
