@@ -30,6 +30,12 @@ writes -- the CLI's ``--trace`` output -- as ``trace``, for a faulted
 knors run with checkpoints, a faulted knord run and a faulted serve
 run.
 
+CLI cases run ``repro-kmeans`` commands through :func:`repro.cli.main`
+and hash, per command, its exit code, stdout, stderr and ``--json``
+file: every substrate with k-means and an MM algorithm, ``--trace``
+with faults, retry policies and elastic plans, the autoscaler,
+``--tenants``, the memory managers, checkpoint resume and serve.
+
 Floats hash by their exact hex form, so any change in the last bit of a
 centroid or a simulated time shows. Checkpoint paths are replaced by a
 placeholder so the digests do not depend on the temporary directory.
@@ -48,6 +54,7 @@ import io
 import json
 import sys
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
@@ -57,6 +64,7 @@ import pytest
 from repro import ConvergenceCriteria, knord, knori, knors
 from repro.data import write_matrix
 from repro.baselines import minibatch_kmeans
+from repro.cli import main as cli_main
 from repro.extensions import (
     MM_ALGORITHMS,
     gmm_em,
@@ -359,6 +367,100 @@ TRACE_CASES = {
 }
 
 
+def _cli_case(*commands):
+    """Run ``repro-kmeans`` commands in turn and hash, for each, its
+    exit code, stdout, stderr and ``--json`` file, tmp paths replaced.
+    ``{matrix}`` and ``{tmp}`` in a command name the golden matrix and
+    the case's temporary directory."""
+    def case(x, path, tmp):
+        out = []
+        for command in commands:
+            report = Path(tmp) / "cli.json"
+            argv = command.format(matrix=path, tmp=tmp).split()
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                code = cli_main(argv + ["--json", str(report)])
+            texts = {
+                "stdout": stdout.getvalue(),
+                "stderr": stderr.getvalue(),
+                "json": report.read_text() if report.exists() else "",
+            }
+            report.unlink(missing_ok=True)
+            out.append({"code": str(code), **{
+                key: hashlib.sha256(
+                    text.replace(tmp, "<tmp>").encode()).hexdigest()
+                for key, text in texts.items()
+            }})
+        return out
+    return case
+
+
+CLI = "{matrix} -k 6 --seed 1 --max-iters 10"
+#: The CLI's flag combinations: each substrate with k-means and an MM
+#: algorithm, faults and retry policies under --trace, elastic plans,
+#: the autoscaler, tenants, memory managers, checkpoint resume, serve.
+CLI_CASES = {
+    "cli-knori-kmeans": _cli_case(f"knori {CLI} --quality"),
+    "cli-knori-gmm": _cli_case(
+        "knori {matrix} -k 6 --seed 1 --max-iters 6 --algorithm gmm "
+        "--quality"),
+    "cli-knors-kmeans": _cli_case(f"knors {CLI} --quality"),
+    "cli-knors-minibatch": _cli_case(
+        f"knors {CLI} --algorithm minibatch --batch-size 256 --quality"),
+    "cli-knord-kmeans": _cli_case(f"knord {CLI} --machines 3 --quality"),
+    "cli-knord-spherical": _cli_case(
+        f"knord {CLI} --machines 3 --algorithm spherical --quality"),
+    "cli-knord-elkan-rejected": _cli_case(f"knord {CLI} --pruning elkan"),
+    "cli-knors-trace-faults": _cli_case(
+        f"knors {CLI} --page-cache-bytes 0 --trace --faults "
+        "ssd_error=0.3,corrupt_page=0.2,worker_crash=0.1 --fault-seed 2 "
+        "--retry-policy retries=5,backoff_ms=2"),
+    "cli-knord-trace-faults": _cli_case(
+        f"knord {CLI} --machines 3 --trace --faults "
+        "node_fail=0.2,msg_drop=0.3,corrupt_msg=0.3 --fault-seed 3 "
+        "--retry-policy retries=6,timeout_ms=1"),
+    "cli-knori-gmm-trace-faults": _cli_case(
+        "knori {matrix} -k 6 --seed 1 --max-iters 6 --algorithm gmm "
+        "--trace --faults worker_crash=0.2,straggler=0.3 --fault-seed 1"),
+    "cli-knori-elastic": _cli_case(
+        f"knori {CLI} --trace --elastic-plan preempt=0.3,preempt_notice=0 "
+        "--elastic-seed 1"),
+    "cli-knors-elastic": _cli_case(
+        f"knors {CLI} --trace --checkpoint-dir {{tmp}}/ckpt-elastic "
+        "--checkpoint-interval 3 --elastic-plan "
+        "preempt=0.3,preempt_notice=2 --elastic-seed 2"),
+    "cli-knord-elastic": _cli_case(
+        f"knord {CLI} --machines 3 --trace --elastic-plan "
+        "join=0.2,leave=0.2,preempt=0.2,preempt_notice=1 "
+        "--elastic-seed 4"),
+    "cli-knord-autoscale": _cli_case(
+        f"knord {CLI} --machines 2 --trace --autoscale "
+        "target_s=0.00001,provision_s=0.0001,max=4,warmup=1"),
+    "cli-knord-tenants-faults": _cli_case(
+        "knord {matrix} -k 6 --seed 1 --max-iters 8 --machines 2 --trace "
+        "--tenants a=2,b=1 --faults msg_drop=0.3,corrupt_msg=0.3 "
+        "--fault-seed 3"),
+    "cli-knord-tenants-budget": _cli_case(
+        f"knord {CLI} --machines 2 --mem arena --trace "
+        "--tenants a=1,b=1@0.1"),
+    "cli-knori-mem-arena": _cli_case(f"knori {CLI} --mem arena --trace"),
+    "cli-knors-mem-budget": _cli_case(
+        f"knors {CLI} --mem budget --mem-budget-mb 0.15 --trace"),
+    "cli-knors-resume": _cli_case(
+        "knors {matrix} -k 6 --seed 1 --max-iters 4 "
+        "--checkpoint-dir {tmp}/ckpt --checkpoint-interval 2",
+        "knors {matrix} -k 6 --seed 1 --max-iters 9 "
+        "--checkpoint-dir {tmp}/ckpt --resume --trace"),
+    "cli-serve": _cli_case(
+        "serve {matrix} -k 6 --seed 1 --train-steps 5 --queries 1200 "
+        "--qps 200000 --ingest-fraction 0.2 --trace"),
+    "cli-serve-mem-budget": _cli_case(
+        "serve {matrix} -k 6 --seed 1 --train-steps 5 --queries 1200 "
+        "--qps 200000 --ingest-fraction 0.2 --mem budget "
+        "--mem-budget-mb 0.13 --trace"),
+}
+
+
 CASES = {
     **{
         f"knori-{pruning}-{kernel}-{mem}": _knori_case(
@@ -383,6 +485,7 @@ CASES = {
     },
     **SERVE_CASES,
     **TRACE_CASES,
+    **CLI_CASES,
 }
 
 
