@@ -164,20 +164,22 @@ def _pruning(value: str) -> str | None:
 
 
 def _observers(args: argparse.Namespace):
-    """Trace observers for one run (empty without ``--trace``).
+    """Trace observers for the command (empty without ``--trace``),
+    built once and shared by every run it makes.
 
     Stashes the :class:`ResilienceObserver` on ``args`` so
     :func:`_print_resilience` can summarize the fault/elastic tallies
-    after the run.
+    of every run after the command.
     """
     if not args.trace:
         return ()
-    from repro.metrics import ResilienceObserver
-    from repro.runtime import PrintObserver
+    if getattr(args, "resilience_observer", None) is None:
+        from repro.metrics import ResilienceObserver
+        from repro.runtime import PrintObserver
 
-    resilience = ResilienceObserver()
-    args.resilience_observer = resilience
-    return (PrintObserver(), resilience)
+        args.resilience_observer = ResilienceObserver()
+        args.print_observer = PrintObserver()
+    return (args.print_observer, args.resilience_observer)
 
 
 def _print_resilience(args: argparse.Namespace) -> None:
@@ -279,6 +281,11 @@ def _print_mem(manager) -> None:
             f"{c.spill_ns / 1e6:.2f} ms simulated)"
         )
     print(line, file=sys.stderr)
+
+
+def _quality_data(args: argparse.Namespace) -> np.ndarray | None:
+    """The matrix for ``--quality`` (``None`` without the flag)."""
+    return MatrixFile(args.matrix).read_rows(None) if args.quality else None
 
 
 def _finish(
@@ -401,7 +408,8 @@ def cmd_knori(args: argparse.Namespace) -> int:
             membership=_elastic_plan(args),
             mem=manager,
         )
-        _finish(result, args.out, json_path=args.json)
+        _finish(result, args.out, quality_data=_quality_data(args),
+                json_path=args.json)
         _print_mem(manager)
         _print_resilience(args)
         return 0
@@ -448,7 +456,8 @@ def cmd_knors(args: argparse.Namespace) -> int:
             membership=_elastic_plan(args),
             mem=manager,
         )
-        _finish(result, args.out, json_path=args.json)
+        _finish(result, args.out, quality_data=_quality_data(args),
+                json_path=args.json)
         _print_mem(manager)
         _print_resilience(args)
         print(
@@ -507,7 +516,8 @@ def cmd_knord(args: argparse.Namespace) -> int:
             autoscaler=_autoscaler(args),
             mem=manager,
         )
-        _finish(result, args.out, json_path=args.json)
+        _finish(result, args.out, quality_data=_quality_data(args),
+                json_path=args.json)
         _print_mem(manager)
         _print_resilience(args)
         return 0

@@ -1,5 +1,7 @@
 """CLI: generate, inspect, and cluster via the repro-kmeans entry."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -164,3 +166,45 @@ def test_serve_kernel_flag(small_matrix, capsys):
         "--queries", "400", "--kernel", "gemm",
     ]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["knori", "knors", "knord"])
+@pytest.mark.parametrize("algorithm", ["gmm", "minibatch"])
+def test_quality_for_every_algorithm(small_matrix, capsys, command,
+                                     algorithm):
+    assert main([
+        command, str(small_matrix), "-k", "4", "--max-iters", "4",
+        "--algorithm", algorithm, "--quality",
+    ]) == 0
+    assert "quality: silhouette=" in capsys.readouterr().out
+
+
+def test_serve_prints_each_spill_once(small_matrix, capsys):
+    # The fit and the serve share one manager: each spill it makes
+    # reaches the trace once.
+    assert main([
+        "serve", str(small_matrix), "-k", "4", "--train-steps", "5",
+        "--queries", "2000", "--ingest-fraction", "0.2", "--mem",
+        "budget", "--mem-budget-mb", "0.13", "--trace",
+    ]) == 0
+    err = capsys.readouterr().err
+    spills = int(re.search(r"spills=(\d+)", err).group(1))
+    assert spills > 0
+    assert err.count("[mem] spill ") == spills
+
+
+def test_tenants_resilience_counts_every_tenant(small_matrix, capsys):
+    # Each tenant draws the same fault trace, so the [resilience] line
+    # grows by one tenant's faults per tenant.
+    faults = []
+    for tenants in ("a=1", "a=1,b=1", "a=1,b=1,c=1"):
+        assert main([
+            "knord", str(small_matrix), "-k", "4", "--machines", "2",
+            "--max-iters", "8", "--faults", "msg_drop=0.3,corrupt_msg=0.3",
+            "--fault-seed", "3", "--trace", "--tenants", tenants,
+        ]) == 0
+        err = capsys.readouterr().err
+        faults.append(int(
+            re.search(r"\[resilience\] faults=(\d+)", err).group(1)))
+    assert faults[0] > 0
+    assert faults == [faults[0], 2 * faults[0], 3 * faults[0]]
