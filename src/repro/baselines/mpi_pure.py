@@ -29,19 +29,14 @@ from repro.core.distance import rows_to_centroids
 from repro.dist import NetworkModel, SimComm, TEN_GBE
 from repro.drivers.common import (
     check_pruning,
+    check_x_k,
     default_criteria,
     resolve_init,
-    resolve_memory_manager,
 )
 from repro.errors import ConfigError, DatasetError
-from repro.mem import MemoryManager, use_manager
+from repro.mem import MemoryManager
 from repro.metrics import RunResult
-from repro.runtime import (
-    IterationLoop,
-    PureMpiBackend,
-    RunObserver,
-    ShardedKmeans,
-)
+from repro.runtime import PureMpiBackend, RunEnv, RunObserver, ShardedKmeans
 from repro.simhw import CostModel, EC2_C4_8XLARGE
 
 #: Compute penalty of unpinned, OS-placed MPI ranks relative to knord's
@@ -83,11 +78,10 @@ def mpi_lloyd(
     managers.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise DatasetError(f"x must be 2-D, got shape {x.shape}")
     pruning = check_pruning(pruning)
     if pruning == "elkan":
         raise ConfigError("mpi_lloyd supports pruning='mti' or None")
+    k = check_x_k(x, k)
     crit = default_criteria(criteria)
     n, d = x.shape
     rpm = ranks_per_machine or cost_model.topology.physical_cores
@@ -97,27 +91,24 @@ def mpi_lloyd(
     comm = SimComm(n_ranks, network)
 
     centroids0 = resolve_init(x, k, init, seed)
-    manager = resolve_memory_manager(mem, mem_budget_bytes, observers)
-    with use_manager(manager):
+    env = RunEnv.resolve(
+        observers=observers, faults=faults, retry_policy=retry_policy,
+        membership=membership, autoscaler=autoscaler, mem=mem,
+        mem_budget_bytes=mem_budget_bytes,
+    )
+    with env.use():
         sharded = ShardedKmeans(
             x, centroids0, pruning, n_ranks, k,
             kernel=kernel, allreduce=allreduce,
         )
-        backend = PureMpiBackend(
-            comm,
-            sharded,
+        backend = env.cluster(
+            PureMpiBackend, comm, sharded,
             dist_col_ns=cost_model.dist_base_ns
             + cost_model.dist_per_dim_ns * d,
             row_overhead_ns=cost_model.row_overhead_ns,
             numa_penalty=MPI_NUMA_PENALTY,
-            faults=faults,
-            retry_policy=retry_policy,
-            membership=membership,
-            autoscaler=autoscaler,
         )
-        result = IterationLoop(
-            backend, criteria=crit, observers=observers, faults=faults
-        ).run()
+        result = env.loop(backend, criteria=crit).run()
 
     assignment = sharded.assignment
     dist = rows_to_centroids(x, sharded.centroids, assignment)

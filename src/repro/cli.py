@@ -38,49 +38,38 @@ from repro.errors import KnorError
 from repro.metrics import RunResult
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags of every command that runs a model: the batch
+    commands and serve."""
+    from repro.faults import FAULT_SPEC_KEYS, RETRY_POLICY_KEYS
+
     parser.add_argument("matrix", help="input .knor matrix file")
     parser.add_argument("-k", type=int, required=True,
                         help="number of clusters")
-    parser.add_argument(
-        "--pruning", choices=["mti", "elkan", "none"], default="mti",
-        help="pruning mode (default: mti; 'none' = the paper's "
-        "minus variants)",
-    )
     parser.add_argument("--init", default="random",
                         help="random|forgy|kmeans++|kmeans|| "
                         "(default: random)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-iters", type=int, default=100)
+    parser.add_argument("--seed", type=int, default=0,
+                        help="model seed (init and sampling)")
     parser.add_argument(
-        "--out", type=Path, default=None,
-        help="write centroids/assignment to this .npz path",
-    )
-    parser.add_argument(
-        "--quality", action="store_true",
-        help="also report silhouette and Davies-Bouldin indices",
+        "--kernel", choices=["blocked", "gemm"], default="blocked",
+        help="distance kernel strategy: blocked (default, bit-exact "
+        "reference) or gemm (norm-caching GEMM expansion; identical "
+        "assignments, ULP-equivalent distances; kmeans and minibatch "
+        "algorithms only)",
     )
     parser.add_argument(
         "--json", type=Path, default=None,
-        help="write the full run record (timings, counters) as JSON",
+        help="write the run's record as JSON (batch commands: timings "
+        "and counters; serve: the latency/IO rollup)",
     )
     parser.add_argument(
         "--trace", action="store_true",
         help="stream runtime trace events (iterations, I/O, "
-        "collectives) to stderr",
-    )
-    parser.add_argument(
-        "--empty-cluster", choices=["drop", "reseed", "error"],
-        default="drop",
-        help="policy when a cluster loses all members: keep the "
-        "previous centroid (drop, default), reseed from the farthest "
-        "point (unpruned only), or abort (error)",
+        "collectives, serve batches) to stderr",
     )
     # Key lists come from the parsers themselves so the help text can
     # never drift from what --faults/--retry-policy actually accept.
-    from repro.elastic import MEMBERSHIP_SPEC_KEYS
-    from repro.faults import FAULT_SPEC_KEYS, RETRY_POLICY_KEYS
-
     parser.add_argument(
         "--faults", default=None, metavar="SPEC",
         help="inject seeded faults, e.g. "
@@ -97,6 +86,48 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="recovery tuning, e.g. "
         "'retries=5,backoff_ms=4,node_failure=abort' "
         f"(keys: {', '.join(RETRY_POLICY_KEYS)})",
+    )
+    parser.add_argument(
+        "--mem", choices=["numpy", "arena", "budget"], default="numpy",
+        help="memory manager for workspace/cache/staging buffers: "
+        "numpy (default behavior), arena (pooled reuse across "
+        "iterations), or budget (hard byte cap with simulated-SSD "
+        "spill; needs --mem-budget-mb). Results are bit-identical "
+        "across managers",
+    )
+    parser.add_argument(
+        "--mem-budget-mb", type=float, default=None, metavar="MB",
+        help="byte cap for --mem budget, in MiB; exceeding it spills "
+        "cold buffers to simulated SSD (charged simulated time) or "
+        "fails with a MemoryBudgetError rather than growing silently",
+    )
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    """The flags of the batch commands: knori, knors and knord."""
+    from repro.elastic import MEMBERSHIP_SPEC_KEYS
+
+    _add_run_flags(parser)
+    parser.add_argument(
+        "--pruning", choices=["mti", "elkan", "none"], default="mti",
+        help="pruning mode (default: mti; 'none' = the paper's "
+        "minus variants)",
+    )
+    parser.add_argument("--max-iters", type=int, default=100)
+    parser.add_argument(
+        "--out", type=Path, default=None,
+        help="write centroids/assignment to this .npz path",
+    )
+    parser.add_argument(
+        "--quality", action="store_true",
+        help="also report silhouette and Davies-Bouldin indices",
+    )
+    parser.add_argument(
+        "--empty-cluster", choices=["drop", "reseed", "error"],
+        default="drop",
+        help="policy when a cluster loses all members: keep the "
+        "previous centroid (drop, default), reseed from the farthest "
+        "point (unpruned only), or abort (error)",
     )
     parser.add_argument(
         "--elastic-plan", default=None, metavar="SPEC",
@@ -132,62 +163,72 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="rows sampled per step for --algorithm minibatch "
         "(default: 1024)",
     )
-    parser.add_argument(
-        "--kernel", choices=["blocked", "gemm"], default="blocked",
-        help="distance kernel strategy: blocked (default, bit-exact "
-        "reference) or gemm (norm-caching GEMM expansion; identical "
-        "assignments, ULP-equivalent distances; kmeans and minibatch "
-        "algorithms only)",
-    )
-    _add_mem_flags(parser)
-
-
-def _add_mem_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--mem", choices=["numpy", "arena", "budget"], default="numpy",
-        help="memory manager for workspace/cache/staging buffers: "
-        "numpy (default behavior), arena (pooled reuse across "
-        "iterations), or budget (hard byte cap with simulated-SSD "
-        "spill; needs --mem-budget-mb). Results are bit-identical "
-        "across managers",
-    )
-    parser.add_argument(
-        "--mem-budget-mb", type=float, default=None, metavar="MB",
-        help="byte cap for --mem budget, in MiB; exceeding it spills "
-        "cold buffers to simulated SSD (charged simulated time) or "
-        "fails with a MemoryBudgetError rather than growing silently",
-    )
 
 
 def _pruning(value: str) -> str | None:
     return None if value == "none" else value
 
 
-def _observers(args: argparse.Namespace):
-    """Trace observers for the command (empty without ``--trace``),
-    built once and shared by every run it makes.
+def _run_env(args: argparse.Namespace, budget_mb: float | None = None):
+    """One run's :class:`~repro.runtime.RunEnv` from the command's flags.
 
-    Stashes the :class:`ResilienceObserver` on ``args`` so
-    :func:`_print_resilience` can summarize the fault/elastic tallies
-    of every run after the command.
+    The trace observers are built once per command and shared by its
+    runs, so ``[resilience]`` counts every run. Fault and membership
+    plans are stateful (they consume RNG streams and scheduled
+    events), so every run -- every tenant -- gets fresh ones, and its
+    own memory manager: ``--mem``'s, or a budget of ``budget_mb`` MiB
+    (a tenant's ``@budget_mb``). The env is handed to the library as
+    keywords; the CLI keeps the manager to print its counters.
     """
-    if not args.trace:
-        return ()
-    if getattr(args, "resilience_observer", None) is None:
-        from repro.metrics import ResilienceObserver
-        from repro.runtime import PrintObserver
+    from repro.elastic import (
+        Autoscaler,
+        MembershipPlan,
+        parse_autoscaler,
+        parse_membership_spec,
+    )
+    from repro.faults import FaultPlan, parse_fault_spec, parse_retry_policy
+    from repro.mem import build_manager
+    from repro.metrics import ResilienceObserver
+    from repro.runtime import PrintObserver, RunEnv
 
-        args.resilience_observer = ResilienceObserver()
-        args.print_observer = PrintObserver()
-    return (args.print_observer, args.resilience_observer)
+    if not hasattr(args, "observers"):
+        args.resilience = ResilienceObserver() if args.trace else None
+        args.observers = (
+            (PrintObserver(), args.resilience) if args.trace else ()
+        )
+
+    def given(text, build):
+        return None if text is None else build(text)
+
+    if budget_mb is None:
+        mem, budget_mb = args.mem, args.mem_budget_mb
+    else:
+        mem = "budget"
+    return RunEnv(
+        observers=args.observers,
+        faults=given(args.faults, lambda text: FaultPlan(
+            parse_fault_spec(text), seed=args.fault_seed)),
+        retry_policy=given(args.retry_policy, parse_retry_policy),
+        membership=given(getattr(args, "elastic_plan", None),
+                         lambda text: MembershipPlan(
+                             parse_membership_spec(text),
+                             seed=args.elastic_seed)),
+        autoscaler=given(getattr(args, "autoscale", None),
+                         lambda text: Autoscaler(parse_autoscaler(text))),
+        # --mem numpy without a budget keeps the drivers' default.
+        manager=(
+            build_manager(mem, budget_bytes=int(budget_mb * 2**20))
+            if budget_mb is not None
+            else None if mem == "numpy" else build_manager(mem)
+        ),
+    )
 
 
 def _print_resilience(args: argparse.Namespace) -> None:
     """One ``[resilience]`` line on stderr under ``--trace``."""
-    obs = getattr(args, "resilience_observer", None)
-    if obs is None:
+    if args.resilience is None:
         return
-    c = obs.counters
+    c = args.resilience.counters
     line = (
         f"[resilience] faults={c.faults_injected} "
         f"recoveries={c.recoveries} retries={c.retries} "
@@ -200,69 +241,6 @@ def _print_resilience(args: argparse.Namespace) -> None:
             f"reshards={c.reshards}"
         )
     print(line, file=sys.stderr)
-
-
-def _fault_plan(args: argparse.Namespace):
-    """``(FaultPlan | None, RetryPolicy | None)`` from the CLI flags."""
-    from repro.faults import (
-        FaultPlan,
-        parse_fault_spec,
-        parse_retry_policy,
-    )
-
-    plan = (
-        FaultPlan(parse_fault_spec(args.faults), seed=args.fault_seed)
-        if args.faults is not None
-        else None
-    )
-    policy = (
-        parse_retry_policy(args.retry_policy)
-        if args.retry_policy is not None
-        else None
-    )
-    return plan, policy
-
-
-def _elastic_plan(args: argparse.Namespace):
-    """Fresh ``MembershipPlan | None`` from the CLI flags.
-
-    Plans are stateful (scheduled events are consumed), so every run
-    -- and every tenant -- gets its own instance.
-    """
-    if getattr(args, "elastic_plan", None) is None:
-        return None
-    from repro.elastic import MembershipPlan, parse_membership_spec
-
-    return MembershipPlan(
-        parse_membership_spec(args.elastic_plan), seed=args.elastic_seed
-    )
-
-
-def _autoscaler(args: argparse.Namespace):
-    """Fresh ``Autoscaler | None`` from ``--autoscale``."""
-    if getattr(args, "autoscale", None) is None:
-        return None
-    from repro.elastic import Autoscaler, parse_autoscaler
-
-    return Autoscaler(parse_autoscaler(args.autoscale))
-
-
-def _memory_manager(args: argparse.Namespace):
-    """Build the manager selected by ``--mem`` (None = driver default).
-
-    The CLI builds the instance itself (rather than passing the spec
-    string through) so it can print the counters after the run.
-    """
-    from repro.mem import build_manager
-
-    budget = (
-        int(args.mem_budget_mb * 2**20)
-        if args.mem_budget_mb is not None
-        else None
-    )
-    if args.mem == "numpy" and budget is None:
-        return None
-    return build_manager(args.mem, budget_bytes=budget)
 
 
 def _print_mem(manager) -> None:
@@ -281,46 +259,6 @@ def _print_mem(manager) -> None:
             f"{c.spill_ns / 1e6:.2f} ms simulated)"
         )
     print(line, file=sys.stderr)
-
-
-def _quality_data(args: argparse.Namespace) -> np.ndarray | None:
-    """The matrix for ``--quality`` (``None`` without the flag)."""
-    return MatrixFile(args.matrix).read_rows(None) if args.quality else None
-
-
-def _finish(
-    result: RunResult,
-    out: Path | None,
-    *,
-    quality_data: np.ndarray | None = None,
-    json_path: Path | None = None,
-) -> None:
-    print(result.summary())
-    sizes = result.cluster_sizes
-    print(f"cluster sizes: min={sizes.min()} max={sizes.max()} "
-          f"nonempty={int((sizes > 0).sum())}/{sizes.shape[0]}")
-    if quality_data is not None:
-        from repro.metrics import (
-            davies_bouldin_index,
-            silhouette_score,
-        )
-
-        sil = silhouette_score(quality_data, result.assignment)
-        db = davies_bouldin_index(quality_data, result.assignment)
-        print(f"quality: silhouette={sil:.3f} davies-bouldin={db:.3f}")
-    if json_path is not None:
-        from repro.metrics import write_json
-
-        write_json(json_path, result)
-        print(f"wrote {json_path}")
-    if out is not None:
-        np.savez(
-            out,
-            centroids=result.centroids,
-            assignment=result.assignment,
-            inertia=result.inertia,
-        )
-        print(f"wrote {out}")
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -356,25 +294,33 @@ def cmd_convert(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_mm(args: argparse.Namespace, backend: str,
+def _kmeans_kwargs(args: argparse.Namespace) -> dict:
+    """The k-means driver flags every batch command shares."""
+    return dict(
+        pruning=_pruning(args.pruning), init=args.init, seed=args.seed,
+        criteria=ConvergenceCriteria(max_iters=args.max_iters),
+        empty_cluster=args.empty_cluster, kernel=args.kernel,
+    )
+
+
+def _run_mm(args: argparse.Namespace, x: np.ndarray, backend: str,
             **backend_kwargs) -> RunResult:
     """Route a non-kmeans ``--algorithm`` through the MM plane."""
     from repro.errors import ConfigError
     from repro.extensions import run_algorithm
 
-    kernel = getattr(args, "kernel", "blocked")
-    if kernel != "blocked" and args.algorithm != "minibatch":
+    if args.kernel != "blocked" and args.algorithm != "minibatch":
         # Only the DistanceWorkspace-backed algorithms have a gemm
         # path; the rest would silently ignore the flag.
         raise ConfigError(
-            f"--kernel={kernel} is supported for --algorithm kmeans "
+            f"--kernel={args.kernel} is supported for --algorithm kmeans "
             f"or minibatch, not {args.algorithm!r}"
         )
-    x = MatrixFile(args.matrix).read_rows(None)
     labels = np.load(args.labels) if args.labels is not None else None
     algorithm_kwargs: dict = {"seed": args.seed}
     if args.algorithm == "minibatch":
-        algorithm_kwargs["kernel"] = kernel
+        algorithm_kwargs["kernel"] = args.kernel
+        algorithm_kwargs["batch_size"] = args.batch_size
     if args.algorithm != "semisupervised":
         # Semisupervised seeding is label-driven; no init method.
         algorithm_kwargs["init"] = args.init
@@ -384,231 +330,146 @@ def _run_mm(args: argparse.Namespace, backend: str,
         algorithm_kwargs["criteria"] = ConvergenceCriteria(
             max_iters=args.max_iters
         )
-    if args.algorithm == "minibatch":
-        algorithm_kwargs["batch_size"] = args.batch_size
     return run_algorithm(
         args.algorithm, x, args.k,
         backend=backend,
         labels=labels,
         algorithm_kwargs=algorithm_kwargs,
-        observers=_observers(args),
         **backend_kwargs,
     )
 
 
+def _run(args: argparse.Namespace, driver, backend: str,
+         plans: tuple[str, ...], **substrate) -> int:
+    """Run one batch command and report it.
+
+    ``--algorithm kmeans`` runs ``driver``, any other algorithm the MM
+    plane's ``backend``, each given the run env's observers, manager
+    and the ``plans`` the driver takes, plus the ``substrate`` flags.
+    """
+    env = _run_env(args)
+    kwargs = dict(
+        observers=env.observers, mem=env.manager,
+        **{name: getattr(env, name) for name in plans}, **substrate,
+    )
+    # knors streams its rows from the file; every other run reads them.
+    streamed = driver is knors and args.algorithm == "kmeans"
+    x = None if streamed else MatrixFile(args.matrix).read_rows(None)
+    if args.algorithm == "kmeans":
+        result = driver(
+            args.matrix if x is None else x, args.k,
+            **_kmeans_kwargs(args), **kwargs,
+        )
+    else:
+        result = _run_mm(args, x, backend, **kwargs)
+    print(result.summary())
+    sizes = result.cluster_sizes
+    print(f"cluster sizes: min={sizes.min()} max={sizes.max()} "
+          f"nonempty={int((sizes > 0).sum())}/{sizes.shape[0]}")
+    if args.quality:
+        from repro.metrics import davies_bouldin_index, silhouette_score
+
+        if x is None:
+            x = MatrixFile(args.matrix).read_rows(None)
+        sil = silhouette_score(x, result.assignment)
+        db = davies_bouldin_index(x, result.assignment)
+        print(f"quality: silhouette={sil:.3f} davies-bouldin={db:.3f}")
+    if args.json is not None:
+        from repro.metrics import write_json
+
+        write_json(args.json, result)
+        print(f"wrote {args.json}")
+    if args.out is not None:
+        np.savez(
+            args.out,
+            centroids=result.centroids,
+            assignment=result.assignment,
+            inertia=result.inertia,
+        )
+        print(f"wrote {args.out}")
+    _print_mem(env.manager)
+    _print_resilience(args)
+    if backend == "sem":
+        print(
+            f"I/O: requested {result.total_bytes_requested / 1e6:.1f} MB, "
+            f"read {result.total_bytes_read / 1e6:.1f} MB from SSD"
+        )
+    return 0
+
+
 def cmd_knori(args: argparse.Namespace) -> int:
     """Run in-memory clustering on a .knor matrix."""
-    plan, _ = _fault_plan(args)
-    manager = _memory_manager(args)
-    if args.algorithm != "kmeans":
-        result = _run_mm(
-            args, "inmemory",
-            n_threads=args.threads, scheduler=args.scheduler,
-            faults=plan,
-            membership=_elastic_plan(args),
-            mem=manager,
-        )
-        _finish(result, args.out, quality_data=_quality_data(args),
-                json_path=args.json)
-        _print_mem(manager)
-        _print_resilience(args)
-        return 0
-    x = MatrixFile(args.matrix).read_rows(None)
-    result = knori(
-        x, args.k,
-        pruning=_pruning(args.pruning),
-        n_threads=args.threads,
-        scheduler=args.scheduler,
-        init=args.init, seed=args.seed,
-        criteria=ConvergenceCriteria(max_iters=args.max_iters),
-        observers=_observers(args),
-        faults=plan,
-        membership=_elastic_plan(args),
-        empty_cluster=args.empty_cluster,
-        kernel=args.kernel,
-        mem=manager,
+    return _run(
+        args, knori, "inmemory", ("faults", "membership"),
+        n_threads=args.threads, scheduler=args.scheduler,
     )
-    _finish(result, args.out,
-            quality_data=x if args.quality else None,
-            json_path=args.json)
-    _print_mem(manager)
-    _print_resilience(args)
-    return 0
 
 
 def cmd_knors(args: argparse.Namespace) -> int:
     """Run semi-external clustering on a .knor matrix."""
-    plan, policy = _fault_plan(args)
-    manager = _memory_manager(args)
-    if args.algorithm != "kmeans":
-        result = _run_mm(
-            args, "sem",
-            row_cache_bytes=args.row_cache_bytes,
-            page_cache_bytes=args.page_cache_bytes,
-            cache_update_interval=args.cache_interval,
-            io_mode=args.io_mode,
-            io_queue_depth=args.io_queue_depth,
-            checkpoint_dir=args.checkpoint_dir,
-            checkpoint_interval=args.checkpoint_interval,
-            resume=args.resume,
-            faults=plan,
-            retry_policy=policy,
-            membership=_elastic_plan(args),
-            mem=manager,
-        )
-        _finish(result, args.out, quality_data=_quality_data(args),
-                json_path=args.json)
-        _print_mem(manager)
-        _print_resilience(args)
-        print(
-            f"I/O: requested {result.total_bytes_requested / 1e6:.1f} "
-            f"MB, read {result.total_bytes_read / 1e6:.1f} MB from SSD"
-        )
-        return 0
-    result = knors(
-        args.matrix, args.k,
-        pruning=_pruning(args.pruning),
+    return _run(
+        args, knors, "sem", ("faults", "retry_policy", "membership"),
         row_cache_bytes=args.row_cache_bytes,
         page_cache_bytes=args.page_cache_bytes,
         cache_update_interval=args.cache_interval,
         io_mode=args.io_mode,
         io_queue_depth=args.io_queue_depth,
-        init=args.init, seed=args.seed,
-        criteria=ConvergenceCriteria(max_iters=args.max_iters),
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_interval=args.checkpoint_interval,
         resume=args.resume,
-        observers=_observers(args),
-        faults=plan,
-        retry_policy=policy,
-        membership=_elastic_plan(args),
-        empty_cluster=args.empty_cluster,
-        kernel=args.kernel,
-        mem=manager,
     )
-    qd = (
-        MatrixFile(args.matrix).read_rows(None) if args.quality else None
-    )
-    _finish(result, args.out, quality_data=qd, json_path=args.json)
-    _print_mem(manager)
-    _print_resilience(args)
-    print(
-        f"I/O: requested {result.total_bytes_requested / 1e6:.1f} MB, "
-        f"read {result.total_bytes_read / 1e6:.1f} MB from SSD"
-    )
-    return 0
+
+
+#: The run-environment plans knord (and each of its tenants) takes.
+KNORD_PLANS = ("faults", "retry_policy", "membership", "autoscaler")
 
 
 def cmd_knord(args: argparse.Namespace) -> int:
     """Run distributed clustering on a .knor matrix."""
-    plan, policy = _fault_plan(args)
-    if args.tenants is not None:
-        return _run_tenants(args, plan, policy)
-    manager = _memory_manager(args)
-    if args.algorithm != "kmeans":
-        result = _run_mm(
-            args, "distributed",
-            n_machines=args.machines,
-            allreduce=args.allreduce,
-            faults=plan,
-            retry_policy=policy,
-            membership=_elastic_plan(args),
-            autoscaler=_autoscaler(args),
-            mem=manager,
-        )
-        _finish(result, args.out, quality_data=_quality_data(args),
-                json_path=args.json)
-        _print_mem(manager)
-        _print_resilience(args)
-        return 0
-    if args.pruning == "elkan":
+    if args.algorithm == "kmeans" and args.pruning == "elkan":
         raise KnorError("knord supports --pruning mti|none")
-    x = MatrixFile(args.matrix).read_rows(None)
-    result = knord(
-        x, args.k,
-        n_machines=args.machines,
-        pruning=_pruning(args.pruning),
-        init=args.init, seed=args.seed,
-        criteria=ConvergenceCriteria(max_iters=args.max_iters),
-        observers=_observers(args),
-        faults=plan,
-        retry_policy=policy,
-        membership=_elastic_plan(args),
-        autoscaler=_autoscaler(args),
-        empty_cluster=args.empty_cluster,
-        kernel=args.kernel,
-        allreduce=args.allreduce,
-        mem=manager,
+    if args.tenants is not None:
+        return _run_tenants(args)
+    return _run(
+        args, knord, "distributed", KNORD_PLANS,
+        n_machines=args.machines, allreduce=args.allreduce,
     )
-    _finish(result, args.out,
-            quality_data=x if args.quality else None,
-            json_path=args.json)
-    _print_mem(manager)
-    _print_resilience(args)
-    return 0
 
 
-def _run_tenants(args: argparse.Namespace, plan, policy) -> int:
+def _run_tenants(args: argparse.Namespace) -> int:
     """``knord --tenants``: fair-share several jobs over one cluster.
 
     Every tenant clusters the same matrix on its own time-slice of the
     simulated fleet; weights set the fair-share rate, ``@budget_mb``
     caps a tenant's resident bytes (overflow spills to simulated SSD).
-    Fault and elastic plans are instantiated per tenant so each job
-    sees the same deterministic trace it would see running alone.
+    Each tenant runs under its own env (see :func:`_run_env`), so it
+    sees the same deterministic fault and elastic trace it would see
+    running alone.
     """
     from repro.drivers.knord import knord_loop
     from repro.elastic import FairShareScheduler, TenantJob, parse_tenants
-    from repro.faults import FaultPlan, parse_fault_spec
-    from repro.mem import build_manager, use_manager
 
     if args.algorithm != "kmeans":
         raise KnorError("--tenants supports --algorithm kmeans")
-    if args.pruning == "elkan":
-        raise KnorError("knord supports --pruning mti|none")
     specs = parse_tenants(args.tenants)
     x = MatrixFile(args.matrix).read_rows(None)
-    jobs: list = []
-    finalizers: dict = {}
+    jobs, finalizers = [], []
     for spec in specs:
-        tenant_mgr = (
-            build_manager(
-                "budget", budget_bytes=int(spec.budget_mb * 2**20)
-            )
-            if spec.budget_mb is not None
-            else _memory_manager(args)
-        )
-        # Stateful per tenant: fault plans consume RNG streams and
-        # membership plans consume scheduled events.
-        tenant_plan = (
-            FaultPlan(parse_fault_spec(args.faults), seed=args.fault_seed)
-            if args.faults is not None
-            else None
-        )
-        with use_manager(tenant_mgr):
+        env = _run_env(args, spec.budget_mb)
+        with env.use():
             loop, finalize = knord_loop(
                 x, args.k,
-                n_machines=args.machines,
-                pruning=_pruning(args.pruning),
-                init=args.init, seed=args.seed,
-                criteria=ConvergenceCriteria(max_iters=args.max_iters),
-                observers=_observers(args),
-                faults=tenant_plan,
-                retry_policy=policy,
-                membership=_elastic_plan(args),
-                autoscaler=_autoscaler(args),
-                empty_cluster=args.empty_cluster,
-                kernel=args.kernel,
-                allreduce=args.allreduce,
+                n_machines=args.machines, allreduce=args.allreduce,
+                observers=env.observers,
+                **{name: getattr(env, name) for name in KNORD_PLANS},
+                **_kmeans_kwargs(args),
             )
-        jobs.append(TenantJob(spec, loop, manager=tenant_mgr))
-        finalizers[spec.name] = (finalize, tenant_mgr)
-    scheduler = FairShareScheduler(jobs)
-    outcomes = scheduler.run()
+        jobs.append(TenantJob(spec, loop, manager=env.manager))
+        finalizers.append((finalize, env.manager))
+    outcomes = FairShareScheduler(jobs).run()
     code = 0
-    for spec in specs:
+    for spec, (finalize, tenant_mgr) in zip(specs, finalizers):
         outcome = outcomes[spec.name]
-        finalize, tenant_mgr = finalizers[spec.name]
         if outcome.error is not None:
             print(f"[{spec.name}] aborted: {outcome.error}",
                   file=sys.stderr)
@@ -635,12 +496,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import MiniBatchMM, ServePlane
     from repro.simhw import ArrivalProcess
 
-    from repro.mem import use_manager
-
-    plan, policy = _fault_plan(args)
-    manager = _memory_manager(args)
+    env = _run_env(args)
     x = MatrixFile(args.matrix).read_rows(None)
-    with use_manager(manager):
+    with env.use():
         # Construct under the manager so the training workspace binds
         # to it (run_mm_inmemory re-pushes it for the run itself).
         algorithm = MiniBatchMM(
@@ -652,7 +510,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             kernel=args.kernel,
         )
     fit = run_mm_inmemory(
-        algorithm, observers=_observers(args), mem=manager
+        algorithm, observers=env.observers, mem=env.manager
     )
     print(fit.summary())
 
@@ -662,11 +520,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
         page_cache_bytes=args.page_cache_bytes,
         max_batch=args.max_batch,
         batch_window_ns=args.batch_window_us * 1e3,
-        observers=_observers(args),
-        faults=plan,
-        retry_policy=policy,
+        observers=env.observers,
+        faults=env.faults,
+        retry_policy=env.retry_policy,
         kernel=args.kernel,
-        mem=manager,
+        mem=env.manager,
     )
     result = plane.serve(ArrivalProcess(
         n_arrivals=args.queries,
@@ -703,7 +561,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             latency_ns=result.latency_ns,
         )
         print(f"wrote {args.out}")
-    _print_mem(manager)
+    _print_mem(env.manager)
     return 0
 
 
@@ -813,14 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="streaming ingest + assignment queries under simulated "
         "open-loop user traffic",
     )
-    srv.add_argument("matrix", help="input .knor matrix file")
-    srv.add_argument("-k", type=int, required=True,
-                     help="number of clusters")
-    srv.add_argument("--init", default="random",
-                     help="random|forgy|kmeans++|kmeans|| "
-                     "(default: random)")
-    srv.add_argument("--seed", type=int, default=0,
-                     help="model seed (init + batch sampling)")
+    _add_run_flags(srv)
     srv.add_argument(
         "--train-steps", type=int, default=50,
         help="mini-batch steps to fit the model before serving",
@@ -828,11 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument(
         "--batch-size", type=int, default=1024,
         help="rows per training mini-batch (default: 1024)",
-    )
-    srv.add_argument(
-        "--kernel", choices=["blocked", "gemm"], default="blocked",
-        help="distance kernel strategy for training and query "
-        "assignment (see the batch commands)",
     )
     srv.add_argument(
         "--queries", type=int, default=100_000,
@@ -870,17 +716,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", type=Path, default=None,
         help="write centroids/assignments/latencies to this .npz",
     )
-    srv.add_argument(
-        "--json", type=Path, default=None,
-        help="write the latency/IO rollup as JSON",
-    )
-    srv.add_argument("--trace", action="store_true",
-                     help="stream serve-plane events to stderr")
-    srv.add_argument("--faults", default=None, metavar="SPEC",
-                     help="seeded fault spec (see the batch commands)")
-    srv.add_argument("--fault-seed", type=int, default=0)
-    srv.add_argument("--retry-policy", default=None, metavar="SPEC")
-    _add_mem_flags(srv)
     srv.set_defaults(func=cmd_serve)
 
     return parser

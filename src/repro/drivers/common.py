@@ -168,29 +168,6 @@ def check_row_dist_finite(
         )
 
 
-def resolve_memory_manager(
-    mem,
-    mem_budget_bytes,
-    observers=(),
-):
-    """Resolve a driver's ``mem``/``mem_budget_bytes`` parameters.
-
-    Returns a manager to push with :func:`repro.mem.use_manager`
-    (``None`` when the driver should keep the ambient manager). The
-    run's observers are attached so ``on_alloc``/``on_free``/
-    ``on_spill`` events join the trace stream. A manager *instance*
-    passed by the caller (e.g. the CLI, which prints the counters
-    afterwards) is used as-is but still gains the observers.
-    """
-    from repro.mem import build_manager
-
-    manager = build_manager(mem, budget_bytes=mem_budget_bytes)
-    if manager is not None:
-        for obs in observers:
-            manager.attach_observer(obs)
-    return manager
-
-
 @dataclass
 class IterationNumerics:
     """Uniform view over full/MTI/Elkan per-iteration outputs."""

@@ -29,19 +29,18 @@ from repro.core import ConvergenceCriteria
 from repro.core.distance import rows_to_centroids
 from repro.dist import Cluster, NetworkModel, TEN_GBE
 from repro.drivers.common import (
-    check_k,
     check_pruning,
+    check_x_k,
     default_criteria,
     make_scheduler,
     resolve_init,
-    resolve_memory_manager,
 )
 from repro.errors import ConfigError, DatasetError
-from repro.mem import MemoryManager, use_manager
+from repro.mem import MemoryManager
 from repro.metrics import RunResult
 from repro.runtime import (
     DistributedBackend,
-    IterationLoop,
+    RunEnv,
     RunObserver,
     ShardedKmeans,
     register_kmeans_memory,
@@ -51,8 +50,35 @@ from repro.simhw import BindPolicy, CostModel, EC2_C4_8XLARGE
 
 
 def knord_loop(
+    x: np.ndarray, k: int, *, observers: Sequence[RunObserver] = (),
+    faults: "FaultPlan | None" = None,
+    retry_policy: "RetryPolicy | None" = None, membership: Any = None,
+    autoscaler: Any = None, **cluster_kwargs: Any,
+):
+    """Assemble a knord run without running it.
+
+    Returns ``(loop, finalize)``: the un-started
+    :class:`~repro.runtime.IterationLoop` plus a closure turning its
+    :class:`~repro.runtime.LoopResult` into the driver's
+    :class:`~repro.metrics.RunResult`. The multi-tenant fair-share
+    scheduler (:class:`~repro.elastic.FairShareScheduler`) uses this to
+    interleave several jobs' iterations; :func:`knord` is exactly
+    ``loop.run()`` between the two. The caller owns the memory-manager
+    context -- assemble under :func:`repro.mem.use_manager` when the
+    job should account against a specific manager. The keywords are
+    :func:`knord`'s, without ``mem``/``mem_budget_bytes``.
+    """
+    env = RunEnv.resolve(
+        observers=observers, faults=faults, retry_policy=retry_policy,
+        membership=membership, autoscaler=autoscaler,
+    )
+    return _assemble(x, k, env, **cluster_kwargs)
+
+
+def _assemble(
     x: np.ndarray,
     k: int,
+    env: RunEnv,
     *,
     n_machines: int = 4,
     pruning: str | None = "mti",
@@ -66,31 +92,12 @@ def knord_loop(
     criteria: ConvergenceCriteria | None = None,
     task_rows: int | None = None,
     cluster: Cluster | None = None,
-    observers: Sequence[RunObserver] = (),
-    faults: "FaultPlan | None" = None,
-    retry_policy: "RetryPolicy | None" = None,
     empty_cluster: str = "drop",
     kernel: str = "blocked",
     allreduce: str = "tree",
-    membership: Any = None,
-    autoscaler: Any = None,
 ):
-    """Assemble a knord run without running it.
-
-    Returns ``(loop, finalize)``: the un-started
-    :class:`~repro.runtime.IterationLoop` plus a closure turning its
-    :class:`~repro.runtime.LoopResult` into the driver's
-    :class:`~repro.metrics.RunResult`. The multi-tenant fair-share
-    scheduler (:class:`~repro.elastic.FairShareScheduler`) uses this to
-    interleave several jobs' iterations; :func:`knord` is exactly
-    ``loop.run()`` between the two. The caller owns the memory-manager
-    context -- assemble under :func:`repro.mem.use_manager` when the
-    job should account against a specific manager.
-    """
-    k = check_k(k)
+    """knord's one assembly: ``(loop, finalize)`` under ``env``."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise DatasetError(f"x must be 2-D, got shape {x.shape}")
     pruning = check_pruning(pruning)
     if pruning == "elkan":
         raise ConfigError("knord supports pruning='mti' or None")
@@ -99,12 +106,9 @@ def knord_loop(
             "knord supports empty_cluster='drop' or 'error'; reseeding "
             "needs a second collective to pick a global farthest point"
         )
+    k = check_x_k(x, k)
     crit = default_criteria(criteria)
     n, d = x.shape
-    if k > n:
-        raise DatasetError(
-            f"k={k} clusters cannot exceed the n={n} data rows"
-        )
 
     if cluster is None:
         cluster = Cluster.build(
@@ -129,7 +133,8 @@ def knord_loop(
     for machine, shard_n in zip(cluster.machines, sharded.shard_rows()):
         register_kmeans_memory(machine, shard_n, d, k, pruning)
 
-    backend = DistributedBackend(
+    backend = env.cluster(
+        DistributedBackend,
         cluster,
         schedulers,
         sharded,
@@ -137,14 +142,8 @@ def knord_loop(
         k=k,
         task_rows=task_rows,
         state_bytes=state_bytes_per_row(pruning, k),
-        faults=faults,
-        retry_policy=retry_policy,
-        membership=membership,
-        autoscaler=autoscaler,
     )
-    loop = IterationLoop(
-        backend, criteria=crit, observers=observers, faults=faults
-    )
+    loop = env.loop(backend, criteria=crit)
 
     def finalize(result) -> RunResult:
         assignment = sharded.assignment
@@ -175,31 +174,11 @@ def knord_loop(
 
 
 def knord(
-    x: np.ndarray,
-    k: int,
-    *,
-    n_machines: int = 4,
-    pruning: str | None = "mti",
-    cost_model: CostModel = EC2_C4_8XLARGE,
-    threads_per_machine: int | None = None,
-    bind_policy: BindPolicy = BindPolicy.NUMA_BIND,
-    scheduler: str = "numa_aware",
-    network: NetworkModel = TEN_GBE,
-    init: str | np.ndarray = "random",
-    seed: int = 0,
-    criteria: ConvergenceCriteria | None = None,
-    task_rows: int | None = None,
-    cluster: Cluster | None = None,
-    observers: Sequence[RunObserver] = (),
+    x: np.ndarray, k: int, *, observers: Sequence[RunObserver] = (),
     faults: "FaultPlan | None" = None,
-    retry_policy: "RetryPolicy | None" = None,
-    empty_cluster: str = "drop",
-    kernel: str = "blocked",
-    allreduce: str = "tree",
-    membership: Any = None,
-    autoscaler: Any = None,
-    mem: str | MemoryManager | None = None,
-    mem_budget_bytes: int | None = None,
+    retry_policy: "RetryPolicy | None" = None, membership: Any = None,
+    autoscaler: Any = None, mem: str | MemoryManager | None = None,
+    mem_budget_bytes: int | None = None, **cluster_kwargs: Any,
 ) -> RunResult:
     """Distributed NUMA-optimized k-means on a simulated cluster.
 
@@ -215,14 +194,11 @@ def knord(
         paper's c4.8xlarge fleet on placement-group 10 GbE).
     cluster:
         Pre-built :class:`Cluster` (overrides the hardware params).
-    observers:
-        :class:`~repro.runtime.RunObserver` hooks receiving the run's
-        trace-event stream (per-machine task traces, collectives).
-    faults, retry_policy:
-        Optional :class:`~repro.faults.FaultPlan` and
-        :class:`~repro.faults.RetryPolicy`. Node failures either
-        degrade (reshard onto survivors; bit-identical results) or
-        abort per ``retry_policy.node_failure_mode``; dropped
+    observers, faults, retry_policy, mem, mem_budget_bytes:
+        The run environment (see :meth:`repro.runtime.RunEnv.resolve`;
+        the manager also holds the allreduce staging). Node failures
+        either degrade (reshard onto survivors; bit-identical results)
+        or abort per ``retry_policy.node_failure_mode``; dropped
         allreduce messages charge timeout + retransmission. Slow
         nodes (``straggler`` site) are flagged by per-machine EWMA
         and their shards re-shard onto healthy machines; corrupted
@@ -254,36 +230,13 @@ def knord(
         changes, so clustering results are bit-identical to the
         fixed-cluster run for zero-event plans and whenever the final
         membership equals the initial one.
-    mem, mem_budget_bytes:
-        Memory manager for the per-shard workspaces and the allreduce
-        staging buffers (``"numpy"`` | ``"arena"`` | ``"budget"`` | a
-        prebuilt manager; see :func:`repro.drivers.knori` and
-        :mod:`repro.mem`). Results are bit-identical across managers.
     """
-    manager = resolve_memory_manager(mem, mem_budget_bytes, observers)
-    with use_manager(manager):
-        loop, finalize = knord_loop(
-            x, k,
-            n_machines=n_machines,
-            pruning=pruning,
-            cost_model=cost_model,
-            threads_per_machine=threads_per_machine,
-            bind_policy=bind_policy,
-            scheduler=scheduler,
-            network=network,
-            init=init,
-            seed=seed,
-            criteria=criteria,
-            task_rows=task_rows,
-            cluster=cluster,
-            observers=observers,
-            faults=faults,
-            retry_policy=retry_policy,
-            empty_cluster=empty_cluster,
-            kernel=kernel,
-            allreduce=allreduce,
-            membership=membership,
-            autoscaler=autoscaler,
-        )
+    env = RunEnv.resolve(
+        observers=observers, faults=faults, retry_policy=retry_policy,
+        membership=membership, autoscaler=autoscaler, mem=mem,
+        mem_budget_bytes=mem_budget_bytes,
+    )
+    with env.use():
+        loop, finalize = _assemble(x, k, env, **cluster_kwargs)
         result = loop.run()
     return finalize(result)

@@ -18,10 +18,11 @@ NUMA machine. Per iteration:
 ``scheduler="fifo" | "static"`` are the Figure 5 baselines.
 
 This driver is a parameter-translation shim over the MM plane: it
-builds the machine, constructs :class:`~repro.runtime.KmeansMM` with
-one partial per thread (``n_partitions=T``) under the run's memory
-manager, runs it through :func:`~repro.runtime.run_mm_inmemory` and
-labels the result.
+resolves its :class:`~repro.runtime.RunEnv`, builds the machine,
+constructs :class:`~repro.runtime.KmeansMM` with one partial per
+thread (``n_partitions=T``) under the run's memory manager, runs it
+through the in-memory assembly (:func:`~repro.runtime.mm.inmemory_run`)
+and labels the result.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.core import ConvergenceCriteria
-from repro.drivers.common import resolve_memory_manager
-from repro.mem import MemoryManager, use_manager
+from repro.mem import MemoryManager
 from repro.metrics import RunResult
-from repro.runtime import KmeansMM, RunObserver, run_mm_inmemory
+from repro.runtime import KmeansMM, RunEnv, RunObserver
+from repro.runtime.mm import inmemory_run
 from repro.sched.blocks import auto_task_rows
 from repro.simhw import (
     BindPolicy,
@@ -95,15 +96,13 @@ def knori(
     machine:
         Pre-built :class:`SimMachine` (overrides ``cost_model``/
         ``n_threads``/``bind_policy``).
-    observers:
-        :class:`~repro.runtime.RunObserver` hooks receiving the run's
-        trace-event stream (iteration boundaries, task traces).
-    faults:
-        Optional :class:`~repro.faults.FaultPlan`. Worker crashes are
-        answered by a deterministic from-scratch rerun (the paper
-        offers no in-memory checkpointing); results stay bit-identical
-        to a fault-free run. Straggler injections slow simulated
-        threads and engage EWMA-based detection plus work rebalancing
+    observers, faults, membership, mem, mem_budget_bytes:
+        The run environment (see :meth:`repro.runtime.RunEnv.resolve`).
+        Worker crashes and preemptions are answered by a
+        deterministic from-scratch rerun (the paper offers no
+        in-memory checkpointing); results stay bit-identical to a
+        fault-free run. Straggler injections slow simulated threads
+        and engage EWMA-based detection plus work rebalancing
         (simulated time only, numerics untouched).
     empty_cluster:
         Policy when a cluster loses all members: ``"drop"`` (keep the
@@ -114,13 +113,6 @@ def knori(
         reference) or ``"gemm"`` (norm-caching GEMM expansion;
         identical assignments, ULP-equivalent distances -- see
         :mod:`repro.core.distance`).
-    mem, mem_budget_bytes:
-        Memory manager for the run's workspace and scratch buffers:
-        ``"numpy"`` (default behavior), ``"arena"`` (pooled reuse),
-        ``"budget"`` (hard byte cap with SSD spill;
-        ``mem_budget_bytes`` required), or a prebuilt
-        :class:`~repro.mem.MemoryManager`. Results are bit-identical
-        across managers (see :mod:`repro.mem`).
 
     Returns
     -------
@@ -129,24 +121,24 @@ def knori(
         pruning statistics and the memory breakdown.
     """
     x = np.asarray(x, dtype=np.float64)
-    if machine is None:
-        machine = SimMachine.build(
-            cost_model, n_threads=n_threads, bind_policy=bind_policy
-        )
-    manager = resolve_memory_manager(mem, mem_budget_bytes, observers)
-    with use_manager(manager):
+    env = RunEnv.resolve(
+        observers=observers, faults=faults, membership=membership,
+        mem=mem, mem_budget_bytes=mem_budget_bytes,
+    )
+    machine = machine or SimMachine.build(
+        cost_model, n_threads=n_threads, bind_policy=bind_policy
+    )
+    with env.use():
         alg = KmeansMM(
             x, k, pruning=pruning, init=init, seed=seed,
             criteria=criteria, empty_cluster=empty_cluster,
             kernel=kernel, n_partitions=machine.n_threads,
         )
-        if task_rows is None:
-            task_rows = auto_task_rows(alg.n_rows, machine.n_threads)
-        result = run_mm_inmemory(
-            alg, machine=machine, scheduler=scheduler,
-            task_rows=task_rows, observers=observers, faults=faults,
-            membership=membership,
-        )
+    if task_rows is None:
+        task_rows = auto_task_rows(alg.n_rows, machine.n_threads)
+    result = inmemory_run(
+        alg, env, machine=machine, scheduler=scheduler, task_rows=task_rows,
+    )
 
     pruning = alg.loop.pruning
     algo = {"mti": "knori", "elkan": "knori[elkan]", None: "knori-"}[

@@ -23,10 +23,11 @@ Flag mapping to the paper's names:
 * ``knors(path, k, pruning=None, row_cache_bytes=0)`` -- knors--.
 
 This driver is a parameter-translation shim over the MM plane: it
-resolves the data to a row view (a memmap for files, never copied),
-builds the machine, constructs :class:`~repro.runtime.KmeansMM` with
-one partial per thread (``n_partitions=T``) under the run's memory
-manager, runs it through :func:`~repro.runtime.run_mm_sem` (SAFS and
+resolves the data to a row view (a memmap for files, never copied)
+and its :class:`~repro.runtime.RunEnv`, builds the machine,
+constructs :class:`~repro.runtime.KmeansMM` with one partial per
+thread (``n_partitions=T``) under the run's memory manager, runs it
+through the SEM assembly (:func:`~repro.runtime.mm.sem_run`: SAFS and
 row-cache stack, optional checkpoints) and labels the result.
 """
 
@@ -40,16 +41,11 @@ import numpy as np
 
 from repro.core import ConvergenceCriteria
 from repro.data.matrixfile import MatrixFile
-from repro.drivers.common import resolve_memory_manager
-from repro.mem import MemoryManager, use_manager
+from repro.mem import MemoryManager
 from repro.metrics import RunResult
-from repro.runtime import KmeansMM, RunObserver, resolve_row_data, run_mm_sem
-from repro.simhw import (
-    BindPolicy,
-    CostModel,
-    FOUR_SOCKET_XEON,
-    SimMachine,
-)
+from repro.runtime import KmeansMM, RunEnv, RunObserver, resolve_row_data
+from repro.runtime.mm import sem_run
+from repro.simhw import BindPolicy, CostModel, FOUR_SOCKET_XEON, SimMachine
 from repro.simhw.ssd import OCZ_INTREPID_ARRAY, SsdArray
 
 
@@ -123,19 +119,16 @@ def knors(
         ``checkpoint_dir`` (atomic replace); ``resume=True`` continues
         from the newest checkpoint there. Disabled when
         ``checkpoint_dir`` is None, as in the paper's benchmarks.
-    observers:
-        :class:`~repro.runtime.RunObserver` hooks receiving the run's
-        trace-event stream (iterations, I/O, task traces, checkpoints).
-    faults, retry_policy:
-        Optional :class:`~repro.faults.FaultPlan` and
-        :class:`~repro.faults.RetryPolicy`. SSD read errors and slow
-        pages are absorbed by the retry policy (charged simulated
-        time); worker and mid-checkpoint crashes resume from the
-        newest checkpoint (or rerun from scratch without one) with
+    observers, faults, retry_policy, membership, mem, mem_budget_bytes:
+        The run environment (see :meth:`repro.runtime.RunEnv.resolve`;
+        the manager also holds the cache index and checkpoint
+        staging). SSD read errors and slow pages are absorbed by the
+        retry policy (charged simulated time); worker and
+        mid-checkpoint crashes and preemptions resume from the newest
+        checkpoint (or rerun from scratch without one) with
         bit-identical results. Injected corruptions (SSD pages, row
-        cache lines, checkpoints, allreduce payloads) are detected by
-        CRC32 verification, quarantined and repaired from a clean
-        source -- or abort with
+        cache lines, checkpoints) are detected by CRC32 verification,
+        quarantined and repaired from a clean source -- or abort with
         :class:`~repro.errors.CorruptionError` when repair exhausts
         the retry budget. Stragglers slow simulated threads and engage
         EWMA detection plus rebalancing (simulated time only).
@@ -147,35 +140,31 @@ def knors(
         Distance kernel strategy (``"blocked"`` | ``"gemm"``, see
         :func:`repro.drivers.knori`). Clause-1 I/O elision is
         unaffected: both strategies produce identical assignments.
-    mem, mem_budget_bytes:
-        Memory manager for the workspace, cache index and checkpoint
-        staging buffers (``"numpy"`` | ``"arena"`` | ``"budget"`` | a
-        prebuilt manager; see :func:`repro.drivers.knori` and
-        :mod:`repro.mem`). Results are bit-identical across managers.
     """
     x, _, _ = resolve_row_data(data)
+    env = RunEnv.resolve(
+        observers=observers, faults=faults, retry_policy=retry_policy,
+        membership=membership, mem=mem, mem_budget_bytes=mem_budget_bytes,
+    )
     machine = SimMachine.build(
         cost_model, n_threads=n_threads, bind_policy=bind_policy, ssd=ssd
     )
-    manager = resolve_memory_manager(mem, mem_budget_bytes, observers)
-    with use_manager(manager):
+    with env.use():
         alg = KmeansMM(
             x, k, pruning=pruning, init=init, seed=seed,
             criteria=criteria, empty_cluster=empty_cluster,
             kernel=kernel, n_partitions=machine.n_threads,
         )
-        result = run_mm_sem(
-            alg, machine=machine, scheduler=scheduler,
-            row_cache_bytes=row_cache_bytes,
-            page_cache_bytes=page_cache_bytes,
-            cache_update_interval=cache_update_interval,
-            io_mode=io_mode, io_queue_depth=io_queue_depth,
-            io_channels=io_channels, task_rows=task_rows,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_interval=checkpoint_interval, resume=resume,
-            observers=observers, faults=faults, retry_policy=retry_policy,
-            membership=membership,
-        )
+    result = sem_run(
+        alg, env, machine=machine, scheduler=scheduler,
+        row_cache_bytes=row_cache_bytes,
+        page_cache_bytes=page_cache_bytes,
+        cache_update_interval=cache_update_interval,
+        io_mode=io_mode, io_queue_depth=io_queue_depth,
+        io_channels=io_channels, task_rows=task_rows,
+        checkpoint_dir=checkpoint_dir,
+        checkpoint_interval=checkpoint_interval, resume=resume,
+    )
 
     pruning = alg.loop.pruning
     row_cache_bytes = result.params["row_cache_bytes"]

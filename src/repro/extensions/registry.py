@@ -88,19 +88,17 @@ def run_algorithm(
     """One-call dispatch: build the named algorithm, run it on the
     named backend (``inmemory`` | ``sem`` | ``distributed``).
 
-    ``mem``/``mem_budget_bytes`` in the backend kwargs are resolved
-    *before* construction so the algorithm's internal workspaces bind
-    to the same manager the backend runs under.
+    The run environment in the backend kwargs (observers, plans,
+    ``mem``/``mem_budget_bytes``) is resolved *before* construction so
+    the algorithm's internal workspaces bind to the same manager the
+    backend runs under.
     """
-    from repro.drivers.common import resolve_memory_manager
-    from repro.mem import use_manager
+    from repro.runtime.env import RunEnv
+    from repro.runtime.mm import substrate
 
-    manager = resolve_memory_manager(
-        backend_kwargs.pop("mem", None),
-        backend_kwargs.pop("mem_budget_bytes", None),
-    )
-    with use_manager(manager):
+    env = RunEnv.take(backend_kwargs)
+    with env.use():
         algorithm = make_mm_algorithm(
             name, x, k, labels=labels, **(algorithm_kwargs or {})
         )
-    return run_mm(algorithm, backend, mem=manager, **backend_kwargs)
+    return substrate(backend)(algorithm, env, **backend_kwargs)

@@ -14,21 +14,22 @@ package factors that skeleton out once:
 * the :class:`IterationLoop` orchestrates any backend to convergence
   and assembles results uniformly;
 * :class:`RunObserver` hooks expose the full trace-event stream to
-  benchmarks, the CLI, and profilers.
+  benchmarks, the CLI, and profilers;
+* a :class:`RunEnv` (:mod:`repro.runtime.env`) holds one run's
+  observers, fault, retry, membership and autoscaler plans and memory
+  manager, resolved once by each public entry point.
 
 On top of the skeleton sits the **MM algorithm plane**
 (:mod:`repro.runtime.mm`): any algorithm expressible as a per-row
 *majorize* phase plus a global additive *minimize* reduction
-(:class:`MMAlgorithm`) -- the one contract for custom
-algorithms -- inherits all three backends, fault recovery,
-checkpoints and the observer bus via ``run_mm_inmemory`` /
-``run_mm_sem`` / ``run_mm_distributed``. These are the only run
-assembly for one machine: ``knori()`` and ``knors()`` are
-:class:`KmeansMM` through ``run_mm_inmemory`` and ``run_mm_sem``.
-``knord()`` keeps its per-shard :class:`ShardedKmeans` program on the
-:class:`DistributedBackend`, and ``baselines.mpi_lloyd`` its
-:class:`PureMpiBackend`. The extension zoo supplies the other MM
-algorithms (see :mod:`repro.extensions`).
+(:class:`MMAlgorithm`) -- the one contract for custom algorithms --
+inherits all three backends, fault recovery, checkpoints and the
+observer bus through one assembly per substrate (``inmemory_run``,
+``sem_run``, ``distributed_run``; ``run_mm_*`` resolve an env and call
+them). ``knori()`` and ``knors()`` are :class:`KmeansMM` through the
+first two. ``knord()`` keeps its per-shard :class:`ShardedKmeans`
+program on the :class:`DistributedBackend`, and
+``baselines.mpi_lloyd`` its :class:`PureMpiBackend`.
 """
 
 from repro.runtime.backends import (
@@ -42,6 +43,7 @@ from repro.runtime.backends import (
     ShardedKmeans,
     ShardedProgram,
 )
+from repro.runtime.env import RunEnv
 from repro.runtime.loop import IterationLoop, LoopResult
 from repro.runtime.mm import (
     KmeansMM,
@@ -91,6 +93,7 @@ __all__ = [
     "PrintObserver",
     "PureMpiBackend",
     "RecordingObserver",
+    "RunEnv",
     "RunObserver",
     "SemBackend",
     "ShardedKmeans",

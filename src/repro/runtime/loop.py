@@ -98,11 +98,10 @@ class IterationLoop:
         finishes the grace window's iterations, asks the backend to
         flush a checkpoint (``flush_checkpoint``), and only then takes
         the planned loss -- so no committed iteration is ever lost;
-        zero notice degrades to the plain worker-crash path. The plan
-        must be wired to exactly one consumer: passing one here while
-        the backend also holds one (``handles_membership``) is a
-        configuration error, because both would draw the same RNG
-        streams.
+        zero notice degrades to the plain worker-crash path.
+        :meth:`~repro.runtime.RunEnv.loop` wires the plan to exactly
+        one consumer; a plan here while the backend holds one too
+        (``handles_membership``) is a configuration error.
     """
 
     def __init__(

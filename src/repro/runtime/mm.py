@@ -21,10 +21,11 @@ This module is that frame:
 * :class:`MMShardedProgram` -- adapts it to the
   :class:`~repro.runtime.backends.ShardedProgram` contract for the
   distributed backend.
-* ``run_mm_inmemory`` / ``run_mm_sem`` / ``run_mm_distributed`` --
-  the three generic drivers. The first two are the only single-machine
-  run assembly: ``knori`` and ``knors`` are :class:`KmeansMM` through
-  them.
+* ``inmemory_run`` / ``sem_run`` / ``distributed_run`` -- one
+  assembly per substrate, run under a resolved
+  :class:`~repro.runtime.RunEnv`. ``run_mm_*`` and ``run_mm`` resolve
+  an env and call them; ``knori`` and ``knors`` are
+  :class:`KmeansMM` through the first two.
 
 Bit-identity across backends, by construction
 ---------------------------------------------
@@ -52,7 +53,6 @@ from typing import Any, Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from repro.errors import ConfigError, DatasetError
-from repro.mem import use_manager
 from repro.metrics import RunResult
 from repro.runtime.backends import (
     CheckpointHook,
@@ -61,7 +61,8 @@ from repro.runtime.backends import (
     SemBackend,
     ShardedProgram,
 )
-from repro.runtime.loop import IterationLoop, LoopResult
+from repro.runtime.env import RunEnv
+from repro.runtime.loop import LoopResult
 from repro.runtime.memory import (
     register_kmeans_memory,
     register_mm_memory,
@@ -71,12 +72,7 @@ from repro.runtime.observer import RunObserver
 from repro.runtime.sources import StepStats
 from repro.sched.blocks import auto_task_rows
 from repro.sem import build_row_engine
-from repro.simhw import (
-    BindPolicy,
-    EC2_C4_8XLARGE,
-    FOUR_SOCKET_XEON,
-    SimMachine,
-)
+from repro.simhw import BindPolicy, EC2_C4_8XLARGE, SimMachine
 from repro.simhw.ssd import OCZ_INTREPID_ARRAY
 
 
@@ -432,9 +428,9 @@ class KmeansMM:
 
 
 # ---------------------------------------------------------------------
-# Generic drivers: one per substrate. knori and knors are these two
-# in-memory and SEM drivers running KmeansMM; knord keeps its own
-# per-shard ShardedKmeans assembly.
+# One assembly per substrate. Each runs an algorithm under a resolved
+# RunEnv; the public runners resolve their keywords and call one, and
+# knori and knors build KmeansMM under their env and call the first two.
 # ---------------------------------------------------------------------
 
 
@@ -455,8 +451,21 @@ def _register_memory(
     )
 
 
-def run_mm_inmemory(
+def _run_to_end(
+    env: RunEnv, backend: Any, algorithm: MMAlgorithm, **loop: Any
+) -> LoopResult:
+    """Run ``backend`` until the algorithm converges or its cap."""
+    return env.loop(
+        backend,
+        should_stop=lambda out: algorithm.converged(),
+        max_iters=algorithm.max_iters,
+        **loop,
+    ).run()
+
+
+def inmemory_run(
     algorithm: MMAlgorithm,
+    env: RunEnv,
     *,
     cost_model: Any = None,
     n_threads: int | None = None,
@@ -464,31 +473,22 @@ def run_mm_inmemory(
     scheduler: str = "numa_aware",
     task_rows: int | None = None,
     machine: Any = None,
-    observers: Sequence[RunObserver] = (),
-    faults: Any = None,
-    membership: Any = None,
-    mem: Any = None,
-    mem_budget_bytes: int | None = None,
 ) -> RunResult:
-    """Run an MM algorithm on one simulated NUMA machine (knori's
-    substrate: scheduler + engine replay, barrier + funnel
-    reduction). ``mem``/``mem_budget_bytes`` select the interpreter-
-    side memory manager (see :mod:`repro.mem`); results are
-    bit-identical across managers."""
-    from repro.drivers.common import make_scheduler, resolve_memory_manager
+    """Run an MM algorithm under ``env`` on one simulated NUMA machine
+    (knori's substrate: scheduler + engine replay, barrier + funnel
+    reduction). ``machine`` is a pre-built
+    :class:`~repro.simhw.SimMachine` (overrides ``cost_model``/
+    ``n_threads``/``bind_policy``)."""
+    from repro.drivers.common import make_scheduler
 
-    if machine is None:
-        machine = SimMachine.build(
-            cost_model or FOUR_SOCKET_XEON,
-            n_threads=n_threads,
-            bind_policy=bind_policy or BindPolicy.NUMA_BIND,
-        )
+    machine = machine or SimMachine.build(
+        cost_model, n_threads=n_threads, bind_policy=bind_policy
+    )
     sched = make_scheduler(scheduler)
     if task_rows is None:
         task_rows = auto_task_rows(algorithm.n_rows, machine.n_threads)
     _register_memory(algorithm, machine, algorithm.n_rows)
-    manager = resolve_memory_manager(mem, mem_budget_bytes, observers)
-    with use_manager(manager):
+    with env.use():
         backend = InMemoryBackend(
             machine,
             sched,
@@ -497,16 +497,9 @@ def run_mm_inmemory(
             d=algorithm.d,
             reduction_k=algorithm.reduction_slots,
             task_rows=task_rows,
-            faults=faults,
+            faults=env.faults,
         )
-        result = IterationLoop(
-            backend,
-            should_stop=lambda out: algorithm.converged(),
-            max_iters=algorithm.max_iters,
-            observers=observers,
-            faults=faults,
-            membership=membership,
-        ).run()
+        result = _run_to_end(env, backend, algorithm)
     return algorithm.result(
         result,
         memory_breakdown=machine.memory.component_breakdown(),
@@ -518,8 +511,9 @@ def run_mm_inmemory(
     )
 
 
-def run_mm_sem(
+def sem_run(
     algorithm: MMAlgorithm,
+    env: RunEnv,
     *,
     ssd: Any = None,
     cost_model: Any = None,
@@ -537,42 +531,30 @@ def run_mm_sem(
     checkpoint_dir: str | Path | None = None,
     checkpoint_interval: int = 10,
     resume: bool = False,
-    observers: Sequence[RunObserver] = (),
-    faults: Any = None,
-    retry_policy: Any = None,
-    membership: Any = None,
-    mem: Any = None,
-    mem_budget_bytes: int | None = None,
 ) -> RunResult:
-    """Run an MM algorithm semi-external-memory (knors' substrate:
-    SAFS + row cache + async I/O pipeline, checkpoints).
+    """Run an MM algorithm under ``env`` semi-external-memory (knors'
+    substrate: SAFS + row cache + async I/O pipeline, checkpoints).
 
     The algorithm's ``needs_data`` mask drives real I/O savings: rows
     a pruned iteration never touches issue no SSD requests.
     ``machine`` is a pre-built :class:`~repro.simhw.SimMachine`
     (overrides ``cost_model``/``n_threads``/``bind_policy``, and
     ``ssd`` when the machine carries one).
-    ``mem``/``mem_budget_bytes`` select the interpreter-side memory
-    manager (see :mod:`repro.mem`).
     """
-    from repro.drivers.common import make_scheduler, resolve_memory_manager
+    from repro.drivers.common import make_scheduler
 
     n, d = algorithm.n_rows, algorithm.d
-    if machine is None:
-        machine = SimMachine.build(
-            cost_model or FOUR_SOCKET_XEON,
-            n_threads=n_threads,
-            bind_policy=bind_policy or BindPolicy.NUMA_BIND,
-            ssd=ssd or OCZ_INTREPID_ARRAY,
-        )
-    ssd = machine.ssd or ssd or OCZ_INTREPID_ARRAY
+    ssd = ssd or OCZ_INTREPID_ARRAY
+    machine = machine or SimMachine.build(
+        cost_model, n_threads=n_threads, bind_policy=bind_policy, ssd=ssd
+    )
+    ssd = machine.ssd or ssd
     sched = make_scheduler(scheduler)
     t = machine.n_threads
     if task_rows is None:
         task_rows = auto_task_rows(n, t)
 
-    manager = resolve_memory_manager(mem, mem_budget_bytes, observers)
-    with use_manager(manager):
+    with env.use():
         io_engine, row_cache_bytes, page_cache_bytes = build_row_engine(
             ssd, n, d, t,
             row_cache_bytes=row_cache_bytes,
@@ -581,8 +563,8 @@ def run_mm_sem(
             io_mode=io_mode,
             io_queue_depth=io_queue_depth,
             io_channels=io_channels,
-            faults=faults,
-            retry_policy=retry_policy,
+            faults=env.faults,
+            retry_policy=env.retry_policy,
         )
         _register_memory(
             algorithm, machine, n,
@@ -590,22 +572,17 @@ def run_mm_sem(
             row_cache_bytes=row_cache_bytes,
             page_cache_bytes=page_cache_bytes,
         )
-        checkpoint = (
-            CheckpointHook(
+        checkpoint, start_it = None, 0
+        if checkpoint_dir is not None:
+            checkpoint = CheckpointHook(
                 directory=checkpoint_dir,
                 interval=checkpoint_interval,
                 algorithm=algorithm,
                 params={"n": n, "d": d, "algorithm": algorithm.name},
-                faults=faults,
+                faults=env.faults,
             )
-            if checkpoint_dir is not None
-            else None
-        )
-        start_it = (
-            checkpoint.resume(io_engine.row_cache)
-            if resume and checkpoint is not None
-            else 0
-        )
+            if resume:
+                start_it = checkpoint.resume(io_engine.row_cache)
         backend = SemBackend(
             machine,
             sched,
@@ -617,17 +594,11 @@ def run_mm_sem(
             task_rows=task_rows,
             checkpoint=checkpoint,
             io_mode=io_mode,
-            faults=faults,
+            faults=env.faults,
         )
-        result = IterationLoop(
-            backend,
-            should_stop=lambda out: algorithm.converged(),
-            max_iters=algorithm.max_iters,
-            observers=observers,
-            start_iteration=start_it,
-            faults=faults,
-            membership=membership,
-        ).run()
+        result = _run_to_end(
+            env, backend, algorithm, start_iteration=start_it
+        )
     return algorithm.result(
         result,
         memory_breakdown=machine.memory.component_breakdown(),
@@ -641,8 +612,9 @@ def run_mm_sem(
     )
 
 
-def run_mm_distributed(
+def distributed_run(
     algorithm: MMAlgorithm,
+    env: RunEnv,
     *,
     n_machines: int = 4,
     cost_model: Any = None,
@@ -652,23 +624,16 @@ def run_mm_distributed(
     network: Any = None,
     task_rows: int | None = None,
     cluster: Any = None,
-    observers: Sequence[RunObserver] = (),
-    faults: Any = None,
-    retry_policy: Any = None,
     allreduce: str = "tree",
-    membership: Any = None,
-    autoscaler: Any = None,
-    mem: Any = None,
-    mem_budget_bytes: int | None = None,
 ) -> RunResult:
-    """Run an MM algorithm on a simulated cluster (knord's substrate:
-    per-shard machine replay + allreduce of the algorithm's
-    accumulator payload; ``allreduce`` picks the charged schedule,
-    ``"tree"`` or ``"rect"``, see :mod:`repro.dist.mpi`).
-    ``mem``/``mem_budget_bytes`` select the interpreter-side memory
-    manager (see :mod:`repro.mem`)."""
+    """Run an MM algorithm under ``env`` on a simulated cluster
+    (knord's substrate: per-shard machine replay + allreduce of the
+    algorithm's accumulator payload; ``allreduce`` picks the charged
+    schedule, ``"tree"`` or ``"rect"``, see :mod:`repro.dist.mpi`).
+    ``cluster`` is a pre-built :class:`~repro.dist.Cluster`
+    (overrides the hardware keywords)."""
     from repro.dist import Cluster, TEN_GBE
-    from repro.drivers.common import make_scheduler, resolve_memory_manager
+    from repro.drivers.common import make_scheduler
 
     if cluster is None:
         cluster = Cluster.build(
@@ -679,14 +644,14 @@ def run_mm_distributed(
             network=network or TEN_GBE,
         )
     p = cluster.n_machines
-    manager = resolve_memory_manager(mem, mem_budget_bytes, observers)
-    with use_manager(manager):
+    with env.use():
         program = MMShardedProgram(algorithm, p, allreduce=allreduce)
         for machine, shard_n in zip(cluster.machines,
                                     program.shard_rows()):
             _register_memory(algorithm, machine, shard_n)
         schedulers = [make_scheduler(scheduler) for _ in range(p)]
-        backend = DistributedBackend(
+        backend = env.cluster(
+            DistributedBackend,
             cluster,
             schedulers,
             program,
@@ -694,18 +659,8 @@ def run_mm_distributed(
             k=algorithm.reduction_slots,
             task_rows=task_rows,
             state_bytes=algorithm.state_bytes_per_row,
-            faults=faults,
-            retry_policy=retry_policy,
-            membership=membership,
-            autoscaler=autoscaler,
         )
-        result = IterationLoop(
-            backend,
-            should_stop=lambda out: algorithm.converged(),
-            max_iters=algorithm.max_iters,
-            observers=observers,
-            faults=faults,
-        ).run()
+        result = _run_to_end(env, backend, algorithm)
     return algorithm.result(
         result,
         memory_breakdown=cluster.machines[0].memory.component_breakdown(),
@@ -720,20 +675,78 @@ def run_mm_distributed(
     )
 
 
-BACKEND_RUNNERS = {
-    "inmemory": run_mm_inmemory,
-    "sem": run_mm_sem,
-    "distributed": run_mm_distributed,
+#: Backend name -> its assembly (what ``run_mm`` dispatches to).
+SUBSTRATES = {
+    "inmemory": inmemory_run,
+    "sem": sem_run,
+    "distributed": distributed_run,
 }
+
+
+def substrate(backend: str):
+    """The assembly of the backend named ``backend``."""
+    if backend not in SUBSTRATES:
+        raise ConfigError(
+            f"unknown backend {backend!r}; choose from "
+            f"{sorted(SUBSTRATES)}"
+        )
+    return SUBSTRATES[backend]
+
+
+# The public runners resolve the run-environment keywords their
+# substrate consumes (see RunEnv.resolve) and pass the rest to its
+# assembly.
+
+
+def run_mm_inmemory(
+    algorithm: MMAlgorithm, *, observers: Sequence[RunObserver] = (),
+    faults: Any = None, membership: Any = None, mem: Any = None,
+    mem_budget_bytes: int | None = None, **substrate_kwargs: Any,
+) -> RunResult:
+    """Run an MM algorithm on one simulated NUMA machine; the
+    substrate keywords are :func:`inmemory_run`'s."""
+    env = RunEnv.resolve(
+        observers=observers, faults=faults, membership=membership,
+        mem=mem, mem_budget_bytes=mem_budget_bytes,
+    )
+    return inmemory_run(algorithm, env, **substrate_kwargs)
+
+
+def run_mm_sem(
+    algorithm: MMAlgorithm, *, observers: Sequence[RunObserver] = (),
+    faults: Any = None, retry_policy: Any = None, membership: Any = None,
+    mem: Any = None, mem_budget_bytes: int | None = None,
+    **substrate_kwargs: Any,
+) -> RunResult:
+    """Run an MM algorithm semi-external-memory; the substrate
+    keywords are :func:`sem_run`'s."""
+    env = RunEnv.resolve(
+        observers=observers, faults=faults, retry_policy=retry_policy,
+        membership=membership, mem=mem, mem_budget_bytes=mem_budget_bytes,
+    )
+    return sem_run(algorithm, env, **substrate_kwargs)
+
+
+def run_mm_distributed(
+    algorithm: MMAlgorithm, *, observers: Sequence[RunObserver] = (),
+    faults: Any = None, retry_policy: Any = None, membership: Any = None,
+    autoscaler: Any = None, mem: Any = None,
+    mem_budget_bytes: int | None = None, **substrate_kwargs: Any,
+) -> RunResult:
+    """Run an MM algorithm on a simulated cluster; the substrate
+    keywords are :func:`distributed_run`'s."""
+    env = RunEnv.resolve(
+        observers=observers, faults=faults, retry_policy=retry_policy,
+        membership=membership, autoscaler=autoscaler, mem=mem,
+        mem_budget_bytes=mem_budget_bytes,
+    )
+    return distributed_run(algorithm, env, **substrate_kwargs)
 
 
 def run_mm(
     algorithm: MMAlgorithm, backend: str = "inmemory", **kwargs: Any
 ) -> RunResult:
     """Dispatch an MM algorithm onto a backend by name."""
-    if backend not in BACKEND_RUNNERS:
-        raise ConfigError(
-            f"unknown backend {backend!r}; choose from "
-            f"{sorted(BACKEND_RUNNERS)}"
-        )
-    return BACKEND_RUNNERS[backend](algorithm, **kwargs)
+    run = substrate(backend)
+    env = RunEnv.take(kwargs)
+    return run(algorithm, env, **kwargs)

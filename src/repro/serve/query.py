@@ -72,7 +72,6 @@ from repro.core.distance import nearest_centroid
 from repro.core.workspace import DistanceWorkspace
 from repro.drivers.common import check_row_dist_finite, reject_rows
 from repro.errors import ConfigError, DatasetError
-from repro.mem import use_manager
 from repro.metrics.latency import latency_percentiles
 from repro.runtime.observer import RunObserver, chain_observers
 from repro.simhw.serving import (
@@ -186,13 +185,11 @@ class ServePlane:
         mem: Any = None,
         mem_budget_bytes: int | None = None,
     ) -> None:
-        from repro.drivers.common import (
-            make_scheduler,
-            resolve_memory_manager,
-        )
+        from repro.drivers.common import make_scheduler
+        from repro.runtime.env import RunEnv
         from repro.runtime.memory import register_mm_memory
         from repro.sem import build_row_engine
-        from repro.simhw import BindPolicy, FOUR_SOCKET_XEON, SimMachine
+        from repro.simhw import SimMachine
         from repro.simhw.ssd import OCZ_INTREPID_ARRAY
 
         x = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
@@ -231,18 +228,16 @@ class ServePlane:
 
         ssd = ssd or OCZ_INTREPID_ARRAY
         self.machine = SimMachine.build(
-            cost_model or FOUR_SOCKET_XEON,
-            n_threads=n_threads,
-            bind_policy=bind_policy or BindPolicy.NUMA_BIND,
-            ssd=ssd,
+            cost_model, n_threads=n_threads, bind_policy=bind_policy, ssd=ssd
         )
         self._sched = make_scheduler(scheduler)
-        # The serving plane's manager outlives __init__: serve() pushes
-        # it again so streaming-path allocations stay pooled/capped.
-        self.mem_manager = resolve_memory_manager(
-            mem, mem_budget_bytes, observers
+        # The serving plane's env outlives __init__: serve() pushes its
+        # manager again so streaming-path allocations stay pooled/capped.
+        self.env = RunEnv.resolve(
+            observers=observers, faults=faults, retry_policy=retry_policy,
+            mem=mem, mem_budget_bytes=mem_budget_bytes,
         )
-        with use_manager(self.mem_manager):
+        with self.env.use():
             # No row cache: it pins an iterative active set (Section
             # 6.2.2), and a query stream has none.
             self.io, _, page_cache_bytes = build_row_engine(
@@ -250,8 +245,8 @@ class ServePlane:
                 row_cache_bytes=0,
                 page_cache_bytes=page_cache_bytes,
                 io_queue_depth=io_queue_depth,
-                faults=faults,
-                retry_policy=retry_policy,
+                faults=self.env.faults,
+                retry_policy=self.env.retry_policy,
             )
             register_mm_memory(
                 self.machine, n, d,
@@ -262,7 +257,7 @@ class ServePlane:
             )
             self.workspace = DistanceWorkspace(k, d, kernel=kernel)
         self.kernel = self.workspace.kernel
-        self.observer = chain_observers(tuple(observers))
+        self.observer = chain_observers(self.env.observers)
         self.batch_index = 0
         #: Batch size -> simulated compute price, filled lazily by
         #: :meth:`_price_compute` as ``serve`` meets each size.
@@ -328,7 +323,7 @@ class ServePlane:
         # instead of summing the counts per ingest batch.
         counts_total = int(self.counts.sum())
 
-        with use_manager(self.mem_manager):
+        with self.env.use():
             while (b := batcher.next_batch()) is not None:
                 lo, hi, _dispatch = b
                 rows = trace.row[lo:hi]

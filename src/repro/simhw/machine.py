@@ -49,18 +49,22 @@ class SimMachine:
     @classmethod
     def build(
         cls,
-        cost_model: CostModel = FOUR_SOCKET_XEON,
+        cost_model: CostModel | None = None,
         *,
         n_threads: int | None = None,
-        bind_policy: BindPolicy = BindPolicy.NUMA_BIND,
+        bind_policy: BindPolicy | None = None,
         ssd: SsdArray | None = None,
         record_executions: bool = False,
     ) -> "SimMachine":
         """Construct a machine with ``n_threads`` workers.
 
-        ``n_threads`` defaults to the machine's physical core count,
-        the configuration the paper benchmarks most.
+        The defaults are every single-machine run's: the paper's
+        4-socket Xeon, NUMA-bound threads and ``n_threads`` at the
+        machine's physical core count, the configuration the paper
+        benchmarks most.
         """
+        cost_model = cost_model or FOUR_SOCKET_XEON
+        bind_policy = bind_policy or BindPolicy.NUMA_BIND
         topo = cost_model.topology
         if n_threads is None:
             n_threads = topo.physical_cores

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cli import main
 from repro.data import convert_to_knor, load_csv, load_npy, read_matrix
-from repro.errors import DatasetError
+from repro.errors import ConfigError, DatasetError
 
 
 @pytest.fixture()
@@ -182,3 +182,28 @@ class TestKTooLarge:
         path = write_matrix(tmp_path / "m.knor", x)
         with pytest.raises(DatasetError, match="k=7"):
             knors(str(path), 7)
+
+    def test_mpi_lloyd_rejects_k_gt_n(self):
+        from repro.baselines import mpi_lloyd
+
+        x = np.arange(10, dtype=np.float64).reshape(5, 2)
+        with pytest.raises(DatasetError, match="k=7"):
+            mpi_lloyd(x, 7, n_machines=1, ranks_per_machine=1)
+
+    @pytest.mark.parametrize("k", [2.5, True])
+    def test_drivers_reject_non_integer_k(self, tmp_path, k):
+        from repro import knord, knori, knors
+        from repro.baselines import mpi_lloyd
+        from repro.data import write_matrix
+
+        x = np.arange(10, dtype=np.float64).reshape(5, 2)
+        path = write_matrix(tmp_path / "m.knor", x)
+        runs = (
+            lambda: knori(x, k),
+            lambda: knors(str(path), k),
+            lambda: knord(x, k, n_machines=2),
+            lambda: mpi_lloyd(x, k, n_machines=1, ranks_per_machine=1),
+        )
+        for run in runs:
+            with pytest.raises(ConfigError, match="k must be an integer"):
+                run()
