@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
+from repro.spec import parse_spec
 from repro.simhw.engine import ProvisionTimeline
 
 
@@ -214,17 +215,7 @@ AUTOSCALER_KEYS = tuple(sorted(_AUTOSCALER_KEYS))
 def parse_autoscaler(text: str) -> AutoscalerPolicy:
     """Parse the CLI's ``--autoscale`` spec, e.g.
     ``"target_s=0.02,provision_s=30,max=8"``."""
-    from repro.faults import _pairs, _spec_value
-
-    kwargs: dict = {}
-    for key, value in _pairs(text, "--autoscale"):
-        if key not in _AUTOSCALER_KEYS:
-            raise ConfigError(
-                f"unknown autoscaler key {key!r}; choose from "
-                f"{sorted(_AUTOSCALER_KEYS)}"
-            )
-        name, conv = _AUTOSCALER_KEYS[key]
-        kwargs[name] = _spec_value(conv, value, key, "--autoscale")
+    kwargs = parse_spec(text, "--autoscale", "autoscaler", _AUTOSCALER_KEYS)
     if "target_iter_s" not in kwargs:
         raise ConfigError("--autoscale requires target_s=<seconds>")
     return AutoscalerPolicy(**kwargs)

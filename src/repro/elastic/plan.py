@@ -51,6 +51,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.spec import format_spec, parse_spec
 
 #: Event kinds, in stream-index order (append-only: the order is part
 #: of the meaning of a membership seed).
@@ -334,27 +335,12 @@ MEMBERSHIP_SPEC_KEYS = tuple(sorted(_MEMBERSHIP_KEYS))
 def parse_membership_spec(text: str) -> MembershipSpec:
     """Parse the CLI's ``--elastic-plan`` spec, e.g.
     ``"preempt=0.05,preempt_notice=2,join=0.1,max_machines=8"``."""
-    from repro.faults import _pairs, _spec_value
-
-    kwargs: dict = {}
-    for key, value in _pairs(text, "--elastic-plan"):
-        if key not in _MEMBERSHIP_KEYS:
-            raise ConfigError(
-                f"unknown membership key {key!r}; choose from "
-                f"{sorted(_MEMBERSHIP_KEYS)}"
-            )
-        name, conv = _MEMBERSHIP_KEYS[key]
-        kwargs[name] = _spec_value(conv, value, key, "--elastic-plan")
-    return MembershipSpec(**kwargs)
+    return MembershipSpec(**parse_spec(
+        text, "--elastic-plan", "membership", _MEMBERSHIP_KEYS
+    ))
 
 
 def format_membership_spec(spec: MembershipSpec) -> str:
     """Render a spec back into ``--elastic-plan`` syntax (the inverse
     of :func:`parse_membership_spec`; round-trips exactly)."""
-    parts = []
-    from repro.faults import _num_text
-
-    return ",".join(
-        f"{key}={_num_text(getattr(spec, _MEMBERSHIP_KEYS[key][0]))}"
-        for key in MEMBERSHIP_SPEC_KEYS
-    )
+    return format_spec(spec, _MEMBERSHIP_KEYS)

@@ -143,37 +143,24 @@ def parse_tenants(text: str) -> list[TenantSpec]:
     ``@budget_mb`` suffix: ``"alice=2,bob=1@64"`` is two tenants where
     alice gets 2x the capacity and bob runs under a 64 MB budget.
     """
-    from repro.faults import _spec_value
+    from repro.spec import spec_pairs, spec_value
 
     specs: list[TenantSpec] = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise ConfigError(
-                f"malformed --tenants entry {part!r} "
-                "(expected name=weight[@budget_mb])"
-            )
-        name, rest = part.split("=", 1)
-        name = name.strip()
+    for name, rest in spec_pairs(
+        text, "--tenants", "name=weight[@budget_mb]"
+    ):
         budget_mb: float | None = None
+        weight_s = rest
         if "@" in rest:
             weight_s, budget_s = rest.split("@", 1)
-            budget_mb = _spec_value(
+            budget_mb = spec_value(
                 float, budget_s.strip(), f"{name}@budget_mb", "--tenants"
             )
-        else:
-            weight_s = rest
-        specs.append(
-            TenantSpec(
-                name=name,
-                weight=_spec_value(
-                    float, weight_s.strip(), name, "--tenants"
-                ),
-                budget_mb=budget_mb,
-            )
-        )
+        specs.append(TenantSpec(
+            name=name,
+            weight=spec_value(float, weight_s.strip(), name, "--tenants"),
+            budget_mb=budget_mb,
+        ))
     if not specs:
         raise ConfigError("--tenants named no tenants")
     names = [s.name for s in specs]

@@ -65,6 +65,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.spec import format_spec, num_text, parse_spec
 
 #: Injection sites, in stream-index order (the order is part of the
 #: on-disk meaning of a fault seed -- do not reorder; new sites are
@@ -613,24 +614,24 @@ def faulty_collective_ns(
 # -- CLI spec parsing ----------------------------------------------------
 
 _SPEC_KEYS = {
-    "ssd_error": "ssd_error_rate",
-    "ssd_slow": "ssd_slow_rate",
-    "ssd_slow_factor": "ssd_slow_factor",
-    "ssd_retry_fail": "ssd_retry_fail_rate",
-    "worker_crash": "worker_crash_rate",
-    "max_worker_crashes": "max_worker_crashes",
-    "node_fail": "node_failure_rate",
-    "max_node_failures": "max_node_failures",
-    "msg_drop": "msg_drop_rate",
-    "max_msg_drops": "max_msg_drops",
-    "corrupt_page": "corruption_page_rate",
-    "corrupt_cache": "corruption_cache_rate",
-    "corrupt_msg": "corruption_msg_rate",
-    "corrupt_repair_fail": "corruption_repair_fail_rate",
-    "max_corruptions": "max_corruptions",
-    "straggler": "straggler_rate",
-    "straggler_factor": "straggler_factor",
-    "max_stragglers": "max_stragglers",
+    "ssd_error": ("ssd_error_rate", float),
+    "ssd_slow": ("ssd_slow_rate", float),
+    "ssd_slow_factor": ("ssd_slow_factor", float),
+    "ssd_retry_fail": ("ssd_retry_fail_rate", float),
+    "worker_crash": ("worker_crash_rate", float),
+    "max_worker_crashes": ("max_worker_crashes", int),
+    "node_fail": ("node_failure_rate", float),
+    "max_node_failures": ("max_node_failures", int),
+    "msg_drop": ("msg_drop_rate", float),
+    "max_msg_drops": ("max_msg_drops", int),
+    "corrupt_page": ("corruption_page_rate", float),
+    "corrupt_cache": ("corruption_cache_rate", float),
+    "corrupt_msg": ("corruption_msg_rate", float),
+    "corrupt_repair_fail": ("corruption_repair_fail_rate", float),
+    "max_corruptions": ("max_corruptions", int),
+    "straggler": ("straggler_rate", float),
+    "straggler_factor": ("straggler_factor", float),
+    "max_stragglers": ("max_stragglers", int),
 }
 
 _POLICY_KEYS = {
@@ -643,42 +644,6 @@ _POLICY_KEYS = {
 
 #: Policy keys given in milliseconds but stored in nanoseconds.
 _MS_KEYS = ("backoff_ms", "timeout_ms")
-
-
-def _pairs(text: str, what: str) -> list[tuple[str, str]]:
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise ConfigError(
-                f"malformed {what} entry {part!r} (expected key=value)"
-            )
-        key, value = part.split("=", 1)
-        out.append((key.strip(), value.strip()))
-    return out
-
-
-def _spec_value(conv, value: str, key: str, what: str):
-    """``conv(value)`` for spec entry ``key`` (``int``, ``float`` or
-    ``str``), or a :class:`ConfigError` naming the key and the value.
-    Floats must be finite: no spec field has a meaning for nan or inf."""
-    try:
-        out = conv(value)
-    except ValueError:
-        kind = "an integer" if conv is int else "a number"
-        raise ConfigError(
-            f"{what}: {key}={value!r} is not {kind}"
-        ) from None
-    if conv is float and not math.isfinite(out):
-        raise ConfigError(f"{what}: {key}={value!r} must be finite")
-    return out
-
-
-def _num_text(value) -> str:
-    """Spec text for a number that parses back to exactly ``value``."""
-    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
 def _ms_text(ns: float) -> str:
@@ -699,39 +664,18 @@ def _ms_text(ns: float) -> str:
 def parse_fault_spec(text: str) -> FaultSpec:
     """Parse the CLI's ``--faults`` spec, e.g.
     ``"ssd_error=0.05,worker_crash=0.1,msg_drop=0.02"``."""
-    int_fields = {
-        "max_worker_crashes", "max_node_failures", "max_msg_drops",
-        "max_corruptions", "max_stragglers",
-    }
-    kwargs: dict = {}
-    for key, value in _pairs(text, "--faults"):
-        if key not in _SPEC_KEYS:
-            raise ConfigError(
-                f"unknown fault key {key!r}; choose from "
-                f"{sorted(_SPEC_KEYS)}"
-            )
-        name = _SPEC_KEYS[key]
-        kwargs[name] = _spec_value(
-            int if name in int_fields else float, value, key, "--faults"
-        )
-    return FaultSpec(**kwargs)
+    return FaultSpec(**parse_spec(text, "--faults", "fault", _SPEC_KEYS))
 
 
 def parse_retry_policy(text: str) -> RetryPolicy:
     """Parse the CLI's ``--retry-policy`` spec, e.g.
     ``"retries=5,backoff_ms=2,timeout_ms=50,node_failure=abort"``."""
-    kwargs: dict = {}
-    for key, value in _pairs(text, "--retry-policy"):
-        if key not in _POLICY_KEYS:
-            raise ConfigError(
-                f"unknown retry-policy key {key!r}; choose from "
-                f"{sorted(_POLICY_KEYS)}"
-            )
-        name, conv = _POLICY_KEYS[key]
-        kwargs[name] = _spec_value(conv, value, key, "--retry-policy")
-        if key in _MS_KEYS:
-            kwargs[name] *= 1e6
-    return RetryPolicy(**kwargs)
+    fields = parse_spec(text, "--retry-policy", "retry-policy", _POLICY_KEYS)
+    for key in _MS_KEYS:
+        name = _POLICY_KEYS[key][0]
+        if name in fields:
+            fields[name] *= 1e6
+    return RetryPolicy(**fields)
 
 
 #: Public key lists -- the CLI generates its ``--faults`` /
@@ -744,27 +688,14 @@ RETRY_POLICY_KEYS = tuple(sorted(_POLICY_KEYS))
 def format_fault_spec(spec: FaultSpec) -> str:
     """Inverse of :func:`parse_fault_spec`: only non-default keys, so
     ``parse_fault_spec(format_fault_spec(s)) == s``."""
-    default = FaultSpec()
-    parts = []
-    for key in FAULT_SPEC_KEYS:
-        name = _SPEC_KEYS[key]
-        value = getattr(spec, name)
-        if value != getattr(default, name):
-            parts.append(f"{key}={_num_text(value)}")
-    return ",".join(parts)
+    return format_spec(spec, _SPEC_KEYS, FaultSpec())
 
 
 def format_retry_policy(policy: RetryPolicy) -> str:
     """Inverse of :func:`parse_retry_policy` (non-default keys only)."""
-    default = RetryPolicy()
-    parts = []
-    for key in RETRY_POLICY_KEYS:
-        name, _conv = _POLICY_KEYS[key]
-        value = getattr(policy, name)
-        if value == getattr(default, name):
-            continue
-        if key in _MS_KEYS:
-            parts.append(f"{key}={_ms_text(value)}")
-        else:
-            parts.append(f"{key}={_num_text(value)}")
-    return ",".join(parts)
+    return format_spec(
+        policy, _POLICY_KEYS, RetryPolicy(),
+        lambda key, value: (
+            _ms_text(value) if key in _MS_KEYS else num_text(value)
+        ),
+    )
