@@ -25,17 +25,25 @@ JSON comes from a full run.
 
 from __future__ import annotations
 
-import numpy as np
+import os
 
-import harness
+# One BLAS thread, set before numpy is first imported: on a loaded
+# host a multi-threaded GEMM runs at the pace of the busier core, and
+# the kernel ratios collapse towards 1.00x.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from repro.core.distance import (
+import numpy as np  # noqa: E402
+
+import harness  # noqa: E402
+
+from repro.core.distance import (  # noqa: E402
     GEMM_ULP_BOUND,
     nearest_centroid,
     row_norms,
 )
-from repro.core.workspace import DistanceWorkspace
-from repro.dist import SimComm, TEN_GBE, rect_grid
+from repro.core.workspace import DistanceWorkspace  # noqa: E402
+from repro.dist import SimComm, TEN_GBE, rect_grid  # noqa: E402
 
 OUT_PATH = harness.REPO_ROOT / "BENCH_gemm.json"
 
