@@ -94,11 +94,12 @@ def run_algorithm(
     backend runs under.
     """
     from repro.runtime.env import RunEnv
-    from repro.runtime.mm import substrate
+    from repro.runtime.mm import backend_runners
 
-    env = RunEnv.take(backend_kwargs)
+    runner, assembly = backend_runners(backend)
+    env = RunEnv.take(backend_kwargs, runner)
     with env.use():
         algorithm = make_mm_algorithm(
             name, x, k, labels=labels, **(algorithm_kwargs or {})
         )
-    return substrate(backend)(algorithm, env, **backend_kwargs)
+    return assembly(algorithm, env, **backend_kwargs)

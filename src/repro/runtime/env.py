@@ -14,6 +14,7 @@ machine the loop (it preempts the worker).
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Any, ContextManager, Sequence
 
@@ -21,13 +22,6 @@ from repro.mem import MemoryManager, build_manager, use_manager
 from repro.runtime.backends import DistributedBackend, PureMpiBackend
 from repro.runtime.loop import IterationLoop
 from repro.runtime.observer import RunObserver
-
-#: The keywords :meth:`RunEnv.resolve` takes.
-_KEYWORDS = (
-    "observers", "faults", "retry_policy", "membership", "autoscaler",
-    "mem", "mem_budget_bytes",
-)
-
 
 @dataclass(frozen=True)
 class RunEnv:
@@ -73,13 +67,17 @@ class RunEnv:
         )
 
     @classmethod
-    def take(cls, kwargs: dict[str, Any]) -> "RunEnv":
-        """:meth:`resolve` the env keywords among ``kwargs``, removing
-        them: ``run_mm`` and ``run_algorithm`` take every keyword as
-        one dict and pass the rest to the substrate."""
-        return cls.resolve(**{
-            key: kwargs.pop(key) for key in _KEYWORDS if key in kwargs
-        })
+    def take(cls, kwargs: dict[str, Any], runner: Any) -> "RunEnv":
+        """:meth:`resolve` the env keywords ``runner`` declares (its
+        keyword-only parameters), removing them from ``kwargs``: the
+        rest is the substrate's to take or reject."""
+        declared = [
+            p.name for p in inspect.signature(runner).parameters.values()
+            if p.kind is p.KEYWORD_ONLY
+        ]
+        return cls.resolve(
+            **{key: kwargs.pop(key) for key in declared if key in kwargs}
+        )
 
     def use(self) -> ContextManager[MemoryManager]:
         """Push the run's manager (a pass-through without one)."""

@@ -675,24 +675,6 @@ def distributed_run(
     )
 
 
-#: Backend name -> its assembly (what ``run_mm`` dispatches to).
-SUBSTRATES = {
-    "inmemory": inmemory_run,
-    "sem": sem_run,
-    "distributed": distributed_run,
-}
-
-
-def substrate(backend: str):
-    """The assembly of the backend named ``backend``."""
-    if backend not in SUBSTRATES:
-        raise ConfigError(
-            f"unknown backend {backend!r}; choose from "
-            f"{sorted(SUBSTRATES)}"
-        )
-    return SUBSTRATES[backend]
-
-
 # The public runners resolve the run-environment keywords their
 # substrate consumes (see RunEnv.resolve) and pass the rest to its
 # assembly.
@@ -743,10 +725,25 @@ def run_mm_distributed(
     return distributed_run(algorithm, env, **substrate_kwargs)
 
 
+#: Backend name -> its public runner and that runner's assembly.
+BACKENDS = {
+    "inmemory": (run_mm_inmemory, inmemory_run),
+    "sem": (run_mm_sem, sem_run),
+    "distributed": (run_mm_distributed, distributed_run),
+}
+
+
+def backend_runners(backend: str) -> tuple:
+    """The ``(public runner, assembly)`` of the backend ``backend``."""
+    if backend not in BACKENDS:
+        raise ConfigError(
+            f"unknown backend {backend!r}; choose from {sorted(BACKENDS)}"
+        )
+    return BACKENDS[backend]
+
+
 def run_mm(
     algorithm: MMAlgorithm, backend: str = "inmemory", **kwargs: Any
 ) -> RunResult:
     """Dispatch an MM algorithm onto a backend by name."""
-    run = substrate(backend)
-    env = RunEnv.take(kwargs)
-    return run(algorithm, env, **kwargs)
+    return backend_runners(backend)[0](algorithm, **kwargs)
