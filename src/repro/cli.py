@@ -421,7 +421,7 @@ def cmd_knors(args: argparse.Namespace) -> int:
 
 
 #: The run-environment plans knord (and each of its tenants) takes.
-KNORD_PLANS = ("faults", "retry_policy", "membership", "autoscaler")
+_KNORD_PLANS = ("faults", "retry_policy", "membership", "autoscaler")
 
 
 def cmd_knord(args: argparse.Namespace) -> int:
@@ -431,7 +431,7 @@ def cmd_knord(args: argparse.Namespace) -> int:
     if args.tenants is not None:
         return _run_tenants(args)
     return _run(
-        args, knord, "distributed", KNORD_PLANS,
+        args, knord, "distributed", _KNORD_PLANS,
         n_machines=args.machines, allreduce=args.allreduce,
     )
 
@@ -461,7 +461,7 @@ def _run_tenants(args: argparse.Namespace) -> int:
                 x, args.k,
                 n_machines=args.machines, allreduce=args.allreduce,
                 observers=env.observers,
-                **{name: getattr(env, name) for name in KNORD_PLANS},
+                **{name: getattr(env, name) for name in _KNORD_PLANS},
                 **_kmeans_kwargs(args),
             )
         jobs.append(TenantJob(spec, loop, manager=env.manager))
