@@ -48,6 +48,7 @@ from repro.runtime.mm import (
     KmeansMM,
     MMAlgorithm,
     MMStep,
+    run_mm,
     run_mm_distributed,
     run_mm_inmemory,
     run_mm_sem,
@@ -832,6 +833,15 @@ class TestRegistry:
         ref = spherical_kmeans(mmdata, K, seed=SEED, criteria=CRIT)
         np.testing.assert_array_equal(res.centroids, ref.centroids)
         assert res.params["backend"] == "distributed"
+
+    @pytest.mark.parametrize("keyword", ["retry_policy", "autoscaler"])
+    def test_dispatch_keeps_each_backends_keywords(self, mmdata, keyword):
+        # The in-memory runner takes no retry policy or autoscaler;
+        # dispatch by name must not drop one silently.
+        with pytest.raises(TypeError, match=keyword):
+            run_algorithm("gmm", mmdata, 3, **{keyword: object()})
+        with pytest.raises(TypeError, match=keyword):
+            run_mm(KmeansMM(mmdata, 3), "inmemory", **{keyword: object()})
 
 
 class TestMMCheckpointFormat:
