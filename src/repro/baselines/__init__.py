@@ -3,8 +3,8 @@
 Everything the paper measures knor *against*:
 
 * :mod:`repro.baselines.gemm` -- real, wall-clock-timed serial k-means
-  strategies (iterative blocked vs. GEMM-trick), the Table 3 row
-  generators.
+  iterations (iterative blocked vs. GEMM-trick), the Table 3
+  measurement.
 * :mod:`repro.baselines.naive_parallel` -- the naive parallel Lloyd's
   with a shared, locked phase-II centroid structure that Section 3
   motivates ||Lloyd's against.
@@ -21,11 +21,7 @@ Everything the paper measures knor *against*:
   Work and a Section 9 extension target.
 """
 
-from repro.baselines.gemm import (
-    gemm_kmeans,
-    iterative_kmeans,
-    time_serial_iteration,
-)
+from repro.baselines.gemm import time_serial_iteration
 from repro.baselines.naive_parallel import naive_parallel_lloyd
 from repro.baselines.frameworks import (
     FRAMEWORKS,
@@ -36,8 +32,6 @@ from repro.baselines.mpi_pure import mpi_lloyd
 from repro.baselines.minibatch import minibatch_kmeans
 
 __all__ = [
-    "gemm_kmeans",
-    "iterative_kmeans",
     "time_serial_iteration",
     "naive_parallel_lloyd",
     "FRAMEWORKS",

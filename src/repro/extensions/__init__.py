@@ -17,13 +17,8 @@ guarantees:
   the memory/pruning trade-off slots between MTI and Elkan (see the
   ablation bench).
 
-The "later phases" targets are implemented too:
-
-* :func:`gmm_em` -- diagonal-covariance Gaussian mixtures via EM.
-* :func:`knn_brute` / :func:`knn_pruned` -- exact kNN, blocked and
-  triangle-inequality block-pruned.
-* :func:`agglomerative` -- hierarchical clustering with
-  single/complete/average/ward linkage (Lance-Williams).
+Of the "later phases" targets, :func:`gmm_em` -- diagonal-covariance
+Gaussian mixtures via EM -- is implemented too.
 
 Each clustering variant above is implemented once, as an MM plane
 algorithm (clusterNOR's generalization, see :mod:`repro.runtime.mm`):
@@ -33,9 +28,7 @@ algorithm (clusterNOR's generalization, see :mod:`repro.runtime.mm`):
 and run it with :func:`~repro.runtime.mm.run_mm_inmemory`; the same
 classes inherit all three execution backends, faults/recovery,
 checkpoints and the observer bus. :data:`MM_ALGORITHMS` /
-:func:`make_mm_algorithm` / :func:`run_algorithm` dispatch by name
-(kNN and agglomerative stay standalone -- their reductions are not
-additive, see :mod:`repro.extensions.registry`).
+:func:`make_mm_algorithm` / :func:`run_algorithm` dispatch by name.
 """
 
 from repro.extensions.spherical import SphericalMM, spherical_kmeans
@@ -51,11 +44,6 @@ from repro.extensions.yinyang import (
     yinyang_kmeans,
 )
 from repro.extensions.gmm import GmmMM, GmmResult, gmm_em
-from repro.extensions.knn import KnnResult, knn_brute, knn_pruned
-from repro.extensions.agglomerative import (
-    AgglomerativeResult,
-    agglomerative,
-)
 from repro.extensions.registry import (
     MM_ALGORITHMS,
     make_mm_algorithm,
@@ -71,11 +59,6 @@ __all__ = [
     "yinyang_kmeans",
     "GmmResult",
     "gmm_em",
-    "KnnResult",
-    "knn_brute",
-    "knn_pruned",
-    "AgglomerativeResult",
-    "agglomerative",
     "GmmMM",
     "SphericalMM",
     "SemisupervisedMM",

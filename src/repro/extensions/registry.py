@@ -6,12 +6,6 @@ benchmarks pick a *(algorithm, backend)* pair independently --
 ``run_algorithm("gmm", backend="sem", ...)`` gets SAFS, async I/O,
 checkpoints, fault recovery and the observer bus without the GMM code
 knowing any of it exists.
-
-knn and agglomerative stay outside the frame deliberately: brute/
-pruned kNN's per-row phase produces a *top-k merge*, not an additive
-reduction (the MM contract), and agglomerative clustering is a
-sequence of n-1 inherently serial merge decisions with no per-row
-majorize phase at all. They keep their standalone entry points.
 """
 
 from __future__ import annotations

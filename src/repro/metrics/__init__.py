@@ -12,43 +12,19 @@ from repro.metrics.memory import (
     table1_bytes,
     ROUTINE_MEMORY_FORMULAS,
 )
-from repro.metrics.tables import (
-    render_cache_occupancy,
-    render_series,
-    render_table,
-    row_cache_occupancy,
-)
-from repro.metrics.export import (
-    result_to_dict,
-    write_json,
-    write_records_csv,
-    read_records_csv,
-)
-from repro.metrics.quality import (
-    adjusted_rand_index,
-    davies_bouldin_index,
-    normalized_mutual_info,
-    silhouette_score,
-)
+from repro.metrics.tables import render_series, render_table
+from repro.metrics.export import write_json
+from repro.metrics.quality import davies_bouldin_index, silhouette_score
 from repro.metrics.resilience import (
     ResilienceCounters,
     ResilienceObserver,
 )
-from repro.metrics.latency import (
-    DEFAULT_QUANTILES,
-    latency_percentiles,
-    latency_summary,
-)
+from repro.metrics.latency import DEFAULT_QUANTILES, latency_percentiles
 
 __all__ = [
-    "adjusted_rand_index",
     "davies_bouldin_index",
-    "normalized_mutual_info",
     "silhouette_score",
-    "result_to_dict",
     "write_json",
-    "write_records_csv",
-    "read_records_csv",
     "IterationRecord",
     "RunResult",
     "MemoryCounters",
@@ -56,11 +32,8 @@ __all__ = [
     "ROUTINE_MEMORY_FORMULAS",
     "render_table",
     "render_series",
-    "render_cache_occupancy",
-    "row_cache_occupancy",
     "ResilienceCounters",
     "ResilienceObserver",
     "DEFAULT_QUANTILES",
     "latency_percentiles",
-    "latency_summary",
 ]

@@ -1,34 +1,26 @@
 """Export run results for downstream analysis.
 
-Benchmark harnesses and notebooks want the per-iteration series as
-flat files; these helpers serialize a :class:`RunResult` to JSON (full
-fidelity minus the big arrays) and its iteration records to CSV.
+Benchmark harnesses and notebooks want a run's outputs and its
+per-iteration series as a flat file; :func:`write_json` serializes a
+:class:`RunResult` to JSON (full fidelity minus the O(n) assignment).
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 
-from repro.errors import ConfigError
 from repro.metrics.results import IterationRecord, RunResult
 
 _RECORD_FIELDS = [f.name for f in dataclasses.fields(IterationRecord)]
 
 
-def result_to_dict(
-    result: RunResult, *, include_assignment: bool = False
-) -> dict:
-    """JSON-safe dictionary of a run's outputs and records.
-
-    Centroids are always included (small); the assignment vector only
-    on request (it is O(n)).
-    """
-    out = {
+def _result_dict(result: RunResult) -> dict:
+    """JSON-safe dictionary of a run's outputs and records."""
+    return {
         "algorithm": result.algorithm,
         "iterations": result.iterations,
         "converged": result.converged,
@@ -45,9 +37,6 @@ def result_to_dict(
             for r in result.records
         ],
     }
-    if include_assignment:
-        out["assignment"] = result.assignment.tolist()
-    return out
 
 
 def _jsonable(value):
@@ -64,52 +53,8 @@ def _jsonable(value):
     return value
 
 
-def write_json(
-    path: str | Path, result: RunResult, *,
-    include_assignment: bool = False,
-) -> Path:
+def write_json(path: str | Path, result: RunResult) -> Path:
     """Serialize a run to JSON at ``path``."""
     path = Path(path)
-    path.write_text(
-        json.dumps(
-            result_to_dict(
-                result, include_assignment=include_assignment
-            ),
-            indent=2,
-        )
-    )
+    path.write_text(json.dumps(_result_dict(result), indent=2))
     return path
-
-
-def write_records_csv(path: str | Path, result: RunResult) -> Path:
-    """Write the per-iteration records as CSV at ``path``."""
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_RECORD_FIELDS)
-        writer.writeheader()
-        for rec in result.records:
-            writer.writerow(
-                {f: getattr(rec, f) for f in _RECORD_FIELDS}
-            )
-    return path
-
-
-def read_records_csv(path: str | Path) -> list[IterationRecord]:
-    """Round-trip loader for :func:`write_records_csv` output."""
-    path = Path(path)
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != _RECORD_FIELDS:
-            raise ConfigError(
-                f"{path}: unexpected CSV header {reader.fieldnames}"
-            )
-        for row in reader:
-            kwargs = {}
-            for field in dataclasses.fields(IterationRecord):
-                raw = row[field.name]
-                kwargs[field.name] = (
-                    float(raw) if field.type == "float" else int(raw)
-                )
-            records.append(IterationRecord(**kwargs))
-    return records

@@ -49,15 +49,3 @@ def latency_percentiles(
         out[_quantile_key(q)] = float(lat[idx])
     return out
 
-
-def latency_summary(latency_ns: np.ndarray) -> dict[str, float]:
-    """Percentiles plus the scalar shape of the sample (count, mean,
-    max) -- the serving bench's per-scenario rollup."""
-    lat = np.asarray(latency_ns, dtype=np.float64).ravel()
-    summary: dict[str, float] = {
-        "n": int(lat.size),
-        "mean_ns": float(lat.mean()) if lat.size else 0.0,
-        "max_ns": float(lat.max()) if lat.size else 0.0,
-    }
-    summary.update(latency_percentiles(lat))
-    return summary

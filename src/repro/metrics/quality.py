@@ -1,13 +1,10 @@
 """Clustering quality metrics.
 
 Downstream users of a k-means library need to *evaluate* clusterings,
-not just produce them; these are the standard internal and external
-indices, implemented on the library's own distance kernel:
-
-* external (need ground truth): adjusted Rand index, normalized
-  mutual information;
-* internal: silhouette coefficient (optionally subsampled -- it is
-  O(n^2)), Davies-Bouldin index.
+not just produce them; these are the two standard internal indices
+``--quality`` prints, implemented on the library's own distance kernel:
+the silhouette coefficient (optionally subsampled -- it is O(n^2)) and
+the Davies-Bouldin index.
 """
 
 from __future__ import annotations
@@ -18,72 +15,13 @@ from repro.core.distance import euclidean
 from repro.errors import DatasetError
 
 
-def _check_labels(a: np.ndarray, b: np.ndarray | None = None):
-    a = np.asarray(a)
-    if a.ndim != 1:
-        raise DatasetError(f"labels must be 1-D, got shape {a.shape}")
-    if b is not None:
-        b = np.asarray(b)
-        if b.shape != a.shape:
-            raise DatasetError(
-                f"label arrays disagree: {a.shape} vs {b.shape}"
-            )
-        return a, b
-    return a
-
-
-def contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Contingency table of two labelings, (|A|, |B|)."""
-    a, b = _check_labels(a, b)
-    _, ai = np.unique(a, return_inverse=True)
-    _, bi = np.unique(b, return_inverse=True)
-    table = np.zeros((ai.max() + 1, bi.max() + 1), dtype=np.int64)
-    np.add.at(table, (ai, bi), 1)
-    return table
-
-
-def adjusted_rand_index(a: np.ndarray, b: np.ndarray) -> float:
-    """ARI: chance-corrected pair-counting agreement in [-1, 1]."""
-    table = contingency(a, b)
-    n = table.sum()
-    if n < 2:
-        raise DatasetError("ARI needs at least 2 points")
-    sum_comb = (table * (table - 1) // 2).sum()
-    rows = table.sum(axis=1)
-    cols = table.sum(axis=0)
-    comb_rows = (rows * (rows - 1) // 2).sum()
-    comb_cols = (cols * (cols - 1) // 2).sum()
-    total = n * (n - 1) // 2
-    expected = comb_rows * comb_cols / total
-    max_index = (comb_rows + comb_cols) / 2
-    if max_index == expected:
-        return 1.0  # both labelings trivial (all-one-cluster, etc.)
-    return float((sum_comb - expected) / (max_index - expected))
-
-
-def normalized_mutual_info(a: np.ndarray, b: np.ndarray) -> float:
-    """NMI with arithmetic-mean normalization, in [0, 1]."""
-    table = contingency(a, b).astype(np.float64)
-    n = table.sum()
-    pa = table.sum(axis=1) / n
-    pb = table.sum(axis=0) / n
-    pab = table / n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = pab / np.outer(pa, pb)
-        terms = np.where(pab > 0, pab * np.log(ratio), 0.0)
-    mi = terms.sum()
-
-    def entropy(p):
-        p = p[p > 0]
-        return float(-(p * np.log(p)).sum())
-
-    ha, hb = entropy(pa), entropy(pb)
-    if ha == 0 and hb == 0:
-        return 1.0
-    denom = (ha + hb) / 2
-    if denom == 0:
-        return 0.0
-    return float(np.clip(mi / denom, 0.0, 1.0))
+def _check_labels(labels: np.ndarray) -> np.ndarray:
+    labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise DatasetError(
+            f"labels must be 1-D, got shape {labels.shape}"
+        )
+    return labels
 
 
 def silhouette_score(

@@ -46,41 +46,6 @@ def render_table(
     return "\n".join(lines)
 
 
-def row_cache_occupancy(cache: object) -> dict:
-    """Per-partition occupancy snapshot of a partitioned row cache.
-
-    Takes anything with ``partition_occupancy()``/``partition_quotas()``
-    (see :class:`repro.sem.rowcache.RowCache`). Returns occupancy and
-    quota per partition plus a ``skew`` summary (max/mean fill) -- the
-    Figure 7-style view of how unevenly active rows land on partitions.
-    """
-    occ = [int(v) for v in cache.partition_occupancy()]
-    quotas = [int(v) for v in cache.partition_quotas()]
-    total = sum(occ)
-    mean = total / len(occ) if occ else 0.0
-    return {
-        "partitions": len(occ),
-        "occupancy": occ,
-        "quotas": quotas,
-        "total_rows": total,
-        "skew": (max(occ) / mean) if total else 0.0,
-    }
-
-
-def render_cache_occupancy(cache: object, *, title: str | None = None) -> str:
-    """Render a row cache's per-partition fill as an aligned table."""
-    snap = row_cache_occupancy(cache)
-    rows = [
-        [p, occ, quota, (occ / quota) if quota else 0.0]
-        for p, (occ, quota) in enumerate(
-            zip(snap["occupancy"], snap["quotas"])
-        )
-    ]
-    return render_table(
-        ["partition", "rows", "quota", "fill"], rows, title=title
-    )
-
-
 def render_series(
     x_name: str,
     series: dict[str, dict[object, float]],

@@ -1,18 +1,10 @@
-"""Later-phase extensions: GMM, kNN, agglomerative clustering."""
+"""Later-phase extensions: GMM."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core.distance import euclidean
 from repro.errors import ConvergenceError, DatasetError
-from repro.extensions import (
-    agglomerative,
-    gmm_em,
-    knn_brute,
-    knn_pruned,
-)
+from repro.extensions import gmm_em
 
 
 @pytest.fixture(scope="module")
@@ -70,119 +62,3 @@ class TestGmm:
         with pytest.raises(DatasetError):
             gmm_em(np.zeros(5), 2)
 
-
-class TestKnn:
-    def test_brute_matches_naive(self):
-        rng = np.random.default_rng(1)
-        data = rng.normal(size=(200, 5))
-        q = rng.normal(size=(20, 5))
-        res = knn_brute(data, q, 7, block_rows=37)
-        full = euclidean(q, data)
-        want = np.argsort(full, axis=1, kind="stable")[:, :7]
-        got_d = res.distances
-        want_d = np.sort(full, axis=1)[:, :7]
-        np.testing.assert_allclose(got_d, want_d, atol=1e-12)
-        # Indices agree where distances are unique (everywhere, here).
-        np.testing.assert_array_equal(res.indices, want)
-
-    def test_pruned_matches_brute(self):
-        rng = np.random.default_rng(2)
-        centers = rng.normal(scale=8.0, size=(6, 4))
-        data = np.vstack(
-            [rng.normal(loc=c, size=(150, 4)) for c in centers]
-        )
-        q = rng.normal(scale=8.0, size=(25, 4))
-        brute = knn_brute(data, q, 5)
-        pruned = knn_pruned(data, q, 5, seed=3)
-        np.testing.assert_allclose(
-            pruned.distances, brute.distances, atol=1e-9
-        )
-
-    def test_pruning_saves_computation_on_clustered_data(self):
-        rng = np.random.default_rng(3)
-        centers = rng.normal(scale=20.0, size=(8, 4))
-        data = np.vstack(
-            [rng.normal(loc=c, size=(250, 4)) for c in centers]
-        )
-        q = data[rng.choice(2000, 30, replace=False)]
-        brute = knn_brute(data, q, 3)
-        pruned = knn_pruned(data, q, 3, seed=1)
-        assert pruned.blocks_pruned > 0
-        assert pruned.dist_computations < brute.dist_computations
-
-    def test_self_query_returns_self_first(self):
-        rng = np.random.default_rng(4)
-        data = rng.normal(size=(50, 3))
-        res = knn_brute(data, data[:5], 1)
-        np.testing.assert_array_equal(
-            res.indices[:, 0], np.arange(5)
-        )
-        np.testing.assert_allclose(res.distances, 0.0, atol=1e-6)
-
-    def test_validation(self):
-        with pytest.raises(ConvergenceError):
-            knn_brute(np.zeros((5, 2)), np.zeros((1, 2)), 6)
-        with pytest.raises(DatasetError):
-            knn_brute(np.zeros((5, 2)), np.zeros((1, 3)), 2)
-
-
-class TestAgglomerative:
-    def test_separates_blobs(self, two_blobs):
-        x, true = two_blobs
-        for linkage in ("single", "complete", "average", "ward"):
-            res = agglomerative(x[:200], 2, linkage=linkage)
-            t = true[:200]
-            agree = max(
-                (res.assignment == t).mean(),
-                (res.assignment != t).mean(),
-            )
-            assert agree == 1.0, linkage
-
-    def test_merge_history_shape(self):
-        x = np.arange(10, dtype=float).reshape(5, 2)
-        res = agglomerative(x, 2)
-        assert res.merges.shape == (3, 3)
-        # Merge distances never negative.
-        assert (res.merges[:, 2] >= 0).all()
-
-    def test_single_linkage_chains(self):
-        # A chain of close points plus one far point: single linkage
-        # keeps the chain together.
-        x = np.array([[0.0], [1.0], [2.0], [3.0], [100.0]])
-        res = agglomerative(x, 2, linkage="single")
-        assert len(set(res.assignment[:4].tolist())) == 1
-        assert res.assignment[4] != res.assignment[0]
-
-    def test_n_clusters_equals_n(self):
-        x = np.random.default_rng(0).normal(size=(6, 2))
-        res = agglomerative(x, 6)
-        assert sorted(res.assignment.tolist()) == list(range(6))
-        assert res.merges.shape == (0, 3)
-
-    def test_validation(self):
-        x = np.zeros((5, 2))
-        with pytest.raises(ConvergenceError):
-            agglomerative(x, 0)
-        with pytest.raises(ConvergenceError):
-            agglomerative(x, 2, linkage="centroid")
-        with pytest.raises(DatasetError):
-            agglomerative(np.zeros((5000, 2)), 2)
-
-    @settings(max_examples=15, deadline=None)
-    @given(
-        n=st.integers(4, 40),
-        k=st.integers(1, 4),
-        seed=st.integers(0, 500),
-        linkage=st.sampled_from(["single", "complete", "average"]),
-    )
-    def test_produces_exactly_k_clusters(self, n, k, seed, linkage):
-        k = min(k, n)
-        x = np.random.default_rng(seed).normal(size=(n, 3))
-        res = agglomerative(x, k, linkage=linkage)
-        assert len(np.unique(res.assignment)) == k
-
-    def test_ward_merge_distances_monotone(self, two_blobs):
-        x, _ = two_blobs
-        res = agglomerative(x[:120], 1, linkage="ward")
-        d = res.merges[:, 2]
-        assert (np.diff(d) >= -1e-9).all()

@@ -1,4 +1,4 @@
-"""Export helpers: JSON and CSV round trips."""
+"""Export helpers: the JSON run report."""
 
 import json
 
@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from repro import ConvergenceCriteria, knori
-from repro.errors import ConfigError
-from repro.metrics import (
-    read_records_csv,
-    result_to_dict,
-    write_json,
-    write_records_csv,
-)
+from repro.metrics import write_json
 
 
 @pytest.fixture(scope="module")
@@ -23,15 +17,13 @@ def run(overlapping):
     )
 
 
-def test_result_to_dict_fields(run):
-    d = result_to_dict(run)
+def test_json_fields(run, tmp_path):
+    d = json.loads(write_json(tmp_path / "run.json", run).read_text())
     assert d["algorithm"] == "knori"
     assert d["iterations"] == run.iterations
     assert len(d["records"]) == run.iterations
     assert len(d["centroids"]) == 5
     assert "assignment" not in d
-    d2 = result_to_dict(run, include_assignment=True)
-    assert len(d2["assignment"]) == run.params["n"]
 
 
 def test_json_roundtrip(run, tmp_path):
@@ -44,27 +36,7 @@ def test_json_roundtrip(run, tmp_path):
     )
 
 
-def test_csv_roundtrip(run, tmp_path):
-    path = write_records_csv(tmp_path / "records.csv", run)
-    back = read_records_csv(path)
-    assert len(back) == len(run.records)
-    for a, b in zip(back, run.records):
-        assert a.iteration == b.iteration
-        assert a.sim_ns == pytest.approx(b.sim_ns)
-        assert a.dist_computations == b.dist_computations
-        assert a.busy_fraction == pytest.approx(b.busy_fraction)
-
-
-def test_csv_bad_header_rejected(tmp_path):
-    p = tmp_path / "bad.csv"
-    p.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ConfigError):
-        read_records_csv(p)
-
-
 def test_json_is_pure_json(run, tmp_path):
     """No numpy scalars sneak into the JSON output."""
-    path = write_json(
-        tmp_path / "r.json", run, include_assignment=True
-    )
+    path = write_json(tmp_path / "r.json", run)
     json.loads(path.read_text())  # raises on non-JSON values

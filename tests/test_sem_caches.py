@@ -344,22 +344,6 @@ class TestRowCache:
         )
         assert rc.partition_occupancy().sum() == rc.cached_rows
 
-    def test_occupancy_metrics_export(self):
-        from repro.metrics import (
-            render_cache_occupancy,
-            row_cache_occupancy,
-        )
-
-        rc = RowCache(8 * 64, 64, 400, n_partitions=4)
-        rc.refresh(5, np.array([0, 1, 250]))
-        snap = row_cache_occupancy(rc)
-        assert snap["partitions"] == 4
-        assert snap["occupancy"] == [2, 0, 1, 0]
-        assert snap["total_rows"] == 3
-        assert snap["skew"] == pytest.approx(2 / 0.75)
-        table = render_cache_occupancy(rc, title="rc")
-        assert "partition" in table and "quota" in table
-
     def test_fast_forward_matches_executed_schedule(self):
         """Skipping refreshes via fast_forward lands on the same next
         scheduled iteration as actually executing them."""

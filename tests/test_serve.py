@@ -27,7 +27,7 @@ from repro import ConvergenceCriteria
 from repro.baselines.minibatch import minibatch_update
 from repro.core.distance import nearest_centroid
 from repro.errors import ConfigError, DatasetError
-from repro.metrics import latency_percentiles, latency_summary
+from repro.metrics import latency_percentiles
 from tests import oracles as legacy
 from repro.runtime import (
     RecordingObserver,
@@ -342,13 +342,6 @@ class TestLatencyPercentiles:
         p = latency_percentiles(lat)
         assert set(p) == {"p50", "p99", "p999"}
         assert all(v in lat for v in p.values())
-
-    def test_summary_shape(self):
-        s = latency_summary(np.array([1.0, 2.0, 3.0]))
-        assert s["n"] == 3
-        assert s["mean_ns"] == 2.0
-        assert s["max_ns"] == 3.0
-        assert s["p999"] == 3.0
 
     def test_rejects_empty_and_bad_quantiles(self):
         with pytest.raises(ConfigError):
