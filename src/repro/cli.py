@@ -177,8 +177,10 @@ def _run_env(args: argparse.Namespace, budget_mb: float | None = None):
     plans are stateful (they consume RNG streams and scheduled
     events), so every run -- every tenant -- gets fresh ones, and its
     own memory manager: ``--mem``'s, or a budget of ``budget_mb`` MiB
-    (a tenant's ``@budget_mb``). The env is handed to the library as
-    keywords; the CLI keeps the manager to print its counters.
+    (a tenant's ``@budget_mb``), which the observers are attached to
+    here, so a tenant's memory events reach the trace too. The env is
+    handed to the library as keywords; the CLI keeps the manager to
+    print its counters.
     """
     from repro.elastic import (
         Autoscaler,
@@ -187,7 +189,6 @@ def _run_env(args: argparse.Namespace, budget_mb: float | None = None):
         parse_membership_spec,
     )
     from repro.faults import FaultPlan, parse_fault_spec, parse_retry_policy
-    from repro.mem import build_manager
     from repro.metrics import ResilienceObserver
     from repro.runtime import PrintObserver, RunEnv
 
@@ -204,7 +205,7 @@ def _run_env(args: argparse.Namespace, budget_mb: float | None = None):
         mem, budget_mb = args.mem, args.mem_budget_mb
     else:
         mem = "budget"
-    return RunEnv(
+    return RunEnv.resolve(
         observers=args.observers,
         faults=given(args.faults, lambda text: FaultPlan(
             parse_fault_spec(text), seed=args.fault_seed)),
@@ -216,10 +217,9 @@ def _run_env(args: argparse.Namespace, budget_mb: float | None = None):
         autoscaler=given(getattr(args, "autoscale", None),
                          lambda text: Autoscaler(parse_autoscaler(text))),
         # --mem numpy without a budget keeps the drivers' default.
-        manager=(
-            build_manager(mem, budget_bytes=int(budget_mb * 2**20))
-            if budget_mb is not None
-            else None if mem == "numpy" else build_manager(mem)
+        mem=None if mem == "numpy" and budget_mb is None else mem,
+        mem_budget_bytes=(
+            None if budget_mb is None else int(budget_mb * 2**20)
         ),
     )
 

@@ -208,3 +208,16 @@ def test_tenants_resilience_counts_every_tenant(small_matrix, capsys):
             re.search(r"\[resilience\] faults=(\d+)", err).group(1)))
     assert faults[0] > 0
     assert faults == [faults[0], 2 * faults[0], 3 * faults[0]]
+
+
+def test_tenant_trace_prints_each_spill(small_matrix, capsys):
+    # A budgeted tenant runs under its own manager; the trace observers
+    # are attached to it, so every spill it counts is printed.
+    assert main([
+        "knord", str(small_matrix), "-k", "4", "--machines", "2",
+        "--max-iters", "8", "--trace", "--tenants", "a=1,b=1@0.13",
+    ]) == 0
+    err = capsys.readouterr().err
+    spills = int(re.search(r"spills=(\d+)", err).group(1))
+    assert spills > 0
+    assert err.count("[mem] spill ") == spills
