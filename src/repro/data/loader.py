@@ -57,13 +57,11 @@ def load_csv(
     try:
         x = np.genfromtxt(
             path, delimiter=delimiter, skip_header=skip_header,
-            dtype=np.float64,
+            dtype=np.float64, ndmin=2,
         )
     except ValueError as exc:
         raise DatasetError(f"{path}: malformed text matrix: {exc}") from exc
-    if x.ndim == 1:
-        x = x.reshape(-1, 1) if x.size else x.reshape(0, 0)
-    if x.ndim != 2 or x.size == 0:
+    if x.size == 0:
         raise DatasetError(f"{path}: expected a non-empty 2-D matrix")
     if not allow_nonfinite:
         _check_finite(x, str(path))
@@ -75,7 +73,8 @@ def load_npy(
 ) -> np.ndarray:
     """Load a ``.npy`` matrix, coercing to float64 rows.
 
-    NaN/inf rows are rejected with a :class:`DatasetError` naming the
+    Non-numeric and complex dtypes are rejected (casting complex would
+    drop the imaginary part). NaN/inf rows are rejected with a :class:`DatasetError` naming the
     offending rows unless ``allow_nonfinite`` is set.
     """
     path = Path(path)
@@ -91,6 +90,8 @@ def load_npy(
         )
     if not np.issubdtype(x.dtype, np.number):
         raise DatasetError(f"{path}: non-numeric dtype {x.dtype}")
+    if np.issubdtype(x.dtype, np.complexfloating):
+        raise DatasetError(f"{path}: complex dtype {x.dtype}")
     x = np.ascontiguousarray(x, dtype=np.float64)
     if not allow_nonfinite:
         _check_finite(x, str(path))

@@ -46,6 +46,15 @@ class TestLoadCsv:
         p.write_text("1\n2\n3\n")
         assert load_csv(p).shape == (3, 1)
 
+    @pytest.mark.parametrize(
+        "text, shape", [("1,2,3\n", (1, 3)), ("5\n", (1, 1))],
+        ids=["row", "cell"],
+    )
+    def test_single_row(self, tmp_path, text, shape):
+        p = tmp_path / "row.csv"
+        p.write_text(text)
+        assert load_csv(p).shape == shape
+
     def test_non_numeric_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("1,2\n3,oops\n")
@@ -79,6 +88,12 @@ class TestLoadNpy:
         p = tmp_path / "s.npy"
         np.save(p, np.array([["a", "b"]]))
         with pytest.raises(DatasetError):
+            load_npy(p)
+
+    def test_complex_rejected(self, tmp_path):
+        p = tmp_path / "c.npy"
+        np.save(p, np.array([[1 + 2j, 3 + 0j]]))
+        with pytest.raises(DatasetError, match="c.npy.*complex"):
             load_npy(p)
 
 
