@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.metrics import RunResult
-from repro.runtime.mm import KmeansMM, MMAlgorithm, run_mm
+from repro.runtime.mm import KmeansMM, MMAlgorithm
 
 from repro.extensions.gmm import GmmMM
 from repro.extensions.semisupervised import SemisupervisedMM

@@ -1,7 +1,6 @@
 """knors driver: SEM runs against real on-disk files."""
 
 import numpy as np
-import pytest
 
 from repro import ConvergenceCriteria, knori, knors
 from repro.core import init_centroids

@@ -13,7 +13,7 @@ no:randomly`` so cell ordering is stable).
 import numpy as np
 import pytest
 
-from repro import ConvergenceCriteria, FaultPlan, RetryPolicy, knord, knori, knors
+from repro import FaultPlan, RetryPolicy, knord, knori, knors
 from repro.baselines.mpi_pure import mpi_lloyd
 from repro.core import init_centroids
 from repro.data import write_matrix
