@@ -177,10 +177,10 @@ def _run_env(args: argparse.Namespace, budget_mb: float | None = None):
     plans are stateful (they consume RNG streams and scheduled
     events), so every run -- every tenant -- gets fresh ones, and its
     own memory manager: ``--mem``'s, or a budget of ``budget_mb`` MiB
-    (a tenant's ``@budget_mb``), which the observers are attached to
-    here, so a tenant's memory events reach the trace too. The env is
-    handed to the library as keywords; the CLI keeps the manager to
-    print its counters.
+    (a tenant's ``@budget_mb``). ``RunEnv.resolve`` attaches the
+    observers to that manager, so a tenant's memory events are traced
+    too. The env is handed to the library as keywords; the CLI keeps
+    the manager to print its counters.
     """
     from repro.elastic import (
         Autoscaler,

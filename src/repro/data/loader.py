@@ -74,8 +74,9 @@ def load_npy(
     """Load a ``.npy`` matrix, coercing to float64 rows.
 
     Non-numeric and complex dtypes are rejected (casting complex would
-    drop the imaginary part). NaN/inf rows are rejected with a :class:`DatasetError` naming the
-    offending rows unless ``allow_nonfinite`` is set.
+    drop the imaginary part). NaN/inf rows are rejected with a
+    :class:`DatasetError` naming the offending rows unless
+    ``allow_nonfinite`` is set.
     """
     path = Path(path)
     if not path.exists():
